@@ -234,6 +234,11 @@ class BiComplex:
         return out
 
 
+def is_json_number(v) -> bool:
+    """Whether a parsed JSON value is a number; ``true`` and ``false`` are not."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _pair_to_complex(section, key: str, where: str) -> complex:
     if not isinstance(section, dict) or key not in section:
         raise InvalidInputError(f"'{where}' object must contain key '{key}'")
@@ -241,7 +246,7 @@ def _pair_to_complex(section, key: str, where: str) -> complex:
     if (
         not isinstance(pair, (list, tuple))
         or len(pair) != 2
-        or not all(isinstance(v, (int, float)) for v in pair)
+        or not all(map(is_json_number, pair))
     ):
         raise InvalidInputError(
             f"'{where}.{key}' must be a [re, im] pair of numbers, got {pair!r}"

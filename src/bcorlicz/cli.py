@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bicomplex import BiComplex, classify, poly_roots
+from .bicomplex import BiComplex, classify, is_json_number, poly_roots
 from .errors import (
     BCOrliczError,
     InvalidInputError,
@@ -30,7 +30,7 @@ from .errors import (
     NotSummableError,
     UnsupportedInstanceError,
 )
-from .measure import AtomicMeasureSpace, IndexMap
+from .measure import DEFAULT_ANALYSIS_BUDGET, AtomicMeasureSpace, IndexMap
 from .operators import (
     BCOperator,
     apply_operator,
@@ -41,6 +41,7 @@ from .orlicz import (
     BCSequence,
     OrliczFunction,
     classify_phi,
+    combine_gauges,
     luxemburg_norm,
     modular,
     norm_bc,
@@ -146,12 +147,12 @@ def _validate_config_value(key: str, value):
     checks = {
         "format": lambda v: v in ("json", "text"),
         "strict": lambda v: isinstance(v, bool),
-        "seed": lambda v: isinstance(v, int) and not isinstance(v, bool),
-        "tol": lambda v: isinstance(v, (int, float)) and 0 < v < 1,
-        "eps": lambda v: isinstance(v, (int, float)) and 0 <= v and math.isfinite(v),
-        "n_max": lambda v: v is None or (isinstance(v, int) and v >= 1),
-        "block": lambda v: isinstance(v, int) and v >= 1,
-        "trials": lambda v: isinstance(v, int) and v >= 0,
+        "seed": lambda v: is_json_number(v) and isinstance(v, int),
+        "tol": lambda v: is_json_number(v) and 0 < v < 1,
+        "eps": lambda v: is_json_number(v) and 0 <= v and math.isfinite(v),
+        "n_max": lambda v: v is None or (is_json_number(v) and isinstance(v, int) and v >= 1),
+        "block": lambda v: is_json_number(v) and isinstance(v, int) and v >= 1,
+        "trials": lambda v: is_json_number(v) and isinstance(v, int) and v >= 0,
     }
     if key not in checks:
         raise InvalidInputError(
@@ -383,6 +384,10 @@ def _cmd_bc_eval(args, config, report):
         )
 
 
+_POWER_GAUGE = "closed form (sum |f_n|^p a_n)^(1/p), checked against I(f/lam) <= 1"
+_ROOT_GAUGE = "bracketed regula falsi on log I(t f) = 0 over log t, checked against I(f/lam) <= 1"
+
+
 def _cmd_norm(args, config, report):
     phi = OrliczFunction.parse(args.phi)
     space_raw = _load_json(args.space)
@@ -403,7 +408,7 @@ def _cmd_norm(args, config, report):
             gauge = luxemburg_norm(
                 phi, F.component(which), space, tol=config["tol"], block=config["block"]
             )
-        except NotInSpaceError as exc:
+        except (NotInSpaceError, UnsupportedInstanceError) as exc:
             results.append(_certificate(exc))
             report["status"] = "error_certificate"
             return
@@ -412,10 +417,10 @@ def _cmd_norm(args, config, report):
             _result(
                 f"luxemburg_norm_component_{which}",
                 gauge,
-                "bisection on the modular level set I(f/lam) <= 1",
+                _POWER_GAUGE if phi.family == "power" else _ROOT_GAUGE,
             )
         )
-    combined = math.hypot(gauges[0], gauges[1]) / math.sqrt(2.0)
+    combined = combine_gauges(gauges[0], gauges[1])
     results.append(
         _result(
             "norm",
@@ -453,7 +458,7 @@ def _cmd_op_check(args, config, report):
     space_raw = _load_json(args.space)
     report["inputs"].update({"kind": args.kind, "phi": phi.spec_string(), "space": space_raw})
     space = _space_with_budget(AtomicMeasureSpace.from_json_dict(space_raw), config["n_max"])
-    budget = config["n_max"] if config["n_max"] is not None else 10**6
+    budget = config["n_max"] if config["n_max"] is not None else DEFAULT_ANALYSIS_BUDGET
     if args.kind == "composition":
         if args.map is None:
             raise InvalidInputError("--map is required for --kind composition")

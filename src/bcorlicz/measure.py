@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from .bicomplex import is_json_number
 from .errors import InvalidInputError, InvalidMapError
 
 __all__ = [
@@ -47,8 +48,7 @@ class AtomicMeasureSpace:
             raise InvalidInputError("weights must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(w)):
             raise InvalidInputError("weights must be finite")
-        floor = 0.0 if allow_null_atoms else None
-        if floor is None:
+        if not allow_null_atoms:
             if np.any(w <= 0):
                 bad = int(np.argmax(w <= 0)) + 1
                 raise InvalidInputError(
@@ -107,7 +107,7 @@ class AtomicMeasureSpace:
         if not isinstance(obj, dict):
             raise InvalidInputError(f"space must be a JSON object, got {obj!r}")
         if "weights" in obj:
-            return cls.finite(obj["weights"])
+            return cls.finite(_json_numbers(obj["weights"], "weights"))
         if "weights_rule" in obj:
             rule = obj["weights_rule"]
             n_max = obj.get("n_max", DEFAULT_N_MAX)
@@ -125,8 +125,18 @@ class AtomicMeasureSpace:
         raise InvalidInputError("space object needs 'weights' or 'weights_rule'")
 
 
+def _json_numbers(values, what: str) -> list:
+    """A JSON array of numbers; the first entry that is not one is named."""
+    if not isinstance(values, list):
+        raise InvalidInputError(f"{what} must be a JSON array of numbers, got {values!r}")
+    for i, v in enumerate(values):
+        if not is_json_number(v):
+            raise InvalidInputError(f"{what}[{i}] must be a number, got {v!r}")
+    return values
+
+
 def _check_n_max(n_max) -> int:
-    if not isinstance(n_max, int) or n_max < 1:
+    if not (is_json_number(n_max) and isinstance(n_max, int) and n_max >= 1):
         raise InvalidInputError(f"n_max must be a positive integer, got {n_max!r}")
     return n_max
 
@@ -201,7 +211,7 @@ class IndexMap:
         if not isinstance(obj, dict):
             raise InvalidInputError(f"map must be a JSON object, got {obj!r}")
         if "map" in obj:
-            return cls.from_table(obj["map"])
+            return cls.from_table(_json_numbers(obj["map"], "map"))
         if "map_rule" in obj:
             if obj["map_rule"] == "right_shift":
                 return cls.right_shift()

@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from .bicomplex import is_json_number
 from .errors import InvalidInputError, InvalidMapError, NotInvertibleError
 from .measure import (
     DEFAULT_ANALYSIS_BUDGET,
@@ -102,13 +103,9 @@ def _parse_matrix(rows, name: str) -> np.ndarray:
             raise InvalidInputError(f"{name} row {i} is not an array")
         vals = []
         for j, entry in enumerate(row):
-            if isinstance(entry, (int, float)):
+            if is_json_number(entry):
                 vals.append(complex(entry))
-            elif (
-                isinstance(entry, list)
-                and len(entry) == 2
-                and all(isinstance(v, (int, float)) for v in entry)
-            ):
+            elif isinstance(entry, list) and len(entry) == 2 and all(map(is_json_number, entry)):
                 vals.append(complex(entry[0], entry[1]))
             else:
                 raise InvalidInputError(

@@ -45,6 +45,7 @@ __all__ = [
     "weighted_phi_sum",
     "modular_bc",
     "luxemburg_norm",
+    "combine_gauges",
     "norm_bc",
     "schauder_tail",
     "pairing",
@@ -59,6 +60,10 @@ _DIVERGENCE_GUARD = 1e12
 _TAIL_BURN_IN = 100
 _TAIL_FLOOR = 1e-8
 _TAIL_DECAY_RATIO = 0.95
+# exp(u) - u - 1 = u^2 (1/2! + u/3! + ... + u^8/10!) to rounding for u below
+# this; above it expm1(u) - u is within 20 eps
+_EXP_SERIES_BELOW = 0.1
+_EXP_SERIES = tuple(1.0 / math.factorial(k) for k in range(10, 1, -1))
 
 
 # ----------------------------------------------------------------------
@@ -121,17 +126,30 @@ class OrliczFunction:
         u = np.asarray(u, dtype=float)
         if u.size and (np.any(np.isnan(u)) or np.any(u < 0)):
             raise InvalidInputError("phi arguments must be real and >= 0")
+        # expm1(inf) - inf is nan; every family tends to +inf
+        return np.where(np.isinf(u), np.inf, self._values(u))
+
+    def _values(self, u: np.ndarray) -> np.ndarray:
+        """phi at finite arguments >= 0, unchecked; overflow becomes +inf."""
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             if self.family == "power":
-                out = u**self.p
-            elif self.family == "exp":
-                out = np.expm1(u) - u
-            elif self.family == "entropy":
-                out = u * np.log1p(u)
-            else:
-                raise InvalidInputError(f"unknown phi family {self.family!r}")
-        # expm1(inf) - inf is nan; every family tends to +inf
-        return np.where(np.isinf(u), np.inf, out)
+                return u**self.p
+            if self.family == "exp":
+                # expm1(u) - u keeps relative error up to eps / u, so small
+                # arguments take the Taylor series (Horner, in place)
+                out = np.full_like(u, _EXP_SERIES[0])
+                for c in _EXP_SERIES[1:]:
+                    out *= u
+                    out += c
+                out *= u
+                out *= u
+                large = u >= _EXP_SERIES_BELOW
+                if large.any():
+                    np.copyto(out, np.expm1(u) - u, where=large)
+                return out
+            if self.family == "entropy":
+                return u * np.log1p(u)
+        raise InvalidInputError(f"unknown phi family {self.family!r}")
 
     def __call__(self, u: float) -> float:
         return float(self.eval_array(np.array([u]))[0])
@@ -233,6 +251,11 @@ def component_block(raw, idx: np.ndarray) -> np.ndarray:
     mask = idx <= raw.size
     out[mask] = raw[idx[mask] - 1]
     return out
+
+
+def _support(raw) -> int:
+    """An array's length (it is zero beyond); 0 for an index rule."""
+    return 0 if callable(raw) else raw.size
 
 
 def _as_raw_component(f):
@@ -353,18 +376,26 @@ class ModularValue:
     settled), ``diverged`` (guard or comparison probe fired; value is
     +inf), or ``inconclusive`` (budget exhausted; value is the partial
     sum, a lower bound).  ``n_terms`` is how many atoms were consumed.
+    ``guard`` marks a ``diverged`` verdict of the divergence guard: the
+    partial sum passed ``_DIVERGENCE_GUARD`` (or overflowed), which shows
+    a large sum at this scale rather than a divergent series.
     """
 
     value: float
     status: str
     n_terms: int
+    guard: bool = False
 
 
-def _march(term_block, n_total: int, block: int, rel_tol: float) -> ModularValue:
+def _march(
+    term_block, n_total: int, block: int, rel_tol: float, support: int = 0
+) -> ModularValue:
     """Accumulate nonnegative term blocks with the convergence probe.
 
     Convergence: three consecutive blocks each adding less than
-    ``rel_tol`` relative to the running total.  Divergence: the total
+    ``rel_tol`` relative to the running total.  A finitely supported
+    component (``support > 0`` atoms, zero beyond) converges exactly once
+    its support is summed, and not before.  Divergence: the total
     passes the guard, or n * t_n stays above a floor without decaying
     from the early to the late half of the window (a sampled comparison
     with the harmonic series).
@@ -389,7 +420,7 @@ def _march(term_block, n_total: int, block: int, rel_tol: float) -> ModularValue
         total += add
         done = stop
         if not total <= _DIVERGENCE_GUARD:  # also catches nan/inf
-            return ModularValue(math.inf, "diverged", done)
+            return ModularValue(math.inf, "diverged", done, guard=True)
         mask = idx >= _TAIL_BURN_IN
         if mask.any():
             m = float((idx[mask] * terms[mask]).min())
@@ -399,7 +430,8 @@ def _march(term_block, n_total: int, block: int, rel_tol: float) -> ModularValue
                 min_late = min(min_late, m)
         rel = 0.0 if add == 0.0 else (add / total if total > 0 else math.inf)
         consec = consec + 1 if rel < rel_tol else 0
-        if consec >= 3:
+        settled = done >= support if support else consec >= 3
+        if settled:
             return ModularValue(total, "converged", done)
         start = stop + 1
     if (
@@ -439,7 +471,7 @@ def modular(
         u = scale * np.abs(component_block(raw, idx))
         return phi.eval_array(u) * space.weight_block(idx)
 
-    return _march(term_block, space.size, block, rel_tol)
+    return _march(term_block, space.size, block, rel_tol, _support(raw))
 
 
 def weighted_phi_sum(
@@ -467,10 +499,11 @@ def weighted_phi_sum(
             u = scale * np.abs(component_block(raw, idx))
             return phi.eval_array(u) * weights[idx - 1]
 
-        return _march(term_block, weights.size, block, rel_tol)
+        return _march(term_block, weights.size, block, rel_tol, _support(raw))
 
-    u = scale * np.abs(component_block(raw, np.arange(1, weights.size + 1, dtype=np.int64)))
-    terms = phi.eval_array(u)
+    if callable(raw) or raw.size != weights.size:
+        raw = component_block(raw, np.arange(1, weights.size + 1, dtype=np.int64))
+    terms = phi.eval_array(scale * np.abs(raw))
     terms = np.where(weights > 0, terms * weights, 0.0)
     return ModularValue(float(terms.sum()), "exact", weights.size)
 
@@ -495,6 +528,21 @@ def modular_bc(
 # ----------------------------------------------------------------------
 
 
+# rules are scanned over this many leading atoms for the normalising sup
+_SUP_PREFIX = 10**4
+# exp and entropy solves that need more steps than this are reported
+_SOLVE_STEPS = 100
+# a gauge that rounding leaves just outside the level set is stepped up
+# (see _certified); the level is checked at most this many times
+_CERTIFY_TRIES = 8
+# least elasticity u phi'(u) / phi(u) of each family, so that the level's
+# log-log slope is at least this
+_MIN_ELASTICITY = {"exp": 2.0, "entropy": 1.0}
+# solver iterates stay within t = e^-700 .. e^700, where exp(s) is finite
+_LOG_T_RANGE = 700.0
+_EPS = float(np.finfo(float).eps)
+
+
 def luxemburg_norm(
     phi: OrliczFunction,
     f,
@@ -504,65 +552,201 @@ def luxemburg_norm(
     block: int = 1000,
     rel_tol: float = 1e-12,
 ) -> float:
-    """Luxemburg gauge ``inf { lam > 0 : I_phi(f / lam) <= 1 }`` by bisection.
+    """Luxemburg gauge ``inf { lam > 0 : I_phi(f / lam) <= 1 }``.
 
-    The bracket starts at ``max(1, sup |f_n|)`` (rules are scanned over a
-    bounded prefix for the start value only), doubles upward until the
-    level condition holds (budget 200, else NotInSpaceError), and halves
-    downward until it fails, so the bracket surrounds the gauge even when
-    the start already satisfies the condition.  Bisection returns the
-    upper end, which certifiably satisfies ``I_phi(f / lam) <= 1``; on
-    lazy spaces "satisfies" means the probe converged at or below 1, so
-    inconclusive probes push the result upward, never below the gauge.
+    ``|f|`` and its sup are read once (rules over a bounded prefix), and
+    the solve runs on the normalised level ``level(t) = I_phi(t |f| / sup)``,
+    whose root ``t*`` gives the gauge ``sup / t*``, so nothing in it can
+    overflow.  For ``power:p`` the level is ``t^p level(1)``, and one
+    evaluation gives the closed form ``sup * level(1)^(1/p)``, that is
+    ``(sum |f_n|^p a_n)^(1/p)``.  For ``exp`` and ``entropy``, and for a
+    power level past the divergence guard at ``t = 1``, a bracketed regula
+    falsi in log scale (``_unit_scale``) stops once the gauge is pinned to
+    a relative ``tol``.
+
+    On a finite space a level evaluation is one weighted sum over the
+    arrays already read.  On a lazy space it is one ``modular`` probe: a
+    probe past the divergence guard reads as an infinite level, from which
+    the solve steps down; a ``diverged`` verdict of the comparison probe
+    raises NotInSpaceError and an ``inconclusive`` one raises
+    UnsupportedInstanceError.  The result is checked with one ``modular``
+    call at ``scale = 1/lam``; if rounding left that level above 1, ``lam``
+    is stepped up by one convexity step and a few ulps.  The returned gauge
+    thus satisfies ``I_phi(f / lam) <= 1`` and lies within ``tol``, plus
+    the few ulps of that step, above the infimum (phi is evaluated to a
+    few ulps; exp takes a Taylor series at small arguments).  A level of 0
+    at the normalised scale means ``f`` vanishes (on a lazy space: on the
+    probed window), and the gauge is 0.  A gauge outside the float range
+    raises UnsupportedInstanceError.
     """
     if not (isinstance(tol, (int, float)) and 0 < tol < 1):
         raise InvalidInputError(f"tol must be in (0, 1), got {tol!r}")
     raw = _as_raw_component(f)
+    if space.is_lazy:
+        sup, level = _lazy_level(phi, raw, space, block, rel_tol)
+    else:
+        values = BCSequence(raw, raw).array(1, space)
+        sup, level = _finite_level(phi, values, space.weights)
+    if not math.isfinite(sup):
+        raise InvalidInputError("sequence entries must be finite")
+    at_one = level(1.0)
+    if at_one == 0.0:
+        return 0.0
+    if phi.family == "power" and at_one < math.inf:
+        root = at_one ** (1.0 / phi.p)
+        # 1/p rounds down for p = 3, 1.5, ..., which biases the root low
+        if root**phi.p < at_one:
+            root = math.nextafter(root, math.inf)
+        lam = sup * root
+    else:
+        # a power level is exactly t^p level(1), so its elasticity is p
+        k = phi.p if phi.family == "power" else _MIN_ELASTICITY[phi.family]
+        lam = sup / _unit_scale(level, at_one, k, tol)
+    return _certified(phi, raw, space, lam, block, rel_tol)
 
+
+def _finite_level(phi: OrliczFunction, values: np.ndarray, weights: np.ndarray):
+    """``sup |f|`` and ``t -> sum phi(t |f_n| / sup) a_n`` on a finite space.
+
+    Null atoms add nothing to the modular, so they are dropped first; a
+    component that vanishes keeps the scale 1.
+    """
+    mags = np.abs(values)
+    keep = weights > 0
+    if not keep.all():
+        mags, weights = mags[keep], weights[keep]
+    sup = float(mags.max(initial=0.0)) or 1.0
+    unit = mags / sup
+
+    def level(t: float) -> float:
+        return float((phi._values(t * unit) * weights).sum())
+
+    return sup, level
+
+
+def _lazy_level(phi: OrliczFunction, raw, space: AtomicMeasureSpace, block: int, rel_tol: float):
+    """``sup |f|`` and ``t -> I_phi(t f / sup)`` as one probe per value.
+
+    Rules are scanned over a bounded prefix for the sup, and a component
+    that vanishes there keeps the scale 1.  A level past the divergence
+    guard reads as +inf, and so does a ``diverged`` probe at a scale above
+    one that converged (``exp`` is not Delta2, so a modular finite at small
+    scales may diverge at large ones); neither is evidence against
+    membership, and the solver steps down from it.
+    """
+    head = raw
     if callable(raw):
-        probe_idx = np.arange(1, min(space.size, 10**4) + 1, dtype=np.int64)
-        sup = float(np.abs(component_block(raw, probe_idx)).max())
-    else:
-        if not space.is_lazy and raw.size != space.size:
-            raise InvalidInputError(
-                f"sequence has {raw.size} entries but the space has {space.size} atoms"
-            )
-        sup = float(np.abs(raw).max()) if raw.size else 0.0
-        if sup == 0.0:
-            return 0.0
+        head = component_block(raw, np.arange(1, min(space.size, _SUP_PREFIX) + 1, dtype=np.int64))
+    sup = float(np.abs(head).max(initial=0.0)) or 1.0
+    converged_at = math.inf
 
-    def level_ok(lam: float) -> bool:
-        mv = modular(phi, raw, space, scale=1.0 / lam, block=block, rel_tol=rel_tol)
-        return mv.status in ("exact", "converged") and mv.value <= 1.0
+    def level(t: float) -> float:
+        nonlocal converged_at
+        mv = modular(phi, raw, space, scale=t / sup, block=block, rel_tol=rel_tol)
+        if mv.status == "diverged" and (mv.guard or t > converged_at):
+            return math.inf
+        _require_settled(phi, mv)
+        converged_at = min(converged_at, t)
+        return mv.value
 
-    lam_hi = max(1.0, min(sup, 1e300))
-    for _ in range(200):
-        if level_ok(lam_hi):
-            break
-        lam_hi *= 2.0
-    else:
+    return sup, level
+
+
+def _require_settled(phi: OrliczFunction, mv: ModularValue) -> None:
+    if mv.status == "diverged":
         raise NotInSpaceError(
-            f"no gauge scale with I_phi(f/lam) <= 1 found for {phi.spec_string()} "
-            "after 200 doublings; the sequence is outside the space"
+            f"the {phi.spec_string()} modular diverges (probe over {mv.n_terms} atoms); "
+            "the sequence is outside the space"
+        )
+    if mv.status == "inconclusive":
+        raise UnsupportedInstanceError(
+            f"the {phi.spec_string()} modular probe is inconclusive after {mv.n_terms} "
+            "atoms, so no gauge can be certified; raise n_max"
         )
 
-    lam_lo = lam_hi / 2.0
-    while level_ok(lam_lo):
-        lam_hi = lam_lo
-        lam_lo /= 2.0
-        if lam_lo < 1e-320:
-            # the level condition held at every probed scale: gauge 0
-            return 0.0
 
-    for _ in range(200):
-        if lam_hi - lam_lo <= tol * lam_hi:
-            break
-        mid = 0.5 * (lam_lo + lam_hi)
-        if level_ok(mid):
-            lam_hi = mid
+def _unit_scale(level: Callable[[float], float], g: float, k: float, tol: float) -> float:
+    """The largest ``t`` seen to satisfy ``level(t) <= 1``, within ``tol`` of the root.
+
+    ``level`` is convex and increasing with ``level(0) = 0``, and ``g`` is
+    ``level(1)``.  By convexity one value brackets the root: ``level(t) = g``
+    puts it between ``t * min(1, 1/g)`` and ``t * max(1, 1/g)``, and the
+    lower end satisfies the level condition.  The iterates move in
+    ``s = log t`` on ``L(s) = log level(e^s)``, whose slope is at least the
+    family's least elasticity ``k``.  Until the root is bracketed the step
+    is ``-L / k``, which lands on the far side; then it is regula falsi
+    that, when one end is kept twice, scales that end's value down
+    (Anderson & Bjorck, 1973), so neither end stalls.  A level that
+    underflows to 0 or overflows has no finite logarithm; the next point is
+    then the bracket's midpoint in ``s``, or 32 past the one end known.
+    """
+    s = 0.0
+    ends: dict[int, list[float]] = {}  # -1 below the root, +1 above: [s, L]
+    last = 0
+    best, upper = 0.0, math.inf
+    for _ in range(_SOLVE_STEPS):
+        t = math.exp(s)
+        if 0.0 < g < math.inf:
+            best = max(best, t * min(1.0, 1.0 / g))
+            upper = min(upper, t * max(1.0, 1.0 / g))
+            L = math.log(g)
+        elif g == 0.0:
+            best, L = max(best, t), -math.inf
         else:
-            lam_lo = mid
-    return lam_hi
+            upper, L = min(upper, t), math.inf
+        # below this width the spacing of s, not the level, limits the bracket
+        if best >= (1.0 - max(tol, 16 * _EPS * (1.0 + abs(s)))) * upper:
+            return best
+        side = 1 if L > 0 else -1
+        if side == last and -side in ends:
+            m = 1.0 - L / ends[side][1]
+            ends[-side][1] *= m if 0.0 < m < 1.0 else 0.5
+        ends[side], last = [s, L], side
+        if len(ends) < 2:
+            s = s - L / k if math.isfinite(L) else s - 32.0 * side
+        else:
+            (s0, l0), (s1, l1) = ends[-1], ends[1]
+            if math.isinf(l0) or math.isinf(l1):
+                s = 0.5 * (s0 + s1)
+            else:
+                s = s0 - l0 * (s1 - s0) / (l1 - l0)
+        s = min(max(s, -_LOG_T_RANGE), _LOG_T_RANGE)
+        g = level(math.exp(s))
+    raise UnsupportedInstanceError(
+        f"the gauge solve did not reach relative width {tol:g} in {_SOLVE_STEPS} steps"
+    )
+
+
+def _certified(phi, raw, space, lam: float, block: int, rel_tol: float) -> float:
+    """``lam`` once one ``modular`` call shows ``I_phi(f / lam) <= 1``."""
+    for _ in range(_CERTIFY_TRIES):
+        if not (0.0 < lam < math.inf and 1.0 / lam < math.inf):
+            raise UnsupportedInstanceError(
+                f"the {phi.spec_string()} gauge {lam!r} has no finite reciprocal in floats"
+            )
+        mv = modular(phi, raw, space, scale=1.0 / lam, block=block, rel_tol=rel_tol)
+        _require_settled(phi, mv)
+        if mv.value <= 1.0:
+            return lam
+        # convexity gives I(f / (c lam)) <= I(f / lam) / c for c >= 1, so
+        # c = I(f / lam) would do in exact arithmetic; rounding needs a few
+        # ulps more
+        lam *= mv.value * (1.0 + 4.0 * _EPS)
+    raise UnsupportedInstanceError(
+        f"I_phi(f/lam) stayed above 1 for {_CERTIFY_TRIES} steps up from the solved "
+        f"{phi.spec_string()} gauge"
+    )
+
+
+def combine_gauges(n1: float, n2: float) -> float:
+    """The bicomplex norm ``(1/sqrt(2)) * sqrt(n1^2 + n2^2)`` of two gauges.
+
+    Where ``hypot`` alone overflows, the gauges are scaled first.
+    """
+    norm = math.hypot(n1, n2) / _SQRT2
+    if math.isinf(norm):
+        norm = math.hypot(n1 / _SQRT2, n2 / _SQRT2)
+    return norm
 
 
 def norm_bc(
@@ -578,7 +762,7 @@ def norm_bc(
     component Luxemburg gauges."""
     n1 = luxemburg_norm(phi, F.comp1, space, tol=tol, block=block, rel_tol=rel_tol)
     n2 = luxemburg_norm(phi, F.comp2, space, tol=tol, block=block, rel_tol=rel_tol)
-    return math.hypot(n1, n2) / _SQRT2
+    return combine_gauges(n1, n2)
 
 
 # ----------------------------------------------------------------------
@@ -619,7 +803,7 @@ def schauder_tail(
             u = np.abs(component_block(raw, shifted))
             return phi.eval_array(u) * space.weight_block(shifted)
 
-        mv = _march(term_block, remaining, block, rel_tol)
+        mv = _march(term_block, remaining, block, rel_tol, max(_support(raw) - n, 0))
         if mv.status == "diverged":
             raise NotInSpaceError(
                 f"tail p-sum beyond index {n} diverges; F is outside the p={p:g} space"

@@ -241,7 +241,7 @@ def test_criterion_4_luxemburg_matches_weighted_p_norm():
         if rel > 1e-10:
             ok = False
     passfail(
-        "criterion 4: bisection gauge equals the closed-form p-norm",
+        "criterion 4: Luxemburg gauge equals the closed-form p-norm",
         ok,
         instances=10 ** 3,
         exponents=exponents,

@@ -339,6 +339,59 @@ def test_usage_error_exits_1(capsys, files):
     assert code == 1
 
 
+def assert_one_error_line(code, out, err, *needles):
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    for needle in needles:
+        assert needle in lines[0]
+
+
+def test_non_numeric_weight_exits_1(capsys, files, tmp_path):
+    space = write(tmp_path / "space.json", {"weights": [1, "a"]})
+    code, out, err = run_cli(
+        capsys, ["norm", "--phi", "power:p=2", "--space", space, "--seq", files["f"]]
+    )
+    assert_one_error_line(code, out, err, "weights[1]")
+
+
+def test_boolean_weight_exits_1(capsys, files, tmp_path):
+    space = write(tmp_path / "space.json", {"weights": [True]})
+    code, out, err = run_cli(
+        capsys, ["norm", "--phi", "power:p=2", "--space", space, "--seq", files["f"]]
+    )
+    assert_one_error_line(code, out, err, "weights[0]")
+
+
+def test_non_numeric_map_entry_exits_1(capsys, files, tmp_path):
+    imap = write(tmp_path / "map.json", {"map": ["x"]})
+    code, out, err = run_cli(
+        capsys,
+        ["op", "check", "--kind", "composition", "--map", imap,
+         "--space", files["one_atom"], "--phi", "power:p=2"],
+    )
+    assert_one_error_line(code, out, err, "map[0]")
+
+
+def test_boolean_coordinate_exits_1(capsys, tmp_path):
+    lhs = write(tmp_path / "lhs.json", {"idempotent": {"b1": [True, 0], "b2": [0, 0]}})
+    code, out, err = run_cli(capsys, ["bc", "eval", "--op", "bar", "--lhs", lhs])
+    assert_one_error_line(code, out, err, "idempotent.b1")
+
+
+def test_norm_gauge_beyond_float_range_is_a_certificate(tmp_path):
+    space = write(tmp_path / "space.json", {"weights": [1e10]})
+    seq = write(tmp_path / "seq.json", [{"cartesian": {"z1": [1e308, 0], "z2": [0, 0]}}])
+    # a fresh process under a time cap: a gauge solve that loops fails here
+    argv = [sys.executable, "-m", "bcorlicz", "norm", "--phi", "power:p=2",
+            "--space", space, "--seq", seq, "--strict"]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 2, done.stderr
+    report = json.loads(done.stdout)
+    assert report["status"] == "error_certificate"
+    assert result_value(report, "error_certificate")["error"] == "unsupported_instance"
+
+
 def test_roots_degenerate_leading_coefficient_certificate(capsys, tmp_path):
     # leading coefficient e is a zero divisor: the instance is unsupported
     coeffs = write(tmp_path / "coeffs.json", [bc(1, 1), bc(1, 0)])
@@ -409,6 +462,18 @@ def test_bad_config_value_exits_1(capsys, files, tmp_path, monkeypatch):
     )
     assert code == 1
     assert "seed" in err
+
+
+@pytest.mark.parametrize("key", ["eps", "tol", "seed", "n_max"])
+def test_boolean_config_value_exits_1(capsys, files, tmp_path, monkeypatch, key):
+    # JSON true would otherwise be read as the number 1
+    cfg = write(tmp_path / "cfg.json", {key: True})
+    monkeypatch.setenv("BCORLICZ_CONFIG", cfg)
+    code, _, err = run_cli(
+        capsys, ["bc", "eval", "--op", "mul", "--lhs", files["e"], "--rhs", files["edag"]]
+    )
+    assert code == 1
+    assert key in err
 
 
 def test_n_max_flag_overrides_lazy_budget(capsys, files, tmp_path):

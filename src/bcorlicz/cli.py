@@ -30,7 +30,7 @@ from .errors import (
     NotSummableError,
     UnsupportedInstanceError,
 )
-from .measure import DEFAULT_ANALYSIS_BUDGET, AtomicMeasureSpace, IndexMap
+from .measure import DEFAULT_N_MAX, AtomicMeasureSpace, IndexMap
 from .operators import (
     BCOperator,
     apply_operator,
@@ -458,7 +458,7 @@ def _cmd_op_check(args, config, report):
     space_raw = _load_json(args.space)
     report["inputs"].update({"kind": args.kind, "phi": phi.spec_string(), "space": space_raw})
     space = _space_with_budget(AtomicMeasureSpace.from_json_dict(space_raw), config["n_max"])
-    budget = config["n_max"] if config["n_max"] is not None else DEFAULT_ANALYSIS_BUDGET
+    budget = config["n_max"] if config["n_max"] is not None else DEFAULT_N_MAX
     if args.kind == "composition":
         if args.map is None:
             raise InvalidInputError("--map is required for --kind composition")

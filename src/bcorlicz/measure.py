@@ -26,12 +26,11 @@ __all__ = [
     "distortion_ratios",
     "is_nonsingular",
     "DEFAULT_N_MAX",
-    "DEFAULT_ANALYSIS_BUDGET",
 ]
 
+# default truncation of a lazy space, and cap on how many atoms a
+# lazy-space distortion scan materializes
 DEFAULT_N_MAX = 10**6
-# cap on how many atoms a lazy-space distortion scan materializes
-DEFAULT_ANALYSIS_BUDGET = 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,15 +145,13 @@ class IndexMap:
     """Self-map of the atom index set.
 
     Finite maps are tables (``table[k-1]`` is the image of atom ``k``).
-    Lazy maps are vectorized forward rules, optionally with a preimage
-    rule for exact pushforwards.  The built-in ``right_shift`` map sends
-    atom n to n - 1 and leaves atom 1 without an image.
+    Lazy maps are vectorized forward rules.  The built-in ``right_shift``
+    map sends atom n to n - 1 and leaves atom 1 without an image.
     """
 
     kind: str  # "table" | "rule" | "right_shift"
     table: np.ndarray | None = None
     forward: Callable[[np.ndarray], np.ndarray] | None = None
-    preimage: Callable[[int], np.ndarray] | None = None
     name: str = ""
 
     @classmethod
@@ -176,16 +173,11 @@ class IndexMap:
 
     @classmethod
     def right_shift(cls) -> "IndexMap":
-        return cls(
-            kind="right_shift",
-            forward=lambda idx: np.asarray(idx) - 1,
-            preimage=lambda n: np.array([n + 1], dtype=np.int64),
-            name="right_shift",
-        )
+        return cls(kind="right_shift", forward=lambda idx: np.asarray(idx) - 1, name="right_shift")
 
     @classmethod
-    def from_rule(cls, forward, name: str = "rule", preimage=None) -> "IndexMap":
-        return cls(kind="rule", forward=forward, preimage=preimage, name=name)
+    def from_rule(cls, forward, name: str = "rule") -> "IndexMap":
+        return cls(kind="rule", forward=forward, name=name)
 
     def image_block(self, idx: np.ndarray) -> np.ndarray:
         """Forward images of 1-based indices; right shift maps atom 1 to 0."""
@@ -239,7 +231,7 @@ class Distortion:
 def pushforward(
     space: AtomicMeasureSpace,
     imap: IndexMap,
-    budget: int = DEFAULT_ANALYSIS_BUDGET,
+    budget: int = DEFAULT_N_MAX,
 ) -> Pushforward:
     """Mass the image measure puts on each atom: m_n = sum of weights over T^-1({n}).
 
@@ -289,7 +281,7 @@ def pushforward(
 def distortion_ratios(
     space: AtomicMeasureSpace,
     imap: IndexMap,
-    budget: int = DEFAULT_ANALYSIS_BUDGET,
+    budget: int = DEFAULT_N_MAX,
 ) -> Distortion:
     """Ratios b_n = m_n / a_n; sup b_n is the composition-bound certificate."""
     push = pushforward(space, imap, budget)

@@ -22,7 +22,7 @@ import numpy as np
 from .bicomplex import is_json_number
 from .errors import InvalidInputError, InvalidMapError, NotInvertibleError
 from .measure import (
-    DEFAULT_ANALYSIS_BUDGET,
+    DEFAULT_N_MAX,
     AtomicMeasureSpace,
     IndexMap,
     distortion_ratios,
@@ -31,7 +31,9 @@ from .orlicz import (
     BCSequence,
     Delta2Probe,
     OrliczFunction,
+    _as_raw_component,
     classify_phi,
+    component_array,
     component_block,
     norm_bc,
     weighted_phi_sum,
@@ -50,15 +52,6 @@ __all__ = [
     "empirical_ratios",
     "empirical_operator_norm",
 ]
-
-
-def _raw(f):
-    if callable(f):
-        return f
-    arr = np.asarray(f, dtype=complex)
-    if arr.ndim != 1:
-        raise InvalidInputError("a sequence component must be 1-d")
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +180,7 @@ def _compose_component(imap: IndexMap, raw, space: AtomicMeasureSpace):
             raise InvalidMapError(
                 f"atom {bad} maps to index {int(images[bad - 1])}, outside 1..{n}"
             )
-        arr = BCSequence(raw, raw).array(1, space)
+        arr = component_array(raw, space)
         out = np.zeros(n, dtype=complex)
         valid = images >= 1
         out[valid] = arr[images[valid] - 1]
@@ -207,16 +200,10 @@ def _compose_component(imap: IndexMap, raw, space: AtomicMeasureSpace):
 
 def _multiply_component(theta_raw, raw, space: AtomicMeasureSpace):
     if not space.is_lazy:
-        t = BCSequence(theta_raw, theta_raw).array(1, space)
-        f = BCSequence(raw, raw).array(1, space)
-        return t * f
+        return component_array(theta_raw, space) * component_array(raw, space)
     if not callable(theta_raw) and not callable(raw):
-        n = max(theta_raw.size, raw.size)
-        t = np.zeros(n, dtype=complex)
-        t[: theta_raw.size] = theta_raw
-        f = np.zeros(n, dtype=complex)
-        f[: raw.size] = raw
-        return t * f
+        idx = np.arange(1, max(theta_raw.size, raw.size) + 1, dtype=np.int64)
+        return component_block(theta_raw, idx) * component_block(raw, idx)
 
     def rule(idx, _t=theta_raw, _f=raw):
         idx = np.asarray(idx, dtype=np.int64)
@@ -233,7 +220,7 @@ def _dense_component(m: np.ndarray, raw, space: AtomicMeasureSpace):
             f"dense operator must be {space.size}x{space.size} on this space, "
             f"got {m.shape[0]}x{m.shape[1]}"
         )
-    return m @ BCSequence(raw, raw).array(1, space)
+    return m @ component_array(raw, space)
 
 
 def apply_operator(op: BCOperator, F: BCSequence, space: AtomicMeasureSpace) -> BCSequence:
@@ -252,7 +239,7 @@ class ComponentOperator:
     matrix: np.ndarray | None = None
 
     def apply(self, f, space: AtomicMeasureSpace):
-        raw = _raw(f)
+        raw = _as_raw_component(f)
         if self.kind == "composition":
             return _compose_component(self.imap, raw, space)
         if self.kind == "multiplication":
@@ -325,7 +312,6 @@ class BoundednessReport:
 
     ``verdict`` is ``bounded``, ``unbounded``, or ``inconclusive``; a
     bounded verdict always carries at least one finite certificate.
-    ``compactness`` is reserved for a future probe and is always None.
     """
 
     kind: str
@@ -337,7 +323,6 @@ class BoundednessReport:
     delta2: Delta2Probe | None = None
     surjective_on_window: bool | None = None
     empirical_norm: float | None = None
-    compactness: None = None
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -384,7 +369,6 @@ class BoundednessReport:
             ),
             "surjective_on_window": self.surjective_on_window,
             "empirical_norm": self.empirical_norm,
-            "compactness": self.compactness,
             "notes": list(self.notes),
         }
 
@@ -423,12 +407,11 @@ def check_composition_bounded(
     phi: OrliczFunction,
     samples: tuple[BCSequence, ...] = (),
     *,
-    budget: int = DEFAULT_ANALYSIS_BUDGET,
+    budget: int = DEFAULT_N_MAX,
     trials: int = 0,
     seed: int = 0,
     tol: float = 1e-12,
     block: int = 1000,
-    rel_tol: float = 1e-12,
 ) -> BoundednessReport:
     """Certify boundedness of ``F -> F o T`` via pushforward mass ratios.
 
@@ -484,7 +467,6 @@ def check_composition_bounded(
                     scale=float(lam),
                     lazy=space.is_lazy,
                     block=block,
-                    rel_tol=rel_tol,
                 )
                 if mv.status in ("exact", "converged") and math.isfinite(mv.value):
                     found = float(lam)
@@ -520,7 +502,7 @@ def check_multiplication_bounded(
     theta: BCSequence,
     space: AtomicMeasureSpace,
     *,
-    budget: int = DEFAULT_ANALYSIS_BUDGET,
+    budget: int = DEFAULT_N_MAX,
 ) -> BoundednessReport:
     """Certify boundedness of pointwise multiplication by theta.
 
@@ -584,7 +566,6 @@ def empirical_ratios(
     support: int = 50,
     tol: float = 1e-12,
     block: int = 1000,
-    rel_tol: float = 1e-12,
 ) -> np.ndarray:
     """Norm ratios ||A F|| / ||F|| over seeded random sequences.
 
@@ -601,11 +582,11 @@ def empirical_ratios(
         f1 = rng.standard_normal(length) + 1j * rng.standard_normal(length)
         f2 = rng.standard_normal(length) + 1j * rng.standard_normal(length)
         F = BCSequence.from_components(f1, f2)
-        norm_f = norm_bc(phi, F, space, tol=tol, block=block, rel_tol=rel_tol)
+        norm_f = norm_bc(phi, F, space, tol=tol, block=block)
         if norm_f == 0.0:
             continue
         G = apply_operator(op, F, space)
-        norm_g = norm_bc(phi, G, space, tol=tol, block=block, rel_tol=rel_tol)
+        norm_g = norm_bc(phi, G, space, tol=tol, block=block)
         ratios.append(norm_g / norm_f)
     return np.asarray(ratios, dtype=float)
 
@@ -620,7 +601,6 @@ def empirical_operator_norm(
     support: int = 50,
     tol: float = 1e-12,
     block: int = 1000,
-    rel_tol: float = 1e-12,
 ) -> float:
     """Largest empirical norm ratio; a lower-bound estimate, not a proof."""
     ratios = empirical_ratios(
@@ -632,6 +612,5 @@ def empirical_operator_norm(
         support=support,
         tol=tol,
         block=block,
-        rel_tol=rel_tol,
     )
     return float(ratios.max()) if ratios.size else 0.0

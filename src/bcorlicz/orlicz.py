@@ -15,6 +15,7 @@ supports.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -40,6 +41,7 @@ __all__ = [
     "default_grid",
     "BCSequence",
     "component_block",
+    "component_array",
     "ModularValue",
     "modular",
     "weighted_phi_sum",
@@ -57,6 +59,9 @@ _SQRT2 = math.sqrt(2.0)
 # and a terms-decay comparison fires when n * t_n stays above the floor
 # without decaying between the early and late halves of the window
 _DIVERGENCE_GUARD = 1e12
+# a block adding less than this relative to the running total counts
+# towards the three-block convergence rule
+_SETTLE_REL = 1e-12
 _TAIL_BURN_IN = 100
 _TAIL_FLOOR = 1e-8
 _TAIL_DECAY_RATIO = 0.95
@@ -242,15 +247,49 @@ def component_block(raw, idx: np.ndarray) -> np.ndarray:
     """Values of one component at 1-based indices ``idx``.
 
     Arrays are zero-extended past their length (finitely supported
-    elements of a lazy space); callables are vectorized index rules.
+    elements of a lazy space); callables are vectorized index rules, and
+    one must return an array of ``idx``'s shape.
     """
-    if callable(raw):
-        return np.asarray(raw(idx), dtype=complex)
     idx = np.asarray(idx)
+    if callable(raw):
+        out = np.asarray(raw(idx), dtype=complex)
+        if out.shape != idx.shape:
+            raise InvalidInputError(
+                f"an index rule returned shape {out.shape} for indices of shape {idx.shape}"
+            )
+        return out
     out = np.zeros(idx.shape, dtype=complex)
     mask = idx <= raw.size
     out[mask] = raw[idx[mask] - 1]
     return out
+
+
+def component_array(raw, space: AtomicMeasureSpace) -> np.ndarray:
+    """One component as a dense array over a finite space (strict length)."""
+    if callable(raw):
+        idx = np.arange(1, space.size + 1, dtype=np.int64)
+        out = component_block(raw, idx)
+        _check_rule_values(out, idx)
+        return out
+    if space.is_lazy:
+        raise InvalidInputError("dense component arrays need a finite space")
+    if raw.size != space.size:
+        raise InvalidInputError(
+            f"sequence has {raw.size} entries but the space has {space.size} atoms"
+        )
+    return raw
+
+
+def _check_rule_values(values: np.ndarray, idx: np.ndarray) -> None:
+    """Refuse an index rule's values that are not finite, naming the first."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        k = int(np.argmax(bad))
+        v = complex(values[k])
+        raise InvalidInputError(
+            f"an index rule gave {v.real if v.imag == 0 else v} at index {int(idx[k])}; "
+            "entries must be finite"
+        )
 
 
 def _support(raw) -> int:
@@ -333,16 +372,7 @@ class BCSequence:
 
     def array(self, which: int, space: AtomicMeasureSpace) -> np.ndarray:
         """Component as a dense array over a finite space (strict length)."""
-        raw = self.component(which)
-        if callable(raw):
-            return component_block(raw, np.arange(1, space.size + 1, dtype=np.int64))
-        if space.is_lazy:
-            raise InvalidInputError("dense component arrays need a finite space")
-        if raw.size != space.size:
-            raise InvalidInputError(
-                f"sequence has {raw.size} entries but the space has {space.size} atoms"
-            )
-        return raw
+        return component_array(self.component(which), space)
 
     def values(self) -> list[BiComplex]:
         if self.is_lazy:
@@ -387,18 +417,19 @@ class ModularValue:
     guard: bool = False
 
 
-def _march(
-    term_block, n_total: int, block: int, rel_tol: float, support: int = 0
-) -> ModularValue:
+# overflow and 0 * inf are read by _weighted and the guard, not warned about
+@np.errstate(over="ignore", invalid="ignore")
+def _march(term_block, n_total: int, block: int, support: int = 0) -> ModularValue:
     """Accumulate nonnegative term blocks with the convergence probe.
 
-    Convergence: three consecutive blocks each adding less than
-    ``rel_tol`` relative to the running total.  A finitely supported
-    component (``support > 0`` atoms, zero beyond) converges exactly once
-    its support is summed, and not before.  Divergence: the total
-    passes the guard, or n * t_n stays above a floor without decaying
-    from the early to the late half of the window (a sampled comparison
-    with the harmonic series).
+    ``term_block(idx)`` gives the terms at the 1-based atoms ``idx`` and
+    their sum (see ``_weighted``).  Convergence: three consecutive blocks
+    each adding less than ``_SETTLE_REL`` relative to the running total.
+    A finitely supported component (``support > 0`` atoms, zero beyond)
+    converges exactly once its support is summed, and not before.
+    Divergence: the total passes the guard, or n * t_n stays above a floor
+    without decaying from the early to the late half of the window (a
+    sampled comparison with the harmonic series).
     """
     if block < 1:
         raise InvalidInputError(f"block size must be >= 1, got {block!r}")
@@ -415,8 +446,8 @@ def _march(
     while start <= n_total:
         stop = min(start + block - 1, n_total)
         idx = np.arange(start, stop + 1, dtype=np.int64)
-        terms = term_block(idx)
-        add = float(terms.sum())
+        terms, add = term_block(idx)
+        add = float(add)
         total += add
         done = stop
         if not total <= _DIVERGENCE_GUARD:  # also catches nan/inf
@@ -429,7 +460,7 @@ def _march(
             else:
                 min_late = min(min_late, m)
         rel = 0.0 if add == 0.0 else (add / total if total > 0 else math.inf)
-        consec = consec + 1 if rel < rel_tol else 0
+        consec = consec + 1 if rel < _SETTLE_REL else 0
         settled = done >= support if support else consec >= 3
         if settled:
             return ModularValue(total, "converged", done)
@@ -444,6 +475,41 @@ def _march(
     return ModularValue(total, "inconclusive", done)
 
 
+def _weighted(values: np.ndarray, weights: np.ndarray, idx: np.ndarray, *read: np.ndarray):
+    """``values * weights`` on one block of atoms ``idx``, and its sum.
+
+    ``values`` are computed from the component values ``read`` there.
+    Only a sum that is not finite has the block scanned: a read value that
+    is nan or inf (arrays are checked when built, so it came from an index
+    rule) is refused, and a zero value on a weight that overflowed to inf
+    (a geometric ratio above 1) adds 0, not nan.  Terms that overflow
+    stay inf for the divergence guard.
+    """
+    terms = values * weights
+    total = terms.sum()
+    if not cmath.isfinite(total):
+        for comp in read:
+            _check_rule_values(comp, idx)
+        terms[values == 0] = 0.0
+        total = terms.sum()
+    return terms, total
+
+
+def _phi_terms(phi: OrliczFunction, raw, weight_at, scale: float = 1.0, offset: int = 0):
+    """Term block ``phi(scale |f_n|) w_n`` over the atoms ``n = idx + offset``.
+
+    ``weight_at`` maps atoms to their weights.  This is the term block of
+    every lazy modular, weighted sum and coordinate tail.
+    """
+
+    def term_block(idx):
+        at = idx + offset if offset else idx
+        vals = component_block(raw, at)
+        return _weighted(phi._values(scale * np.abs(vals)), weight_at(at), at, vals)
+
+    return term_block
+
+
 def modular(
     phi: OrliczFunction,
     f,
@@ -451,7 +517,6 @@ def modular(
     *,
     scale: float = 1.0,
     block: int = 1000,
-    rel_tol: float = 1e-12,
 ) -> ModularValue:
     """Modular ``I_phi(scale * f) = sum phi(scale * |f_n|) a_n``.
 
@@ -464,14 +529,9 @@ def modular(
         raise InvalidInputError(f"scale must be finite and >= 0, got {scale!r}")
     raw = _as_raw_component(f)
     if not space.is_lazy:
-        arr = BCSequence(raw, raw).array(1, space)
-        return weighted_phi_sum(phi, arr, space.weights, scale=scale)
-
-    def term_block(idx):
-        u = scale * np.abs(component_block(raw, idx))
-        return phi.eval_array(u) * space.weight_block(idx)
-
-    return _march(term_block, space.size, block, rel_tol, _support(raw))
+        return weighted_phi_sum(phi, component_array(raw, space), space.weights, scale=scale)
+    terms = _phi_terms(phi, raw, space.weight_block, scale)
+    return _march(terms, space.size, block, _support(raw))
 
 
 def weighted_phi_sum(
@@ -482,7 +542,6 @@ def weighted_phi_sum(
     scale: float = 1.0,
     lazy: bool = False,
     block: int = 1000,
-    rel_tol: float = 1e-12,
 ) -> ModularValue:
     """``sum phi(scale * |f_n|) * weights[n-1]`` over ``n = 1..len(weights)``.
 
@@ -494,12 +553,8 @@ def weighted_phi_sum(
     weights = np.asarray(weights, dtype=float)
     raw = _as_raw_component(f)
     if lazy:
-
-        def term_block(idx):
-            u = scale * np.abs(component_block(raw, idx))
-            return phi.eval_array(u) * weights[idx - 1]
-
-        return _march(term_block, weights.size, block, rel_tol, _support(raw))
+        terms = _phi_terms(phi, raw, lambda idx: weights[idx - 1], scale)
+        return _march(terms, weights.size, block, _support(raw))
 
     if callable(raw) or raw.size != weights.size:
         raw = component_block(raw, np.arange(1, weights.size + 1, dtype=np.int64))
@@ -515,11 +570,10 @@ def modular_bc(
     *,
     scale: float = 1.0,
     block: int = 1000,
-    rel_tol: float = 1e-12,
 ) -> HyperbolicValue:
     """Componentwise modular of a bicomplex sequence, as a hyperbolic pair."""
-    mv1 = modular(phi, F.comp1, space, scale=scale, block=block, rel_tol=rel_tol)
-    mv2 = modular(phi, F.comp2, space, scale=scale, block=block, rel_tol=rel_tol)
+    mv1 = modular(phi, F.comp1, space, scale=scale, block=block)
+    mv2 = modular(phi, F.comp2, space, scale=scale, block=block)
     return HyperbolicValue(mv1.value, mv2.value)
 
 
@@ -550,7 +604,6 @@ def luxemburg_norm(
     *,
     tol: float = 1e-12,
     block: int = 1000,
-    rel_tol: float = 1e-12,
 ) -> float:
     """Luxemburg gauge ``inf { lam > 0 : I_phi(f / lam) <= 1 }``.
 
@@ -583,10 +636,9 @@ def luxemburg_norm(
         raise InvalidInputError(f"tol must be in (0, 1), got {tol!r}")
     raw = _as_raw_component(f)
     if space.is_lazy:
-        sup, level = _lazy_level(phi, raw, space, block, rel_tol)
+        sup, level = _lazy_level(phi, raw, space, block)
     else:
-        values = BCSequence(raw, raw).array(1, space)
-        sup, level = _finite_level(phi, values, space.weights)
+        sup, level = _finite_level(phi, component_array(raw, space), space.weights)
     if not math.isfinite(sup):
         raise InvalidInputError("sequence entries must be finite")
     at_one = level(1.0)
@@ -602,7 +654,7 @@ def luxemburg_norm(
         # a power level is exactly t^p level(1), so its elasticity is p
         k = phi.p if phi.family == "power" else _MIN_ELASTICITY[phi.family]
         lam = sup / _unit_scale(level, at_one, k, tol)
-    return _certified(phi, raw, space, lam, block, rel_tol)
+    return _certified(phi, raw, space, lam, block)
 
 
 def _finite_level(phi: OrliczFunction, values: np.ndarray, weights: np.ndarray):
@@ -624,7 +676,7 @@ def _finite_level(phi: OrliczFunction, values: np.ndarray, weights: np.ndarray):
     return sup, level
 
 
-def _lazy_level(phi: OrliczFunction, raw, space: AtomicMeasureSpace, block: int, rel_tol: float):
+def _lazy_level(phi: OrliczFunction, raw, space: AtomicMeasureSpace, block: int):
     """``sup |f|`` and ``t -> I_phi(t f / sup)`` as one probe per value.
 
     Rules are scanned over a bounded prefix for the sup, and a component
@@ -636,32 +688,39 @@ def _lazy_level(phi: OrliczFunction, raw, space: AtomicMeasureSpace, block: int,
     """
     head = raw
     if callable(raw):
-        head = component_block(raw, np.arange(1, min(space.size, _SUP_PREFIX) + 1, dtype=np.int64))
+        idx = np.arange(1, min(space.size, _SUP_PREFIX) + 1, dtype=np.int64)
+        head = component_block(raw, idx)
+        _check_rule_values(head, idx)
     sup = float(np.abs(head).max(initial=0.0)) or 1.0
     converged_at = math.inf
 
     def level(t: float) -> float:
         nonlocal converged_at
-        mv = modular(phi, raw, space, scale=t / sup, block=block, rel_tol=rel_tol)
+        mv = modular(phi, raw, space, scale=t / sup, block=block)
         if mv.status == "diverged" and (mv.guard or t > converged_at):
             return math.inf
-        _require_settled(phi, mv)
+        _require_settled(mv, f"the {phi.spec_string()} modular", "no gauge can be certified")
         converged_at = min(converged_at, t)
         return mv.value
 
     return sup, level
 
 
-def _require_settled(phi: OrliczFunction, mv: ModularValue) -> None:
+def _require_settled(mv: ModularValue, what: str, unsettled: str) -> None:
+    """Raise unless the probe of ``what`` converged (or was exact).
+
+    A ``diverged`` probe raises NotInSpaceError; an ``inconclusive`` one
+    raises UnsupportedInstanceError, saying that ``unsettled``.
+    """
     if mv.status == "diverged":
         raise NotInSpaceError(
-            f"the {phi.spec_string()} modular diverges (probe over {mv.n_terms} atoms); "
+            f"{what} diverges (probe over {mv.n_terms} atoms); "
             "the sequence is outside the space"
         )
     if mv.status == "inconclusive":
         raise UnsupportedInstanceError(
-            f"the {phi.spec_string()} modular probe is inconclusive after {mv.n_terms} "
-            "atoms, so no gauge can be certified; raise n_max"
+            f"the probe of {what} is inconclusive after {mv.n_terms} atoms, "
+            f"so {unsettled}; raise n_max"
         )
 
 
@@ -717,15 +776,15 @@ def _unit_scale(level: Callable[[float], float], g: float, k: float, tol: float)
     )
 
 
-def _certified(phi, raw, space, lam: float, block: int, rel_tol: float) -> float:
+def _certified(phi, raw, space, lam: float, block: int) -> float:
     """``lam`` once one ``modular`` call shows ``I_phi(f / lam) <= 1``."""
     for _ in range(_CERTIFY_TRIES):
         if not (0.0 < lam < math.inf and 1.0 / lam < math.inf):
             raise UnsupportedInstanceError(
                 f"the {phi.spec_string()} gauge {lam!r} has no finite reciprocal in floats"
             )
-        mv = modular(phi, raw, space, scale=1.0 / lam, block=block, rel_tol=rel_tol)
-        _require_settled(phi, mv)
+        mv = modular(phi, raw, space, scale=1.0 / lam, block=block)
+        _require_settled(mv, f"the {phi.spec_string()} modular", "no gauge can be certified")
         if mv.value <= 1.0:
             return lam
         # convexity gives I(f / (c lam)) <= I(f / lam) / c for c >= 1, so
@@ -756,12 +815,11 @@ def norm_bc(
     *,
     tol: float = 1e-12,
     block: int = 1000,
-    rel_tol: float = 1e-12,
 ) -> float:
     """Bicomplex Orlicz norm: ``(1/sqrt(2)) * sqrt(n1^2 + n2^2)`` of the
     component Luxemburg gauges."""
-    n1 = luxemburg_norm(phi, F.comp1, space, tol=tol, block=block, rel_tol=rel_tol)
-    n2 = luxemburg_norm(phi, F.comp2, space, tol=tol, block=block, rel_tol=rel_tol)
+    n1 = luxemburg_norm(phi, F.comp1, space, tol=tol, block=block)
+    n2 = luxemburg_norm(phi, F.comp2, space, tol=tol, block=block)
     return combine_gauges(n1, n2)
 
 
@@ -777,7 +835,6 @@ def schauder_tail(
     space: AtomicMeasureSpace,
     *,
     block: int = 1000,
-    rel_tol: float = 1e-12,
 ) -> float:
     """Weighted l^p norm of the tail beyond index ``n``.
 
@@ -794,24 +851,11 @@ def schauder_tail(
         if remaining <= 0:
             return 0.0
         if not space.is_lazy:
-            arr = BCSequence(raw, raw).array(1, space)
-            tail = np.abs(arr[n:])
-            return float((phi.eval_array(tail) * space.weights[n:]).sum())
-
-        def term_block(idx):
-            shifted = idx + n
-            u = np.abs(component_block(raw, shifted))
-            return phi.eval_array(u) * space.weight_block(shifted)
-
-        mv = _march(term_block, remaining, block, rel_tol, max(_support(raw) - n, 0))
-        if mv.status == "diverged":
-            raise NotInSpaceError(
-                f"tail p-sum beyond index {n} diverges; F is outside the p={p:g} space"
-            )
-        if mv.status == "inconclusive":
-            raise UnsupportedInstanceError(
-                f"tail probe inconclusive after {mv.n_terms} atoms; raise n_max"
-            )
+            tail = component_array(raw, space)[n:]
+            return weighted_phi_sum(phi, tail, space.weights[n:]).value
+        terms = _phi_terms(phi, raw, space.weight_block, offset=n)
+        mv = _march(terms, remaining, block, max(_support(raw) - n, 0))
+        _require_settled(mv, f"the tail p-sum beyond index {n}", "no tail can be certified")
         return mv.value
 
     t1 = tail_psum(F.comp1) ** (1.0 / p)
@@ -830,71 +874,46 @@ def pairing(
     space: AtomicMeasureSpace,
     *,
     block: int = 1000,
-    rel_tol: float = 1e-12,
 ) -> BiComplex:
     """Bilinear pairing ``sum x_n y_n a_n`` taken componentwise.
 
-    On lazy spaces the complex sums are probed through their absolute
-    series; certified divergence raises NotSummableError, and a probe
-    that cannot settle within budget returns the partial value with a
-    RuntimeWarning.
+    On lazy spaces each complex sum runs on the modular's probe over its
+    absolute series ``|x_n y_n a_n|``, the complex sum carried beside it.
+    Past the shorter of two arrays the product is zero, so an array
+    component bounds the probe as in ``modular``.  Certified divergence
+    raises NotSummableError, and a probe that cannot settle within budget
+    returns the partial value with a RuntimeWarning.
     """
-    if not space.is_lazy:
-        w = space.weights
-        s1 = np.sum(x.array(1, space) * y.array(1, space) * w)
-        s2 = np.sum(x.array(2, space) * y.array(2, space) * w)
-        return BiComplex(complex(s1), complex(s2))
-
-    block = min(block, max(1, space.size // 8))
 
     def summed(which: int) -> complex:
-        total = 0j
-        abs_total = 0.0
-        consec = 0
-        half = space.size // 2
-        min_early = math.inf
-        min_late = math.inf
-        start = 1
-        while start <= space.size:
-            stop = min(start + block - 1, space.size)
-            idx = np.arange(start, stop + 1, dtype=np.int64)
-            terms = x.block(which, idx) * y.block(which, idx) * space.weight_block(idx)
-            abs_terms = np.abs(terms)
-            add = float(abs_terms.sum())
-            total += complex(terms.sum())
-            abs_total += add
-            if not abs_total <= _DIVERGENCE_GUARD:
-                raise NotSummableError(
-                    f"pairing component {which} exceeds the divergence guard "
-                    f"after {stop} atoms"
-                )
-            mask = idx >= _TAIL_BURN_IN
-            if mask.any():
-                m = float((idx[mask] * abs_terms[mask]).min())
-                if stop <= half:
-                    min_early = min(min_early, m)
-                else:
-                    min_late = min(min_late, m)
-            rel = 0.0 if add == 0.0 else (add / abs_total if abs_total > 0 else math.inf)
-            consec = consec + 1 if rel < rel_tol else 0
-            if consec >= 3:
-                return total
-            start = stop + 1
-        if (
-            math.isfinite(min_early)
-            and math.isfinite(min_late)
-            and min_late >= _TAIL_FLOOR
-            and min_late >= _TAIL_DECAY_RATIO * min_early
-        ):
+        xr, yr = x.component(which), y.component(which)
+        if not space.is_lazy:
+            terms = component_array(xr, space) * component_array(yr, space) * space.weights
+            return complex(np.sum(terms))
+        signed = 0j
+
+        def term_block(idx):
+            nonlocal signed
+            xs, ys = component_block(xr, idx), component_block(yr, idx)
+            terms, block_sum = _weighted(xs * ys, space.weight_block(idx), idx, xs, ys)
+            signed += complex(block_sum)
+            mags = np.abs(terms)
+            return mags, mags.sum()
+
+        support = min((r.size for r in (xr, yr) if not callable(r)), default=0)
+        mv = _march(term_block, space.size, block, support)
+        if mv.status == "diverged":
+            fired = "the divergence guard" if mv.guard else "the comparison probe"
             raise NotSummableError(
-                f"pairing component {which} diverges (comparison probe fired at budget)"
+                f"pairing component {which} diverges ({fired} fired after {mv.n_terms} atoms)"
             )
-        warnings.warn(
-            f"pairing component {which} probe inconclusive after {space.size} atoms; "
-            "returning the partial sum",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return total
+        if mv.status == "inconclusive":
+            warnings.warn(
+                f"pairing component {which} probe inconclusive after {mv.n_terms} atoms; "
+                "returning the partial sum",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        return signed
 
     return BiComplex(summed(1), summed(2))

@@ -264,6 +264,15 @@ def test_pairing_command(capsys, tmp_path):
     assert val["idempotent"] == {"b1": [6.0, 0.0], "b2": [20.0, 0.0]}
 
 
+def test_pairing_command_sums_an_array_to_its_last_entry(capsys, tmp_path):
+    x = write(tmp_path / "x.json", [bc(0j, 0j)] * 3000 + [bc(1, 1)])
+    y = write(tmp_path / "y.json", [bc(1, 1)] * 3001)
+    space = write(tmp_path / "c.json", {"weights_rule": "counting", "n_max": 10**6})
+    report = run_json(capsys, ["pairing", "--x", x, "--y", y, "--space", space])
+    assert result_value(report, "pairing")["idempotent"] == {"b1": [1.0, 0.0], "b2": [1.0, 0.0]}
+    assert report["warnings"] == []
+
+
 def test_text_format(capsys, files):
     code, out, _ = run_cli(
         capsys,

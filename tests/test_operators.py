@@ -349,7 +349,6 @@ def test_bounded_verdict_requires_certificate():
     assert rep.bound() == 2.0
     rep = BoundednessReport(kind="composition", verdict="inconclusive")
     assert rep.bound() is None
-    assert rep.compactness is None
 
 
 def test_report_json_shape():
@@ -359,7 +358,6 @@ def test_report_json_shape():
     assert obj["kind"] == "composition"
     assert obj["verdict"] == "bounded"
     assert obj["bound"] == obj["sup_distortion"]
-    assert obj["compactness"] is None
     assert obj["delta2"]["K_estimate"] == 4.0
     assert isinstance(obj["notes"], list)
 

@@ -496,6 +496,71 @@ def test_pairing_lazy_inconclusive_warns_and_returns_partial():
     assert 0 < Z.beta1.real < 11.0  # zeta(1.1) is about 10.58
 
 
+def test_pairing_lazy_array_is_summed_to_its_last_entry():
+    # zero leading blocks must not settle the probe before the one nonzero atom
+    sp = AtomicMeasureSpace.counting(10 ** 6)
+    x = np.zeros(3001)
+    x[-1] = 1.0
+    X = BCSequence.from_components(x, x)
+    Y = BCSequence.from_components(np.ones(3001), np.ones(3001))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Z = pairing(X, Y, sp)
+    assert Z.beta1 == 1.0 and Z.beta2 == 1.0
+
+
+def test_pairing_lazy_array_with_rule():
+    # the product vanishes past the array, so its length bounds the probe
+    sp = AtomicMeasureSpace.counting(10 ** 6)
+    x = np.zeros(5001, dtype=complex)
+    x[0], x[-1] = 2.0, 1j
+    X = BCSequence.from_components(x, x)
+    Y = BCSequence.from_rules(lambda i: 1.0 / i, lambda i: 0.0 * i)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Z = pairing(X, Y, sp)
+    assert Z.beta1 == 2.0 + 1j / 5001
+    assert Z.beta2 == 0.0
+
+
+def test_zero_times_overflowed_weight_is_zero():
+    # geometric(2) weights overflow to inf past atom 1025 while exp(-n)
+    # underflows to 0 past atom 745; the true modular is finite
+    sp = AtomicMeasureSpace.geometric(2.0, 10 ** 6)
+    phi = OrliczFunction.power(2)
+    want = math.exp(-2.0) / (1.0 - 2.0 * math.exp(-2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mv = modular(phi, lambda i: np.exp(-i), sp)
+        lam = luxemburg_norm(phi, lambda i: np.exp(-i), sp)
+    assert mv.status == "converged"
+    assert mv.value == pytest.approx(want, rel=1e-12)
+    assert lam == pytest.approx(math.sqrt(want), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "rule", [lambda i: 1.0, lambda i: np.ones(3)], ids=["scalar", "wrong-shape"]
+)
+def test_rule_output_of_the_wrong_shape_is_refused(rule):
+    with pytest.raises(InvalidInputError, match="shape"):
+        modular(OrliczFunction.power(2), rule, AtomicMeasureSpace.counting(10 ** 5))
+
+
+def test_nan_in_a_pairing_rule_is_refused():
+    X = BCSequence.from_rules(lambda i: np.where(i == 1234, np.nan, 1.0 / i**2), lambda i: 0.0 * i)
+    with pytest.raises(InvalidInputError, match="nan at index 1234"):
+        pairing(X, X, AtomicMeasureSpace.counting(10 ** 5))
+
+
+def test_inf_in_a_modular_rule_is_refused():
+    rule = lambda i: np.where(i == 9, np.inf, 1.0 / i**2)  # noqa: E731
+    sp = AtomicMeasureSpace.counting(10 ** 5)
+    with pytest.raises(InvalidInputError, match="inf at index 9"):
+        modular(OrliczFunction.power(2), rule, sp)
+    with pytest.raises(InvalidInputError, match="inf at index 9"):
+        luxemburg_norm(OrliczFunction.power(2), rule, sp)
+
+
 # ------------------------------------------------------- inclusion behavior
 
 

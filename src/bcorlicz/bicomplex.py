@@ -15,6 +15,7 @@ representation here; cartesian coordinates are derived views.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,8 +236,8 @@ class BiComplex:
 
 
 def is_json_number(v) -> bool:
-    """Whether a parsed JSON value is a number; ``true`` and ``false`` are not."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """Whether a parsed JSON value is a finite number; ``true``, NaN and ``10**400`` are not."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _pair_to_complex(section, key: str, where: str) -> complex:

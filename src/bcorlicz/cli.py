@@ -147,9 +147,9 @@ def _validate_config_value(key: str, value):
     checks = {
         "format": lambda v: v in ("json", "text"),
         "strict": lambda v: isinstance(v, bool),
-        "seed": lambda v: is_json_number(v) and isinstance(v, int),
+        "seed": lambda v: is_json_number(v) and isinstance(v, int) and v >= 0,
         "tol": lambda v: is_json_number(v) and 0 < v < 1,
-        "eps": lambda v: is_json_number(v) and 0 <= v and math.isfinite(v),
+        "eps": lambda v: is_json_number(v) and 0 <= v,
         "n_max": lambda v: v is None or (is_json_number(v) and isinstance(v, int) and v >= 1),
         "block": lambda v: is_json_number(v) and isinstance(v, int) and v >= 1,
         "trials": lambda v: is_json_number(v) and isinstance(v, int) and v >= 0,

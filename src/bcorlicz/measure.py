@@ -228,6 +228,42 @@ class Distortion:
     truncated: bool
 
 
+def _scan(space: AtomicMeasureSpace, imap: IndexMap, budget: int, share):
+    """Per-atom sums ``sum_{T(k)=n} share(k, n)``, and whether they are truncated.
+
+    ``share(k, n)`` is what atom ``k`` adds to its image ``n``.  On lazy
+    spaces only the first ``min(n_max, budget)`` atoms are scanned.
+    """
+    lazy = space.is_lazy
+    n = min(space.size, budget) if lazy else space.size
+    idx = np.arange(1, n + 1, dtype=np.int64)
+    if imap.kind == "right_shift":
+        if lazy:
+            return share(idx + 1, idx), True
+        sums = np.zeros(n)
+        sums[: n - 1] = share(idx[1:], idx[:-1])
+        return sums, False
+    if imap.kind == "table":
+        if lazy:
+            raise InvalidMapError("finite map tables do not cover a lazy index set")
+        images = imap.table
+        if images.size != n:
+            raise InvalidMapError(
+                f"map table has {images.size} entries but the space has {n} atoms"
+            )
+    else:
+        images = np.asarray(imap.forward(idx), dtype=np.int64)
+    if np.any(images < 1):
+        bad = int(np.argmax(images < 1)) + 1
+        raise InvalidMapError(f"atom {bad} maps to index {int(images[bad - 1])}")
+    if not lazy and np.any(images > n):
+        bad = int(np.argmax(images > n)) + 1
+        raise InvalidMapError(f"atom {bad} maps to index {int(images[bad - 1])}, outside 1..{n}")
+    inside = images <= n  # images beyond a lazy window leave the truncated view
+    k, images = idx[inside], images[inside]
+    return np.bincount(images - 1, weights=share(k, images), minlength=n), lazy
+
+
 def pushforward(
     space: AtomicMeasureSpace,
     imap: IndexMap,
@@ -238,44 +274,22 @@ def pushforward(
     On lazy spaces only the first ``min(n_max, budget)`` atoms are
     scanned and the result is flagged truncated.
     """
-    if not space.is_lazy:
-        n = space.size
-        if imap.kind == "table":
-            table = imap.table
-            if table.size != n:
-                raise InvalidMapError(
-                    f"map table has {table.size} entries but the space has {n} atoms"
-                )
-            if np.any(table > n):
-                bad = int(np.argmax(table > n)) + 1
-                raise InvalidMapError(
-                    f"atom {bad} maps to index {int(table[bad - 1])}, outside 1..{n}"
-                )
-            masses = np.bincount(table - 1, weights=space.weights, minlength=n)
-            return Pushforward(masses, truncated=False)
-        if imap.kind == "right_shift":
-            masses = np.zeros(n)
-            masses[: n - 1] = space.weights[1:]
-            return Pushforward(masses, truncated=False)
-        table = np.asarray(imap.forward(np.arange(1, n + 1)), dtype=np.int64)
-        return pushforward(space, IndexMap.from_table(table))
+    masses, truncated = _scan(space, imap, budget, lambda k, n: space.weight_block(k))
+    return Pushforward(masses, truncated)
 
-    n = min(space.size, budget)
-    idx = np.arange(1, n + 1, dtype=np.int64)
-    if imap.kind == "table":
-        raise InvalidMapError("finite map tables do not cover a lazy index set")
-    if imap.kind == "right_shift":
-        masses = space.weight_block(idx + 1)
-        return Pushforward(masses, truncated=True)
-    images = np.asarray(imap.forward(idx), dtype=np.int64)
-    if np.any(images < 1):
-        bad = int(np.argmax(images < 1)) + 1
-        raise InvalidMapError(f"atom {bad} maps to index {int(images[bad - 1])}")
-    inside = images <= n  # images beyond the window leave the truncated view
-    masses = np.bincount(
-        images[inside] - 1, weights=space.weight_block(idx[inside]), minlength=n
-    )
-    return Pushforward(masses, truncated=True)
+
+def _weight_ratios(space: AtomicMeasureSpace, k: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``a_k / a_n`` at 1-based atoms (0 if both are null); ``exp((k - n) log r)``
+    on a geometric space, so it overflows only where ``r**(k - n)`` does."""
+    if space.weights is not None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = space.weights[k - 1] / space.weights[n - 1]
+        return np.where(np.isnan(q), 0.0, q)
+    if space.rule == "counting":
+        return np.ones(k.shape)
+    ratio = float(space.rule.split(":", 1)[1])
+    with np.errstate(over="ignore", under="ignore"):
+        return np.exp((k - n) * math.log(ratio))
 
 
 def distortion_ratios(
@@ -283,14 +297,13 @@ def distortion_ratios(
     imap: IndexMap,
     budget: int = DEFAULT_N_MAX,
 ) -> Distortion:
-    """Ratios b_n = m_n / a_n; sup b_n is the composition-bound certificate."""
-    push = pushforward(space, imap, budget)
-    n = push.masses.size
-    w = space.weight_block(np.arange(1, n + 1, dtype=np.int64))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(w > 0, push.masses / np.where(w > 0, w, 1.0), 0.0)
-        ratios = np.where((w == 0) & (push.masses > 0), np.inf, ratios)
-    return Distortion(ratios, float(ratios.max()), push.truncated)
+    """Ratios b_n = m_n / a_n; sup b_n is the composition-bound certificate.
+
+    Each is summed per preimage, ``b_n = sum_{T(k)=n} a_k / a_n``, so it is
+    finite wherever the true ratio is, even where the weights overflow.
+    """
+    ratios, truncated = _scan(space, imap, budget, lambda k, n: _weight_ratios(space, k, n))
+    return Distortion(ratios, float(ratios.max()), truncated)
 
 
 def is_nonsingular(space: AtomicMeasureSpace, imap: IndexMap) -> tuple[bool, str]:

@@ -1,8 +1,8 @@
 """Operators on bicomplex sequence spaces and their boundedness checks.
 
 Every operator here acts componentwise along the idempotents, so each
-one decomposes into a pair of complex operators; ``decompose`` exposes
-that pair and applying the pair componentwise reproduces ``apply``.
+one decomposes into a pair of complex operators; ``decompose`` returns
+that pair as two callables, and ``apply_operator`` applies them.
 
 Boundedness checks return verdict reports with explicit certificates
 (sup of pushforward mass ratios for composition, essential sups for
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -42,7 +41,6 @@ from .orlicz import (
 __all__ = [
     "BCMatrix",
     "BCOperator",
-    "ComponentOperator",
     "BoundednessReport",
     "apply_operator",
     "decompose",
@@ -52,6 +50,11 @@ __all__ = [
     "empirical_ratios",
     "empirical_operator_norm",
 ]
+
+# a component whose reciprocal condition number is at most this is singular
+_RCOND_FLOOR = 1e-12
+# on a lazy space the empirical probe draws sequences of at most this length
+_TRIAL_SUPPORT = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,8 +95,8 @@ def _parse_matrix(rows, name: str) -> np.ndarray:
         raise InvalidInputError(f"{name} must be a nonempty array of rows")
     out = []
     for i, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise InvalidInputError(f"{name} row {i} is not an array")
+        if not isinstance(row, list) or len(row) != len(rows[0]):
+            raise InvalidInputError(f"{name} row {i} is not an array as long as row 0")
         vals = []
         for j, entry in enumerate(row):
             if is_json_number(entry):
@@ -110,7 +113,7 @@ def _parse_matrix(rows, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BCOperator:
-    """Composition, multiplication, right shift, or dense matrix pair."""
+    """Composition, multiplication, or dense matrix pair."""
 
     kind: str
     imap: IndexMap | None = None
@@ -127,7 +130,7 @@ class BCOperator:
 
     @classmethod
     def right_shift(cls) -> "BCOperator":
-        return cls("right_shift", imap=IndexMap.right_shift())
+        return cls.composition(IndexMap.right_shift())
 
     @classmethod
     def dense(cls, matrix: BCMatrix) -> "BCOperator":
@@ -138,8 +141,6 @@ class BCOperator:
             return {"composition": self.imap.to_json_dict()}
         if self.kind == "multiplication":
             return {"multiplication": {"theta": self.theta.to_json_list()}}
-        if self.kind == "right_shift":
-            return {"right_shift": {}}
         return {"dense": self.matrix.to_json_dict()}
 
     @classmethod
@@ -223,48 +224,26 @@ def _dense_component(m: np.ndarray, raw, space: AtomicMeasureSpace):
     return m @ component_array(raw, space)
 
 
+def decompose(op: BCOperator):
+    """The two complex operators on the component spaces, as callables
+    ``factor(f, space)`` that read the component ``f`` with a sequence's checks."""
+    if op.kind == "composition":
+        action, args = _compose_component, (op.imap, op.imap)
+    elif op.kind == "multiplication":
+        action, args = _multiply_component, (op.theta.comp1, op.theta.comp2)
+    else:
+        action, args = _dense_component, (op.matrix.m1, op.matrix.m2)
+
+    def factor(arg):
+        return lambda f, space: action(arg, _as_raw_component(f), space)
+
+    return factor(args[0]), factor(args[1])
+
+
 def apply_operator(op: BCOperator, F: BCSequence, space: AtomicMeasureSpace) -> BCSequence:
     """Apply an operator componentwise along the idempotents."""
     c1, c2 = decompose(op)
-    return BCSequence(c1.apply(F.comp1, space), c2.apply(F.comp2, space))
-
-
-@dataclass(frozen=True, eq=False)
-class ComponentOperator:
-    """One complex-space factor of a bicomplex operator."""
-
-    kind: str
-    imap: IndexMap | None = None
-    theta: "np.ndarray | Callable | None" = None
-    matrix: np.ndarray | None = None
-
-    def apply(self, f, space: AtomicMeasureSpace):
-        raw = _as_raw_component(f)
-        if self.kind == "composition":
-            return _compose_component(self.imap, raw, space)
-        if self.kind == "multiplication":
-            return _multiply_component(self.theta, raw, space)
-        if self.kind == "dense":
-            return _dense_component(self.matrix, raw, space)
-        raise InvalidInputError(f"unknown component operator kind {self.kind!r}")
-
-
-def decompose(op: BCOperator) -> tuple[ComponentOperator, ComponentOperator]:
-    """Split into the two complex operators acting on the component spaces."""
-    if op.kind in ("composition", "right_shift"):
-        factor = ComponentOperator("composition", imap=op.imap)
-        return factor, factor
-    if op.kind == "multiplication":
-        return (
-            ComponentOperator("multiplication", theta=op.theta.comp1),
-            ComponentOperator("multiplication", theta=op.theta.comp2),
-        )
-    if op.kind == "dense":
-        return (
-            ComponentOperator("dense", matrix=op.matrix.m1),
-            ComponentOperator("dense", matrix=op.matrix.m2),
-        )
-    raise InvalidInputError(f"unknown operator kind {op.kind!r}")
+    return BCSequence(c1(F.comp1, space), c2(F.comp2, space))
 
 
 # ----------------------------------------------------------------------
@@ -272,11 +251,12 @@ def decompose(op: BCOperator) -> tuple[ComponentOperator, ComponentOperator]:
 # ----------------------------------------------------------------------
 
 
-def invert_operator(matrix: BCMatrix, rcond_floor: float = 1e-12) -> BCMatrix:
+def invert_operator(matrix: BCMatrix) -> BCMatrix:
     """Componentwise matrix inverse.
 
-    A component whose reciprocal condition number falls below the floor
-    makes the whole operator a zero divisor; the error names it.
+    A component whose reciprocal condition number is at most
+    ``_RCOND_FLOOR`` makes the whole operator a zero divisor; the error
+    names it.
     """
     inverses = []
     singular = []
@@ -288,13 +268,13 @@ def invert_operator(matrix: BCMatrix, rcond_floor: float = 1e-12) -> BCMatrix:
             )
         sv = np.linalg.svd(m, compute_uv=False)
         rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-        if not rcond > rcond_floor:
+        if not rcond > _RCOND_FLOOR:
             singular.append((which, rcond))
         else:
             inverses.append(np.linalg.inv(m))
     if singular:
         detail = "; ".join(
-            f"component {w} is singular (rcond {r:.3e} <= {rcond_floor:.3e})"
+            f"component {w} is singular (rcond {r:.3e} <= {_RCOND_FLOOR:.3e})"
             for w, r in singular
         )
         raise NotInvertibleError(f"operator is not invertible: {detail}")
@@ -373,10 +353,13 @@ class BoundednessReport:
         }
 
 
+def _grows(sup_q: float, sup_h: float, sup_f: float) -> bool:
+    """Whether a sup climbs from the quarter to the half to the full window."""
+    return sup_f > sup_h * (1 + 1e-9) and sup_h > sup_q * (1 + 1e-9)
+
+
 def _window_sups(values: np.ndarray) -> tuple[float, float, float]:
-    n = values.size
-    q = max(1, n // 4)
-    h = max(1, n // 2)
+    q, h = max(1, values.size // 4), max(1, values.size // 2)
     return float(values[:q].max()), float(values[:h].max()), float(values.max())
 
 
@@ -424,21 +407,25 @@ def check_composition_bounded(
     """
     dist = distortion_ratios(space, imap, budget)
     notes = []
-    if not space.is_lazy:
-        verdict = "bounded" if math.isfinite(dist.sup) else "unbounded"
-        if verdict == "unbounded":
-            notes.append(
-                "pushforward mass lands on a zero-weight atom; no finite bound exists"
-            )
+    window = dist.ratios.size
+    if not math.isfinite(dist.sup):
+        bad = ~np.isfinite(dist.ratios)
+        if not space.is_lazy and np.any(space.weights[bad] == 0):
+            verdict = "unbounded"
+            notes.append("pushforward mass lands on a zero-weight atom; no finite bound exists")
+        else:
+            verdict = "inconclusive"
+            first = int(np.argmax(bad)) + 1
+            notes.append(f"distortion ratio at atom {first} overflows floats; no bound certified")
+    elif not space.is_lazy:
+        verdict = "bounded"
     else:
         # growth must be judged against the budget, not window position:
         # a map can concentrate all its mass ratios at low indices while
         # their sup still climbs as the scan window widens
-        window = dist.ratios.size
         sup_q = distortion_ratios(space, imap, max(1, window // 4)).sup
         sup_h = distortion_ratios(space, imap, max(1, window // 2)).sup
-        growing = dist.sup > sup_h * (1 + 1e-9) and sup_h > sup_q * (1 + 1e-9)
-        if growing:
+        if _grows(sup_q, sup_h, dist.sup):
             verdict = "inconclusive"
             notes.append(
                 f"sup distortion grows with the scan budget (quarter {sup_q:.6g}, "
@@ -446,11 +433,9 @@ def check_composition_bounded(
             )
         else:
             verdict = "bounded"
-            notes.append(
-                f"distortion scanned over a truncated window of {window} atoms"
-            )
+            notes.append(f"distortion scanned over a truncated window of {window} atoms")
 
-    surjective, surj_notes = _surjectivity_on_window(imap, dist.ratios.size)
+    surjective, surj_notes = _surjectivity_on_window(imap, window)
     notes.extend(surj_notes)
 
     lam_grid = 2.0 ** np.arange(0, -21, -1, dtype=float)
@@ -482,7 +467,8 @@ def check_composition_bounded(
     empirical = None
     if trials > 0:
         empirical = empirical_operator_norm(
-            BCOperator.composition(imap), phi, space, trials=trials, seed=seed, tol=tol
+            BCOperator.composition(imap), phi, space,
+            trials=trials, seed=seed, tol=tol, block=block,
         )
 
     return BoundednessReport(
@@ -513,30 +499,26 @@ def check_multiplication_bounded(
     """
     notes = []
     if not space.is_lazy:
-        s1 = float(np.abs(theta.array(1, space)).max())
-        s2 = float(np.abs(theta.array(2, space)).max())
         return BoundednessReport(
             kind="multiplication",
             verdict="bounded",
-            ess_sups=(s1, s2),
+            ess_sups=tuple(float(np.abs(theta.array(w, space)).max()) for w in (1, 2)),
             notes=("finite space: component sups are exact essential sups",),
         )
 
     n = min(space.size, budget)
     idx = np.arange(1, n + 1, dtype=np.int64)
     sups = []
-    growing = False
     for which in (1, 2):
         mags = np.abs(theta.block(which, idx))
         sup_q, sup_h, sup_f = _window_sups(mags)
         sups.append(sup_f)
-        if sup_f > sup_h * (1 + 1e-9) and sup_h > sup_q * (1 + 1e-9):
-            growing = True
+        if _grows(sup_q, sup_h, sup_f):
             notes.append(
                 f"component {which} sup grows across the window (quarter {sup_q:.6g}, "
                 f"half {sup_h:.6g}, full {sup_f:.6g})"
             )
-    if growing:
+    if notes:  # only a growing sup leaves a note here
         verdict = "unbounded"
         notes.append("an essentially unbounded symbol admits no multiplication bound")
     else:
@@ -563,7 +545,6 @@ def empirical_ratios(
     *,
     trials: int = 20,
     seed: int = 0,
-    support: int = 50,
     tol: float = 1e-12,
     block: int = 1000,
 ) -> np.ndarray:
@@ -571,14 +552,14 @@ def empirical_ratios(
 
     Each trial draws its own generator from (seed, trial), so any single
     trial can be reproduced without replaying the others.  On lazy
-    spaces the draws are finitely supported (length <= ``support``).
+    spaces the draws are finitely supported (length <= ``_TRIAL_SUPPORT``).
     """
     if not (isinstance(trials, int) and trials >= 1):
         raise InvalidInputError(f"trials must be a positive integer, got {trials!r}")
     ratios = []
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
-        length = int(rng.integers(1, support + 1)) if space.is_lazy else space.size
+        length = int(rng.integers(1, _TRIAL_SUPPORT + 1)) if space.is_lazy else space.size
         f1 = rng.standard_normal(length) + 1j * rng.standard_normal(length)
         f2 = rng.standard_normal(length) + 1j * rng.standard_normal(length)
         F = BCSequence.from_components(f1, f2)
@@ -598,19 +579,9 @@ def empirical_operator_norm(
     *,
     trials: int = 20,
     seed: int = 0,
-    support: int = 50,
     tol: float = 1e-12,
     block: int = 1000,
 ) -> float:
     """Largest empirical norm ratio; a lower-bound estimate, not a proof."""
-    ratios = empirical_ratios(
-        op,
-        phi,
-        space,
-        trials=trials,
-        seed=seed,
-        support=support,
-        tol=tol,
-        block=block,
-    )
+    ratios = empirical_ratios(op, phi, space, trials=trials, seed=seed, tol=tol, block=block)
     return float(ratios.max()) if ratios.size else 0.0

@@ -529,7 +529,7 @@ def modular(
         raise InvalidInputError(f"scale must be finite and >= 0, got {scale!r}")
     raw = _as_raw_component(f)
     if not space.is_lazy:
-        return weighted_phi_sum(phi, component_array(raw, space), space.weights, scale=scale)
+        return _phi_sum(phi, component_array(raw, space), space.weights, scale)
     terms = _phi_terms(phi, raw, space.weight_block, scale)
     return _march(terms, space.size, block, _support(raw))
 
@@ -555,12 +555,29 @@ def weighted_phi_sum(
     if lazy:
         terms = _phi_terms(phi, raw, lambda idx: weights[idx - 1], scale)
         return _march(terms, weights.size, block, _support(raw))
-
     if callable(raw) or raw.size != weights.size:
-        raw = component_block(raw, np.arange(1, weights.size + 1, dtype=np.int64))
-    terms = phi.eval_array(scale * np.abs(raw))
-    terms = np.where(weights > 0, terms * weights, 0.0)
-    return ModularValue(float(terms.sum()), "exact", weights.size)
+        idx = np.arange(1, weights.size + 1, dtype=np.int64)
+        raw = component_block(raw, idx)
+        _check_rule_values(raw, idx)
+    return _phi_sum(phi, raw, weights, scale)
+
+
+def _phi_sum(phi: OrliczFunction, values: np.ndarray, weights: np.ndarray, scale: float):
+    """Exact ``sum phi(scale |f_n|) w_n`` over finite ``values``.
+
+    Only a sum that is not finite has its terms scanned: an overflowed
+    argument reads phi = +inf (exp's ``expm1(inf) - inf`` is nan), and a
+    zero weight, or a zero phi on a weight of +inf, adds 0.
+    """
+    u = scale * np.abs(values)
+    phis = phi._values(u)
+    total = (phis * weights).sum()
+    if not math.isfinite(total):
+        phis[np.isinf(u)] = np.inf
+        terms = phis * weights
+        terms[(phis == 0) | (weights == 0)] = 0.0
+        total = terms.sum()
+    return ModularValue(float(total), "exact", weights.size)
 
 
 def modular_bc(
@@ -852,7 +869,7 @@ def schauder_tail(
             return 0.0
         if not space.is_lazy:
             tail = component_array(raw, space)[n:]
-            return weighted_phi_sum(phi, tail, space.weights[n:]).value
+            return _phi_sum(phi, tail, space.weights[n:], 1.0).value
         terms = _phi_terms(phi, raw, space.weight_block, offset=n)
         mv = _march(terms, remaining, block, max(_support(raw) - n, 0))
         _require_settled(mv, f"the tail p-sum beyond index {n}", "no tail can be certified")

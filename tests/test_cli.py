@@ -206,6 +206,21 @@ def test_op_apply_right_shift(capsys, files, tmp_path):
     assert got == [0.0, 1.0, 2.0]
 
 
+def test_op_check_geometric_above_one_is_bounded(capsys, files, tmp_path):
+    # the weights 2^(n-1) overflow past atom 1024; every ratio is still 2
+    space = write(tmp_path / "geo.json", {"weights_rule": "geometric:2.0", "n_max": 5000})
+    code, out, err = run_cli(
+        capsys,
+        ["op", "check", "--kind", "composition", "--map", files["shift"],
+         "--space", space, "--phi", "power:p=2"],
+    )
+    assert code == 0, err
+    assert "nan" not in out
+    verdict = result_value(json.loads(out), "boundedness")
+    assert verdict["verdict"] == "bounded"
+    assert verdict["bound"] == 2.0
+
+
 def test_op_check_multiplication(capsys, files, tmp_path):
     theta = write(tmp_path / "theta.json", [bc(2, 1), bc(1, 3)])
     space = write(tmp_path / "sp2.json", {"weights": [1.0, 1.0]})

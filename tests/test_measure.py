@@ -172,6 +172,14 @@ def test_right_shift_on_geometric_has_constant_ratio():
     assert abs(dist.sup - r) < 1e-12
 
 
+def test_right_shift_on_geometric_above_one_stays_finite():
+    # the weights 2^(n-1) overflow past atom 1024; the ratios are still 2
+    sp = AtomicMeasureSpace.geometric(2.0, 5000)
+    dist = distortion_ratios(sp, IndexMap.right_shift())
+    np.testing.assert_array_equal(dist.ratios, np.full(5000, 2.0))
+    assert dist.sup == 2.0
+
+
 def test_lazy_rule_map_uses_window():
     sp = AtomicMeasureSpace.counting(10 ** 6)
     double = IndexMap.from_rule(lambda idx: 2 * idx, name="n_to_2n")

@@ -1,9 +1,12 @@
 """Tests for bicomplex operators: application, inversion, boundedness checks."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcorlicz import (
     AtomicMeasureSpace,
@@ -25,6 +28,7 @@ from bcorlicz import (
     empirical_ratios,
     invert_operator,
     norm_bc,
+    operators,
 )
 
 
@@ -123,26 +127,103 @@ def test_dense_apply_dimension_checks():
         apply_operator(op, F, AtomicMeasureSpace.counting(10))
 
 
-def test_decompose_reassembles_the_action():
-    rng = np.random.default_rng(53)
-    n = 6
-    sp = AtomicMeasureSpace.finite(np.ones(n))
-    F = rand_seq(rng, n)
-    ops = (
-        BCOperator.right_shift(),
-        BCOperator.composition(IndexMap.from_table(rng.integers(1, n + 1, n))),
-        BCOperator.multiplication(rand_seq(rng, n)),
-        BCOperator.dense(
-            BCMatrix(
-                rng.standard_normal((n, n)) + 0j, rng.standard_normal((n, n)) + 0j
-            )
-        ),
-    )
-    for op in ops:
-        c1, c2 = decompose(op)
-        G = apply_operator(op, F, sp)
-        np.testing.assert_allclose(np.asarray(c1.apply(F.comp1, sp)), G.array(1, sp))
-        np.testing.assert_allclose(np.asarray(c2.apply(F.comp2, sp)), G.array(2, sp))
+# lazy index maps for the property below (tables need a finite space)
+LAZY_MAPS = {
+    "k+2": lambda k: k + 2,
+    "k//2+1": lambda k: k // 2 + 1,
+    "2k": lambda k: 2 * k,
+}
+COEFS = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@st.composite
+def components(draw, length):
+    """One component: an array of ``length`` entries, or an index rule."""
+    if draw(st.booleans()):
+        re = draw(st.lists(COEFS, min_size=length, max_size=length))
+        im = draw(st.lists(COEFS, min_size=length, max_size=length))
+        return np.array(re) + 1j * np.array(im)
+    a, b, c = draw(st.tuples(COEFS, COEFS, COEFS))
+    return lambda idx: a / idx + 1j * b * np.cos(c * idx)
+
+
+def _values(raw, idx):
+    """Independent reader: arrays zero-extended, rules evaluated."""
+    if callable(raw):
+        return np.asarray(raw(idx), dtype=complex)
+    out = np.zeros(idx.shape, dtype=complex)
+    out[idx <= raw.size] = raw[idx[idx <= raw.size] - 1]
+    return out
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(["right_shift", "composition", "multiplication", "dense"]),
+    where=st.sampled_from(["finite", "counting", "geometric"]),
+)
+def test_decompose_reassembles_the_action(data, kind, where):
+    # apply_operator is the two factors of decompose(op), one per component,
+    # and each factor acts on its component as the kind's formula says
+    n = data.draw(st.integers(1, 6))
+    sp = {
+        "finite": lambda: AtomicMeasureSpace.finite(np.ones(n)),
+        "counting": lambda: AtomicMeasureSpace.counting(200),
+        "geometric": lambda: AtomicMeasureSpace.geometric(0.5, 200),
+    }[where]()
+    F = BCSequence(data.draw(components(n)), data.draw(components(n)))
+    idx = np.arange(1, (n if where == "finite" else 12) + 1, dtype=np.int64)
+
+    if kind == "right_shift":
+        imap = IndexMap.right_shift()
+        op = BCOperator.right_shift()
+    elif kind == "composition":
+        if where == "finite":
+            table = data.draw(st.lists(st.integers(1, n), min_size=n, max_size=n))
+            imap = IndexMap.from_table(table)
+        else:
+            name = data.draw(st.sampled_from(sorted(LAZY_MAPS)))
+            imap = IndexMap.from_rule(LAZY_MAPS[name], name=name)
+        op = BCOperator.composition(imap)
+    elif kind == "multiplication":
+        theta = BCSequence(data.draw(components(n)), data.draw(components(n)))
+        op = BCOperator.multiplication(theta)
+    else:
+        square = st.lists(COEFS, min_size=n * n, max_size=n * n)
+        m1 = np.reshape(data.draw(square), (n, n)) + 0j
+        m2 = np.reshape(data.draw(square), (n, n)) + 0j
+        op = BCOperator.dense(BCMatrix(m1, m2))
+    assert op.kind in ("composition", "multiplication", "dense")
+
+    def want(which):
+        f = _values(F.component(which), idx)
+        if kind == "multiplication":
+            return _values(theta.component(which), idx) * f
+        if kind == "dense":
+            return (m1, m2)[which - 1] @ f
+        images = np.asarray(imap.image_block(idx))
+        out = np.zeros(idx.shape, dtype=complex)
+        ok = images >= 1
+        out[ok] = _values(F.component(which), images[ok])
+        return out
+
+    c1, c2 = decompose(op)
+    if kind == "dense" and where != "finite":
+        for call in (lambda: apply_operator(op, F, sp), lambda: c1(F.comp1, sp)):
+            with pytest.raises(InvalidInputError):
+                call()
+        return
+    G = apply_operator(op, F, sp)
+    for which, factor in ((1, c1), (2, c2)):
+        part = factor(F.component(which), sp)
+        np.testing.assert_array_equal(_values(part, idx), G.block(which, idx))
+        np.testing.assert_allclose(G.block(which, idx), want(which), rtol=1e-12, atol=1e-9)
+
+
+def test_decompose_factors_refuse_non_finite_arrays():
+    c1, _ = decompose(BCOperator.right_shift())
+    with pytest.raises(InvalidInputError):
+        c1(np.array([1.0, np.nan]), AtomicMeasureSpace.finite(np.ones(2)))
 
 
 # ---------------------------------------------------------------- inversion
@@ -201,6 +282,48 @@ def test_composition_check_right_shift_lazy():
     assert abs(rep.sup_distortion - 1.0) < 1e-12
     assert rep.distortion_truncated
     assert any("truncated" in note for note in rep.notes)
+
+
+def test_composition_check_heavy_finite_weights_is_bounded():
+    # the pushforward mass 1e308 + 1e308 overflows; the ratios a_k / a_1 do not
+    sp = AtomicMeasureSpace.finite([1e308, 1e308])
+    rep = check_composition_bounded(sp, IndexMap.from_table([1, 1]), OrliczFunction.power(2))
+    assert rep.verdict == "bounded"
+    assert rep.sup_distortion == 2.0
+    assert rep.bound() == 2.0
+    assert not any("zero-weight" in note for note in rep.notes)
+
+
+@pytest.mark.parametrize("r", [0.5, 0.3])
+def test_composition_check_ratio_beyond_floats_is_inconclusive(r):
+    # the weights r^(n-1) underflow past atom ~1075 (r = 0.5), and the true
+    # ratios b_2k = r^-k leave the float range from k = log(max) / log(1/r)
+    sp = AtomicMeasureSpace.geometric(r, 10 ** 4)
+    double = IndexMap.from_rule(lambda k: 2 * k, name="2k")
+    rep = check_composition_bounded(sp, double, OrliczFunction.power(2))
+    assert rep.verdict == "inconclusive"
+    assert rep.bound() is None
+    if r == 0.3:  # far from a float boundary: 590 * log(1/0.3) = 710.3
+        first = 2 * (math.floor(math.log(sys.float_info.max) / math.log(1 / r)) + 1)
+        assert any(f"atom {first} overflows" in note for note in rep.notes)
+    else:  # 2^1024 sits on the boundary; exp of the rounded log may round either way
+        assert any("overflows floats" in note for note in rep.notes)
+
+
+def test_composition_check_forwards_block_to_the_empirical_probe(monkeypatch):
+    seen = []
+    real = operators.norm_bc
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("block"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "norm_bc", spy)
+    sp = AtomicMeasureSpace.counting(1000)
+    check_composition_bounded(
+        sp, IndexMap.right_shift(), OrliczFunction.power(2), trials=2, block=37
+    )
+    assert seen and set(seen) == {37}
 
 
 def test_composition_check_growing_sup_is_inconclusive():

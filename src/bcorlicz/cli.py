@@ -4,14 +4,17 @@ Every command resolves its configuration from built-in defaults, then a
 JSON defaults file named by the BCORLICZ_CONFIG environment variable,
 then explicit flags; the resolved configuration is echoed in the
 report.  JSON is the single source format and the text format is a
-rendering of the same report.  Exit codes: 0 success, 1 input errors,
-2 under --strict when a verdict is unbounded or a result is an error
-certificate.
+rendering of the same report.  A certified refusal raised by any
+command (not invertible, unsupported instance, not in the space, not
+summable) becomes the report's error certificate.  Exit codes: 0
+success, 1 input errors, 2 under --strict when a verdict is unbounded or
+a result is an error certificate.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -44,7 +47,6 @@ from .orlicz import (
     combine_gauges,
     luxemburg_norm,
     modular,
-    norm_bc,
     pairing,
     schauder_tail,
 )
@@ -63,6 +65,9 @@ _DEFAULTS = {
 }
 
 _CONFIG_ENV = "BCORLICZ_CONFIG"
+# lazy analyses materialise whole-window arrays, so n_max is capped at ten
+# default windows
+_N_MAX_CAP = 10 * DEFAULT_N_MAX
 
 
 class _UsageError(Exception):
@@ -150,7 +155,9 @@ def _validate_config_value(key: str, value):
         "seed": lambda v: is_json_number(v) and isinstance(v, int) and v >= 0,
         "tol": lambda v: is_json_number(v) and 0 < v < 1,
         "eps": lambda v: is_json_number(v) and 0 <= v,
-        "n_max": lambda v: v is None or (is_json_number(v) and isinstance(v, int) and v >= 1),
+        "n_max": lambda v: v is None or (
+            is_json_number(v) and isinstance(v, int) and 1 <= v <= _N_MAX_CAP
+        ),
         "block": lambda v: is_json_number(v) and isinstance(v, int) and v >= 1,
         "trials": lambda v: is_json_number(v) and isinstance(v, int) and v >= 0,
     }
@@ -192,10 +199,24 @@ def _load_json(path: str):
         raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _space_with_budget(space: AtomicMeasureSpace, n_max) -> AtomicMeasureSpace:
-    if n_max is None or not space.is_lazy:
+def _read(args, report, flag: str, parse):
+    """Load the file named by ``--<flag>``, echo its JSON as ``inputs[flag]``
+    and return ``parse`` of it."""
+    path = getattr(args, flag)
+    if path is None:
+        mode = f"--op {args.op}" if args.command == "bc" else f"--kind {args.kind}"
+        raise InvalidInputError(f"--{flag} is required for {mode}")
+    raw = _load_json(path)
+    report["inputs"][flag] = raw
+    return parse(raw)
+
+
+def _read_space(args, config, report) -> AtomicMeasureSpace:
+    """``--space``, a lazy one truncated at ``n_max`` when that is set."""
+    space = _read(args, report, "space", AtomicMeasureSpace.from_json_dict)
+    if config["n_max"] is None or not space.is_lazy:
         return space
-    return AtomicMeasureSpace(weights=None, rule=space.rule, n_max=int(n_max))
+    return dataclasses.replace(space, n_max=config["n_max"])
 
 
 # ----------------------------------------------------------------------
@@ -258,28 +279,28 @@ def _result(name: str, value, produced_by: str) -> dict:
     return {"name": name, "value": value, "produced_by": produced_by}
 
 
-_CERTIFICATE_KINDS = (
-    (NotInvertibleError, "not_invertible"),
-    (UnsupportedInstanceError, "unsupported_instance"),
-    (NotInSpaceError, "not_in_space"),
-    (NotSummableError, "not_summable"),
-)
+_CERTIFICATE_KINDS = {
+    NotInvertibleError: "not_invertible",
+    UnsupportedInstanceError: "unsupported_instance",
+    NotInSpaceError: "not_in_space",
+    NotSummableError: "not_summable",
+}
+
+
+def _classification(diagnosis) -> dict:
+    return {
+        "kind": diagnosis.kind,
+        "vanishing": list(diagnosis.vanishing),
+        "threshold": diagnosis.threshold,
+    }
 
 
 def _certificate(exc: BCOrliczError) -> dict:
-    kind = "error"
-    for cls, name in _CERTIFICATE_KINDS:
-        if isinstance(exc, cls):
-            kind = name
-            break
+    kind = next(name for cls, name in _CERTIFICATE_KINDS.items() if isinstance(exc, cls))
     value = {"error": kind, "detail": str(exc)}
     diagnosis = getattr(exc, "classification", None)
     if diagnosis is not None:
-        value["classification"] = {
-            "kind": diagnosis.kind,
-            "vanishing": list(diagnosis.vanishing),
-            "threshold": diagnosis.threshold,
-        }
+        value["classification"] = _classification(diagnosis)
     return _result("error_certificate", value, "hypothesis check before the operation")
 
 
@@ -296,78 +317,18 @@ def _modular_result(name: str, mv) -> dict:
 # ----------------------------------------------------------------------
 
 
+def _parse_coeffs(raw) -> list:
+    if not isinstance(raw, list):
+        raise InvalidInputError("--coeffs file must hold a JSON array of coefficients")
+    return [BiComplex.from_json_dict(c) for c in raw]
+
+
 def _cmd_bc_eval(args, config, report):
-    op = args.op
-    inputs = report["inputs"]
-    inputs["op"] = op
-    eps = args.eps if args.eps is not None else config["eps"]
-    inputs["eps"] = eps
-
-    def load_value(flag: str) -> BiComplex:
-        path = getattr(args, flag)
-        if path is None:
-            raise InvalidInputError(f"--{flag} is required for --op {op}")
-        raw = _load_json(path)
-        inputs[flag] = raw
-        return BiComplex.from_json_dict(raw)
-
+    op, eps = args.op, config["eps"]
+    report["inputs"].update({"op": op, "eps": eps})
     results = report["results"]
-    if op in ("add", "sub", "mul"):
-        lhs = load_value("lhs")
-        rhs = load_value("rhs")
-        value = {"add": lhs + rhs, "sub": lhs - rhs, "mul": lhs * rhs}[op]
-        name = {"add": "sum", "sub": "difference", "mul": "product"}[op]
-        results.append(
-            _result(name, value.to_json_dict(), f"componentwise {op} in the idempotent basis")
-        )
-    elif op in ("bar", "dagger", "star"):
-        lhs = load_value("lhs")
-        results.append(
-            _result(
-                "conjugate",
-                lhs.conjugate(op).to_json_dict(),
-                f"{op} conjugation in idempotent coordinates",
-            )
-        )
-    elif op == "classify":
-        lhs = load_value("lhs")
-        diagnosis = classify(lhs, eps)
-        results.append(
-            _result(
-                "classification",
-                {
-                    "kind": diagnosis.kind,
-                    "vanishing": list(diagnosis.vanishing),
-                    "threshold": diagnosis.threshold,
-                },
-                "componentwise modulus test against the scaled tolerance",
-            )
-        )
-    elif op == "invert":
-        lhs = load_value("lhs")
-        try:
-            inv = lhs.invert(eps)
-        except NotInvertibleError as exc:
-            results.append(_certificate(exc))
-            report["status"] = "error_certificate"
-            return
-        results.append(
-            _result("inverse", inv.to_json_dict(), "componentwise reciprocal of the betas")
-        )
-    else:  # roots
-        if args.coeffs is None:
-            raise InvalidInputError("--coeffs is required for --op roots")
-        raw = _load_json(args.coeffs)
-        inputs["coeffs"] = raw
-        if not isinstance(raw, list):
-            raise InvalidInputError("--coeffs file must hold a JSON array of coefficients")
-        coeffs = [BiComplex.from_json_dict(c) for c in raw]
-        try:
-            found = poly_roots(coeffs, eps)
-        except UnsupportedInstanceError as exc:
-            results.append(_certificate(exc))
-            report["status"] = "error_certificate"
-            return
+    if op == "roots":
+        found = poly_roots(_read(args, report, "coeffs", _parse_coeffs), eps)
         results.append(
             _result(
                 "roots",
@@ -382,6 +343,34 @@ def _cmd_bc_eval(args, config, report):
                 "max norm of the polynomial evaluated at the returned roots",
             )
         )
+        return
+    lhs = _read(args, report, "lhs", BiComplex.from_json_dict)
+    if op in ("add", "sub", "mul"):
+        rhs = _read(args, report, "rhs", BiComplex.from_json_dict)
+        value = {"add": lhs + rhs, "sub": lhs - rhs, "mul": lhs * rhs}[op]
+        name = {"add": "sum", "sub": "difference", "mul": "product"}[op]
+        results.append(
+            _result(name, value.to_json_dict(), f"componentwise {op} in the idempotent basis")
+        )
+    elif op in ("bar", "dagger", "star"):
+        results.append(
+            _result(
+                "conjugate",
+                lhs.conjugate(op).to_json_dict(),
+                f"{op} conjugation in idempotent coordinates",
+            )
+        )
+    elif op == "classify":
+        results.append(
+            _result(
+                "classification",
+                _classification(classify(lhs, eps)),
+                "componentwise modulus test against the scaled tolerance",
+            )
+        )
+    else:  # invert
+        inverse = lhs.invert(eps).to_json_dict()
+        results.append(_result("inverse", inverse, "componentwise reciprocal of the betas"))
 
 
 _POWER_GAUGE = "closed form (sum |f_n|^p a_n)^(1/p), checked against I(f/lam) <= 1"
@@ -390,11 +379,9 @@ _ROOT_GAUGE = "bracketed regula falsi on log I(t f) = 0 over log t, checked agai
 
 def _cmd_norm(args, config, report):
     phi = OrliczFunction.parse(args.phi)
-    space_raw = _load_json(args.space)
-    seq_raw = _load_json(args.seq)
-    report["inputs"].update({"phi": phi.spec_string(), "space": space_raw, "seq": seq_raw})
-    space = _space_with_budget(AtomicMeasureSpace.from_json_dict(space_raw), config["n_max"])
-    F = BCSequence.from_json_list(seq_raw)
+    report["inputs"]["phi"] = phi.spec_string()
+    space = _read_space(args, config, report)
+    F = _read(args, report, "seq", BCSequence.from_json_list)
     results = report["results"]
     gauges = []
     for which in (1, 2):
@@ -404,14 +391,9 @@ def _cmd_norm(args, config, report):
             report["warnings"].append(
                 f"modular probe for component {which} inconclusive after {mv.n_terms} atoms"
             )
-        try:
-            gauge = luxemburg_norm(
-                phi, F.component(which), space, tol=config["tol"], block=config["block"]
-            )
-        except (NotInSpaceError, UnsupportedInstanceError) as exc:
-            results.append(_certificate(exc))
-            report["status"] = "error_certificate"
-            return
+        gauge = luxemburg_norm(
+            phi, F.component(which), space, tol=config["tol"], block=config["block"]
+        )
         gauges.append(gauge)
         results.append(
             _result(
@@ -420,25 +402,19 @@ def _cmd_norm(args, config, report):
                 _POWER_GAUGE if phi.family == "power" else _ROOT_GAUGE,
             )
         )
-    combined = combine_gauges(gauges[0], gauges[1])
     results.append(
         _result(
             "norm",
-            combined,
+            combine_gauges(*gauges),
             "component gauges combined as sqrt((n1^2 + n2^2) / 2)",
         )
     )
 
 
 def _cmd_op_apply(args, config, report):
-    op_raw = _load_json(args.operator)
-    space_raw = _load_json(args.space)
-    seq_raw = _load_json(args.seq)
-    report["inputs"].update({"operator": op_raw, "space": space_raw, "seq": seq_raw})
-    op = BCOperator.from_json_dict(op_raw)
-    space = _space_with_budget(AtomicMeasureSpace.from_json_dict(space_raw), config["n_max"])
-    F = BCSequence.from_json_list(seq_raw)
-    G = apply_operator(op, F, space)
+    op = _read(args, report, "operator", BCOperator.from_json_dict)
+    space = _read_space(args, config, report)
+    G = apply_operator(op, _read(args, report, "seq", BCSequence.from_json_list), space)
     if G.is_lazy:
         raise InvalidInputError(
             "the image sequence is rule-backed and cannot be serialized; "
@@ -455,16 +431,11 @@ def _cmd_op_apply(args, config, report):
 
 def _cmd_op_check(args, config, report):
     phi = OrliczFunction.parse(args.phi)
-    space_raw = _load_json(args.space)
-    report["inputs"].update({"kind": args.kind, "phi": phi.spec_string(), "space": space_raw})
-    space = _space_with_budget(AtomicMeasureSpace.from_json_dict(space_raw), config["n_max"])
+    report["inputs"].update({"kind": args.kind, "phi": phi.spec_string()})
+    space = _read_space(args, config, report)
     budget = config["n_max"] if config["n_max"] is not None else DEFAULT_N_MAX
     if args.kind == "composition":
-        if args.map is None:
-            raise InvalidInputError("--map is required for --kind composition")
-        map_raw = _load_json(args.map)
-        report["inputs"]["map"] = map_raw
-        imap = IndexMap.from_json_dict(map_raw)
+        imap = _read(args, report, "map", IndexMap.from_json_dict)
         samples = []
         for path in args.samples:
             sample_raw = _load_json(path)
@@ -482,11 +453,7 @@ def _cmd_op_check(args, config, report):
             block=config["block"],
         )
     else:
-        if args.theta is None:
-            raise InvalidInputError("--theta is required for --kind multiplication")
-        theta_raw = _load_json(args.theta)
-        report["inputs"]["theta"] = theta_raw
-        theta = BCSequence.from_json_list(theta_raw)
+        theta = _read(args, report, "theta", BCSequence.from_json_list)
         verdict_report = check_multiplication_bounded(theta, space, budget=budget)
     report["results"].append(
         _result(
@@ -526,42 +493,25 @@ def _cmd_phi_classify(args, config, report):
 
 
 def _cmd_schauder(args, config, report):
-    space_raw = _load_json(args.space)
-    seq_raw = _load_json(args.seq)
-    report["inputs"].update({"space": space_raw, "seq": seq_raw, "p": args.p, "n": args.n})
-    space = _space_with_budget(AtomicMeasureSpace.from_json_dict(space_raw), config["n_max"])
-    F = BCSequence.from_json_list(seq_raw)
-    try:
-        tail = schauder_tail(F, args.n, args.p, space, block=config["block"])
-    except (NotInSpaceError, UnsupportedInstanceError) as exc:
-        report["results"].append(_certificate(exc))
-        report["status"] = "error_certificate"
-        return
+    space = _read_space(args, config, report)
+    F = _read(args, report, "seq", BCSequence.from_json_list)
+    report["inputs"].update({"p": args.p, "n": args.n})
     report["results"].append(
         _result(
             "tail_norm",
-            tail,
+            schauder_tail(F, args.n, args.p, space, block=config["block"]),
             f"weighted l^p tail beyond index {args.n}, combined across components",
         )
     )
 
 
 def _cmd_pairing(args, config, report):
-    space_raw = _load_json(args.space)
-    x_raw = _load_json(args.x)
-    y_raw = _load_json(args.y)
-    report["inputs"].update({"space": space_raw, "x": x_raw, "y": y_raw})
-    space = _space_with_budget(AtomicMeasureSpace.from_json_dict(space_raw), config["n_max"])
-    x = BCSequence.from_json_list(x_raw)
-    y = BCSequence.from_json_list(y_raw)
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = pairing(x, y, space, block=config["block"])
-    except NotSummableError as exc:
-        report["results"].append(_certificate(exc))
-        report["status"] = "error_certificate"
-        return
+    space = _read_space(args, config, report)
+    x = _read(args, report, "x", BCSequence.from_json_list)
+    y = _read(args, report, "y", BCSequence.from_json_list)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = pairing(x, y, space, block=config["block"])
     for w in caught:
         report["warnings"].append(str(w.message))
     report["results"].append(
@@ -612,6 +562,9 @@ def main(argv=None) -> int:
     }
     try:
         _COMMANDS[key](args, config, report)
+    except tuple(_CERTIFICATE_KINDS) as exc:
+        report["results"].append(_certificate(exc))
+        report["status"] = "error_certificate"
     except BCOrliczError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -292,9 +292,9 @@ def _check_rule_values(values: np.ndarray, idx: np.ndarray) -> None:
         )
 
 
-def _support(raw) -> int:
-    """An array's length (it is zero beyond); 0 for an index rule."""
-    return 0 if callable(raw) else raw.size
+def _support(raw) -> int | None:
+    """An array's length (it is zero beyond); None for an index rule."""
+    return None if callable(raw) else raw.size
 
 
 def _as_raw_component(f):
@@ -419,17 +419,19 @@ class ModularValue:
 
 # overflow and 0 * inf are read by _weighted and the guard, not warned about
 @np.errstate(over="ignore", invalid="ignore")
-def _march(term_block, n_total: int, block: int, support: int = 0) -> ModularValue:
+def _march(term_block, n_total: int, block: int, support: int | None) -> ModularValue:
     """Accumulate nonnegative term blocks with the convergence probe.
 
     ``term_block(idx)`` gives the terms at the 1-based atoms ``idx`` and
-    their sum (see ``_weighted``).  Convergence: three consecutive blocks
-    each adding less than ``_SETTLE_REL`` relative to the running total.
-    A finitely supported component (``support > 0`` atoms, zero beyond)
-    converges exactly once its support is summed, and not before.
-    Divergence: the total passes the guard, or n * t_n stays above a floor
-    without decaying from the early to the late half of the window (a
-    sampled comparison with the harmonic series).
+    their sum (see ``_weighted``).  Convergence: three consecutive blocks,
+    once the total is above 0, each adding less than ``_SETTLE_REL``
+    relative to it; a window that sums to 0 throughout converges to 0
+    at its end.  A finitely supported component (``support`` atoms, zero
+    beyond; None for an index rule) converges exactly once its support is
+    summed, and not before.  Divergence: the total passes the guard, or
+    n * t_n stays above a floor without decaying from the early to the
+    late half of the window (a sampled comparison with the harmonic
+    series; a zero term in the early half leaves it without a floor).
     """
     if block < 1:
         raise InvalidInputError(f"block size must be >= 1, got {block!r}")
@@ -459,20 +461,19 @@ def _march(term_block, n_total: int, block: int, support: int = 0) -> ModularVal
                 min_early = min(min_early, m)
             else:
                 min_late = min(min_late, m)
-        rel = 0.0 if add == 0.0 else (add / total if total > 0 else math.inf)
-        consec = consec + 1 if rel < _SETTLE_REL else 0
-        settled = done >= support if support else consec >= 3
+        consec = consec + 1 if 0.0 < total and add < _SETTLE_REL * total else 0
+        settled = consec >= 3 if support is None else done >= support
         if settled:
             return ModularValue(total, "converged", done)
         start = stop + 1
     if (
-        math.isfinite(min_early)
+        0.0 < min_early < math.inf
         and math.isfinite(min_late)
         and min_late >= _TAIL_FLOOR
         and min_late >= _TAIL_DECAY_RATIO * min_early
     ):
         return ModularValue(math.inf, "diverged", done)
-    return ModularValue(total, "inconclusive", done)
+    return ModularValue(total, "converged" if total == 0.0 else "inconclusive", done)
 
 
 def _weighted(values: np.ndarray, weights: np.ndarray, idx: np.ndarray, *read: np.ndarray):
@@ -647,7 +648,8 @@ def luxemburg_norm(
     few ulps; exp takes a Taylor series at small arguments).  A level of 0
     at the normalised scale means ``f`` vanishes (on a lazy space: on the
     probed window), and the gauge is 0.  A gauge outside the float range
-    raises UnsupportedInstanceError.
+    raises UnsupportedInstanceError, and so does an entry whose modulus
+    overflows (``|z|`` of a finite ``z`` can).
     """
     if not (isinstance(tol, (int, float)) and 0 < tol < 1):
         raise InvalidInputError(f"tol must be in (0, 1), got {tol!r}")
@@ -656,8 +658,6 @@ def luxemburg_norm(
         sup, level = _lazy_level(phi, raw, space, block)
     else:
         sup, level = _finite_level(phi, component_array(raw, space), space.weights)
-    if not math.isfinite(sup):
-        raise InvalidInputError("sequence entries must be finite")
     at_one = level(1.0)
     if at_one == 0.0:
         return 0.0
@@ -685,6 +685,8 @@ def _finite_level(phi: OrliczFunction, values: np.ndarray, weights: np.ndarray):
     if not keep.all():
         mags, weights = mags[keep], weights[keep]
     sup = float(mags.max(initial=0.0)) or 1.0
+    if sup == math.inf:
+        raise _overflow(np.isinf(np.abs(values)) & keep)
     unit = mags / sup
 
     def level(t: float) -> float:
@@ -708,7 +710,10 @@ def _lazy_level(phi: OrliczFunction, raw, space: AtomicMeasureSpace, block: int)
         idx = np.arange(1, min(space.size, _SUP_PREFIX) + 1, dtype=np.int64)
         head = component_block(raw, idx)
         _check_rule_values(head, idx)
-    sup = float(np.abs(head).max(initial=0.0)) or 1.0
+    mags = np.abs(head)
+    sup = float(mags.max(initial=0.0)) or 1.0
+    if sup == math.inf:
+        raise _overflow(np.isinf(mags))
     converged_at = math.inf
 
     def level(t: float) -> float:
@@ -721,6 +726,18 @@ def _lazy_level(phi: OrliczFunction, raw, space: AtomicMeasureSpace, block: int)
         return mv.value
 
     return sup, level
+
+
+def _overflow(at_inf: np.ndarray) -> UnsupportedInstanceError:
+    """The refusal of a finite entry whose modulus is beyond the floats.
+
+    ``at_inf`` marks the atoms where ``|f_n|`` overflowed; the first is named.
+    """
+    atom = int(np.argmax(at_inf)) + 1
+    return UnsupportedInstanceError(
+        f"|f_{atom}| is beyond the float range (its parts are finite), "
+        "so the gauge is not computed"
+    )
 
 
 def _require_settled(mv: ModularValue, what: str, unsettled: str) -> None:
@@ -871,7 +888,8 @@ def schauder_tail(
             tail = component_array(raw, space)[n:]
             return _phi_sum(phi, tail, space.weights[n:], 1.0).value
         terms = _phi_terms(phi, raw, space.weight_block, offset=n)
-        mv = _march(terms, remaining, block, max(_support(raw) - n, 0))
+        support = _support(raw)
+        mv = _march(terms, remaining, block, None if support is None else max(support - n, 0))
         _require_settled(mv, f"the tail p-sum beyond index {n}", "no tail can be certified")
         return mv.value
 
@@ -917,7 +935,7 @@ def pairing(
             mags = np.abs(terms)
             return mags, mags.sum()
 
-        support = min((r.size for r in (xr, yr) if not callable(r)), default=0)
+        support = min((r.size for r in (xr, yr) if not callable(r)), default=None)
         mv = _march(term_block, space.size, block, support)
         if mv.status == "diverged":
             fired = "the divergence guard" if mv.guard else "the comparison probe"

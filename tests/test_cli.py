@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -431,6 +432,23 @@ def test_roots_degenerate_leading_coefficient_certificate(capsys, tmp_path):
     assert code == 2
 
 
+def test_norm_modulus_beyond_float_range_is_a_certificate(capsys, files, tmp_path):
+    # both parts are finite, but |b1| = 2.1e308 is not
+    seq = write(tmp_path / "seq.json", [bc(1.5e308 + 1.5e308j, 0j)])
+    argv = ["norm", "--phi", "power:p=2", "--space", files["one_atom"], "--seq", seq]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, argv)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["status"] == "error_certificate"
+    cert = result_value(report, "error_certificate")
+    assert cert["error"] == "unsupported_instance"
+    assert "|f_1|" in cert["detail"]
+    code, _, _ = run_cli(capsys, argv + ["--strict"])
+    assert code == 2
+
+
 # ------------------------------------------------------------- configuration
 
 
@@ -521,6 +539,19 @@ def test_n_max_flag_overrides_lazy_budget(capsys, files, tmp_path):
     verdict = result_value(report, "boundedness")
     assert verdict["verdict"] == "bounded"
     assert report["config"]["n_max"] == 50000
+
+
+@pytest.mark.parametrize("n_max", [10**7 + 1, 10**12])
+def test_n_max_beyond_ten_default_windows_exits_1(capsys, files, tmp_path, monkeypatch, n_max):
+    # lazy analyses materialise whole-window arrays: 10**12 atoms once ended
+    # in a numpy memory-error traceback
+    argv = ["op", "check", "--kind", "composition", "--map", files["shift"],
+            "--space", files["counting"], "--phi", "power:p=2"]
+    code, out, err = run_cli(capsys, argv + ["--n-max", str(n_max)])
+    assert_one_error_line(code, out, err, "n_max", str(n_max))
+    monkeypatch.setenv("BCORLICZ_CONFIG", write(tmp_path / "cfg.json", {"n_max": n_max}))
+    code, out, err = run_cli(capsys, argv)
+    assert_one_error_line(code, out, err, "n_max", str(n_max))
 
 
 # ------------------------------------------------------------- entry points

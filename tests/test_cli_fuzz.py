@@ -174,6 +174,8 @@ def _cases():
         ("check_comp-negative-seed", BASELINES["check_comp"] + ["--seed", "-1"], {}, None),
         ("apply-ragged-matrix", BASELINES["apply_dense"], {3: json.dumps(RAGGED)}, None),
         ("norm-integer-beyond-floats", BASELINES["norm"], {4: json.dumps(HUGE_WEIGHT)}, None),
+        ("check_comp-n-max-beyond-cap",
+         BASELINES["check_comp"] + ["--n-max", "1000000000000"], {}, None),
         ("distortion-geometric-above-one", [
             "op", "check", "--kind", "composition", "--map", "@shift",
             "--space", "@geometric_big", "--phi", "power:p=2",

@@ -250,6 +250,39 @@ def test_modular_lazy_slow_tail_is_inconclusive():
     assert 0 < mv.value < math.inf
 
 
+def test_modular_lazy_zero_head_does_not_settle_the_probe():
+    # the first five blocks add 0; they do not count towards the three-block
+    # rule, which once settled this probe at 0 after 3000 atoms
+    sp = AtomicMeasureSpace.counting(10 ** 6)
+    rule = lambda i: (i > 5000) / i  # noqa: E731
+    mv = modular(OrliczFunction.power(2), rule, sp)
+    want = np.sum(1.0 / np.arange(5001, 10 ** 6 + 1, dtype=float) ** 2)
+    assert mv.status == "inconclusive"
+    assert mv.value == pytest.approx(want, rel=1e-12)
+    with pytest.raises(UnsupportedInstanceError, match="inconclusive"):
+        luxemburg_norm(OrliczFunction.power(2), rule, sp)
+
+
+def test_modular_lazy_zero_rule_converges_to_zero_over_the_window():
+    sp = AtomicMeasureSpace.counting(10 ** 5)
+    mv = modular(OrliczFunction.power(2), lambda i: 0.0 * i, sp)
+    assert (mv.value, mv.status, mv.n_terms) == (0.0, "converged", 10 ** 5)
+    assert luxemburg_norm(OrliczFunction.power(2), lambda i: 0.0 * i, sp) == 0.0
+
+
+def test_modular_lazy_gap_in_the_early_half_is_not_divergence():
+    # 1/n with the terms 100..2000 set to 0 sums, squared, below pi^2/6; the
+    # zero terms once gave the comparison probe an early floor of 0, which
+    # every late floor passes
+    sp = AtomicMeasureSpace.counting(10 ** 6)
+    rule = lambda i: np.where((i >= 100) & (i <= 2000), 0.0, 1.0 / i)  # noqa: E731
+    mv = modular(OrliczFunction.power(2), rule, sp)
+    assert mv.status == "inconclusive"
+    assert 0 < mv.value < math.pi ** 2 / 6
+    with pytest.raises(UnsupportedInstanceError, match="inconclusive"):
+        luxemburg_norm(OrliczFunction.power(2), rule, sp)
+
+
 # ---------------------------------------------------------------- luxemburg
 
 
@@ -316,6 +349,27 @@ def test_luxemburg_lazy_geometric():
     f = lambda idx: np.power(0.5, idx)  # noqa: E731
     lam = luxemburg_norm(OrliczFunction.power(2), f, sp)
     assert abs(lam - 1.0 / math.sqrt(3.0)) < 1e-9
+
+
+BIG = 1.5e308 + 1.5e308j  # finite parts, modulus beyond the floats
+
+
+@pytest.mark.parametrize(
+    "f, space, atom",
+    [
+        (np.array([BIG]), AtomicMeasureSpace.finite([1.0]), 1),
+        # the null first atom is dropped before the sup; atom 2 is named
+        (np.array([BIG, BIG]), AtomicMeasureSpace.finite([0.0, 1.0], allow_null_atoms=True), 2),
+        (np.array([1.0, BIG]), AtomicMeasureSpace.counting(10 ** 3), 2),
+        (lambda i: np.where(i == 7, BIG, 1.0 / i**2), AtomicMeasureSpace.counting(10 ** 3), 7),
+    ],
+    ids=["finite", "finite-null-atom", "lazy-array", "lazy-rule"],
+)
+def test_luxemburg_modulus_beyond_floats_is_unsupported(f, space, atom):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnsupportedInstanceError, match=rf"\|f_{atom}\|"):
+            luxemburg_norm(OrliczFunction.power(2), f, space)
 
 
 # ---------------------------------------------------------------- norm_bc
@@ -402,6 +456,20 @@ def test_schauder_tail_lazy_geometric_closed_form():
     # sum_{n>3} 4^{-n} = 4^{-4} / (1 - 1/4) = 1/192
     want = math.sqrt(1.0 / 192.0) / SQRT2
     assert abs(got - want) < 1e-9
+
+
+def test_schauder_tail_past_an_array_settles_at_once(monkeypatch):
+    # an exhausted array tail is summed in one block, not over the window
+    blocks = []
+    weight_block = AtomicMeasureSpace.weight_block
+    monkeypatch.setattr(
+        AtomicMeasureSpace,
+        "weight_block",
+        lambda self, idx: blocks.append(idx.size) or weight_block(self, idx),
+    )
+    F = BCSequence.from_components([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
+    assert schauder_tail(F, 5, 2.0, AtomicMeasureSpace.counting(10 ** 6)) == 0.0
+    assert blocks == [1000, 1000]
 
 
 def test_schauder_tail_rejects_bad_inputs():

@@ -321,13 +321,18 @@ class BoundednessReport:
                 )
 
     def bound(self) -> float | None:
-        """The headline bound certificate; only a bounded verdict has one."""
+        """The headline bound certificate; only a bounded verdict has one.
+
+        A composition with ``b = sup b_n`` has ``||C_T|| <= max(1, b)`` for
+        every Young function (Kumar, 1997); ``b`` alone bounds it only when
+        ``b >= 1``.
+        """
         if self.verdict != "bounded":
             return None
         if self.ess_sups is not None and all(math.isfinite(s) for s in self.ess_sups):
             return max(self.ess_sups)
         if self.sup_distortion is not None and math.isfinite(self.sup_distortion):
-            return self.sup_distortion
+            return max(1.0, self.sup_distortion)
         return None
 
     def to_json_dict(self) -> dict:
@@ -494,8 +499,10 @@ def check_multiplication_bounded(
 
     The operator is bounded exactly when both component symbols are
     essentially bounded, with norm between max(sup)/sqrt(2) and
-    sqrt(2)*max(sup); component sups still growing across the scan
-    window yield an unbounded verdict with the growth trend recorded.
+    sqrt(2)*max(sup).  An array symbol is zero past its length, so its sup
+    is exact on any space.  An index rule is scanned over the window, and
+    a sup still growing across it yields an unbounded verdict with the
+    growth trend recorded.
     """
     notes = []
     if not space.is_lazy:
@@ -507,10 +514,13 @@ def check_multiplication_bounded(
         )
 
     n = min(space.size, budget)
-    idx = np.arange(1, n + 1, dtype=np.int64)
     sups = []
     for which in (1, 2):
-        mags = np.abs(theta.block(which, idx))
+        raw = theta.component(which)
+        if not callable(raw):
+            sups.append(float(np.abs(raw).max(initial=0.0)))
+            continue
+        mags = np.abs(theta.block(which, np.arange(1, n + 1, dtype=np.int64)))
         sup_q, sup_h, sup_f = _window_sups(mags)
         sups.append(sup_f)
         if _grows(sup_q, sup_h, sup_f):
@@ -518,17 +528,22 @@ def check_multiplication_bounded(
                 f"component {which} sup grows across the window (quarter {sup_q:.6g}, "
                 f"half {sup_h:.6g}, full {sup_f:.6g})"
             )
+    truncated = theta.is_lazy
     if notes:  # only a growing sup leaves a note here
         verdict = "unbounded"
         notes.append("an essentially unbounded symbol admits no multiplication bound")
     else:
         verdict = "bounded"
-        notes.append(f"component sups scanned over a truncated window of {n} atoms")
+        notes.append(
+            f"component sups scanned over a truncated window of {n} atoms"
+            if truncated
+            else "array symbol: component sups are exact (it is zero past its length)"
+        )
     return BoundednessReport(
         kind="multiplication",
         verdict=verdict,
         ess_sups=(sups[0], sups[1]),
-        distortion_truncated=True,
+        distortion_truncated=truncated,
         notes=tuple(notes),
     )
 

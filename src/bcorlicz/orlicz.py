@@ -15,7 +15,6 @@ supports.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -65,6 +64,9 @@ _SETTLE_REL = 1e-12
 _TAIL_BURN_IN = 100
 _TAIL_FLOOR = 1e-8
 _TAIL_DECAY_RATIO = 0.95
+# the probe evaluates runs of blocks in chunks of at most this many atoms:
+# past it the chunk's temporaries fall out of cache and an atom costs more
+_CHUNK_ATOMS = 2**14
 # exp(u) - u - 1 = u^2 (1/2! + u/3! + ... + u^8/10!) to rounding for u below
 # this; above it expm1(u) - u is within 20 eps
 _EXP_SERIES_BELOW = 0.1
@@ -417,21 +419,45 @@ class ModularValue:
     guard: bool = False
 
 
-# overflow and 0 * inf are read by _weighted and the guard, not warned about
+# overflow and 0 * inf are read block by block in _march, not warned about
 @np.errstate(over="ignore", invalid="ignore")
-def _march(term_block, n_total: int, block: int, support: int | None) -> ModularValue:
-    """Accumulate nonnegative term blocks with the convergence probe.
+def _march(term_chunk, n_total: int, block: int, support: int | None) -> ModularValue:
+    """Sum a series over blocks of atoms with the convergence probe.
 
-    ``term_block(idx)`` gives the terms at the 1-based atoms ``idx`` and
-    their sum (see ``_weighted``).  Convergence: three consecutive blocks,
-    once the total is above 0, each adding less than ``_SETTLE_REL``
-    relative to it; a window that sums to 0 throughout converges to 0
-    at its end.  A finitely supported component (``support`` atoms, zero
-    beyond; None for an index rule) converges exactly once its support is
-    summed, and not before.  Divergence: the total passes the guard, or
-    n * t_n stays above a floor without decaying from the early to the
-    late half of the window (a sampled comparison with the harmonic
-    series; a zero term in the early half leaves it without a floor).
+    ``term_chunk(idx)`` gives, at the 1-based window positions ``idx``,
+    the ``values`` and ``weights`` whose products are the terms, the atoms
+    that ``idx`` stands for and the component values ``read`` there.  The
+    terms are nonnegative for a modular and complex for the pairing: every
+    rule reads their moduli, and the returned value is their sum.
+
+    Convergence: three consecutive blocks, once the total is above 0, each
+    adding less than ``_SETTLE_REL`` relative to it; a window that sums to
+    0 throughout converges to 0 at its end.  A finitely supported
+    component (``support`` atoms, zero beyond; None for an index rule)
+    converges exactly once its support is summed, and not before.
+    Divergence: the total passes the guard, or n * t_n stays above a floor
+    without decaying from the early to the late half of the window (a
+    sampled comparison with the harmonic series; a zero term in the early
+    half leaves it without a floor).
+
+    ``block`` is the unit of these rules, not of evaluation.  The terms of
+    a run of blocks are computed in one chunk: the first chunk is one
+    block, each next one doubles, up to ``_CHUNK_ATOMS`` atoms.  A chunk
+    never splits a block, never passes ``n_total`` or the block that ends
+    the support, and, once blocks count towards the three-block rule,
+    holds no more blocks than the rule still needs, so that a probe that
+    settles early evaluates few blocks past its end.  The chunk's
+    per-block sums are its rows' sums
+    (``terms.reshape(k, block).sum(axis=1)``), which numpy reduces row by
+    row exactly as it sums a block alone, so every block adds the same
+    bits as if it had been evaluated by itself.  The rules then walk the
+    blocks in order, and a chunk's blocks past the one that stops the
+    march are never read.  Only a block whose sum is not finite is
+    scanned, when the walk reaches it: a read value that is nan or inf
+    (arrays are checked when built, so it came from an index rule) is
+    refused, and a zero value on a weight that overflowed to inf (a
+    geometric ratio above 1) adds 0, not nan.  Terms that overflow stay
+    inf for the divergence guard.
     """
     if block < 1:
         raise InvalidInputError(f"block size must be >= 1, got {block!r}")
@@ -439,33 +465,49 @@ def _march(term_block, n_total: int, block: int, support: int | None) -> Modular
     # so shrink blocks until at least eight fit
     block = min(block, max(1, n_total // 8))
     total = 0.0
+    value = 0.0
     consec = 0
     half = n_total // 2
     min_early = math.inf
     min_late = math.inf
     start = 1
     done = 0
+    run = 1
     while start <= n_total:
-        stop = min(start + block - 1, n_total)
-        idx = np.arange(start, stop + 1, dtype=np.int64)
-        terms, add = term_block(idx)
-        add = float(add)
-        total += add
-        done = stop
-        if not total <= _DIVERGENCE_GUARD:  # also catches nan/inf
-            return ModularValue(math.inf, "diverged", done, guard=True)
-        mask = idx >= _TAIL_BURN_IN
-        if mask.any():
-            m = float((idx[mask] * terms[mask]).min())
-            if stop <= half:
-                min_early = min(min_early, m)
+        want = min(run, max(1, _CHUNK_ATOMS // block))
+        if support is not None:
+            want = min(want, -(-(support - start + 1) // block))
+        elif consec:
+            want = min(want, 3 - consec)
+        k = min(want, (n_total - start + 1) // block) or 1
+        idx = np.arange(start, min(start + k * block, n_total + 1), dtype=np.int64)
+        values, weights, atoms, read = term_chunk(idx)
+        terms = values * weights
+        sums, adds, mins = _block_stats(idx, terms, k)
+        size = idx.size // k
+        for j in range(k):
+            if not math.isfinite(adds[j]):
+                lo, hi = j * size, (j + 1) * size
+                for comp in read:
+                    _check_rule_values(comp[lo:hi], atoms[lo:hi])
+                fixed = terms[lo:hi]
+                fixed[values[lo:hi] == 0] = 0.0
+                (sums[j],), (adds[j],), (mins[j],) = _block_stats(idx[lo:hi], fixed, 1)
+            total += adds[j]
+            value += sums[j]
+            done = start + (j + 1) * size - 1
+            if not total <= _DIVERGENCE_GUARD:  # also catches nan/inf
+                return ModularValue(math.inf, "diverged", done, guard=True)
+            if done <= half:
+                min_early = min(min_early, mins[j])
             else:
-                min_late = min(min_late, m)
-        consec = consec + 1 if 0.0 < total and add < _SETTLE_REL * total else 0
-        settled = consec >= 3 if support is None else done >= support
-        if settled:
-            return ModularValue(total, "converged", done)
-        start = stop + 1
+                min_late = min(min_late, mins[j])
+            consec = consec + 1 if 0.0 < total and adds[j] < _SETTLE_REL * total else 0
+            settled = consec >= 3 if support is None else done >= support
+            if settled:
+                return ModularValue(value, "converged", done)
+        start = done + 1
+        run *= 2
     if (
         0.0 < min_early < math.inf
         and math.isfinite(min_late)
@@ -473,42 +515,35 @@ def _march(term_block, n_total: int, block: int, support: int | None) -> Modular
         and min_late >= _TAIL_DECAY_RATIO * min_early
     ):
         return ModularValue(math.inf, "diverged", done)
-    return ModularValue(total, "converged" if total == 0.0 else "inconclusive", done)
+    return ModularValue(value, "converged" if total == 0.0 else "inconclusive", done)
 
 
-def _weighted(values: np.ndarray, weights: np.ndarray, idx: np.ndarray, *read: np.ndarray):
-    """``values * weights`` on one block of atoms ``idx``, and its sum.
-
-    ``values`` are computed from the component values ``read`` there.
-    Only a sum that is not finite has the block scanned: a read value that
-    is nan or inf (arrays are checked when built, so it came from an index
-    rule) is refused, and a zero value on a weight that overflowed to inf
-    (a geometric ratio above 1) adds 0, not nan.  Terms that overflow
-    stay inf for the divergence guard.
-    """
-    terms = values * weights
-    total = terms.sum()
-    if not cmath.isfinite(total):
-        for comp in read:
-            _check_rule_values(comp, idx)
-        terms[values == 0] = 0.0
-        total = terms.sum()
-    return terms, total
+def _block_stats(idx: np.ndarray, terms: np.ndarray, k: int):
+    """Per-block lists over ``k`` equal blocks of a chunk: the terms' sums,
+    their moduli's sums, and the least ``n |t_n|`` over ``n >= _TAIL_BURN_IN``
+    (+inf in a block wholly below it)."""
+    mags = np.abs(terms) if np.iscomplexobj(terms) else terms
+    probe = idx * mags
+    if idx[0] < _TAIL_BURN_IN:
+        probe[: _TAIL_BURN_IN - idx[0]] = np.inf
+    sums = terms.reshape(k, -1).sum(axis=1).tolist()
+    mag_sums = mags.reshape(k, -1).sum(axis=1).tolist() if mags is not terms else sums
+    return sums, mag_sums, probe.reshape(k, -1).min(axis=1).tolist()
 
 
 def _phi_terms(phi: OrliczFunction, raw, weight_at, scale: float = 1.0, offset: int = 0):
-    """Term block ``phi(scale |f_n|) w_n`` over the atoms ``n = idx + offset``.
+    """Terms ``phi(scale |f_n|) w_n`` over the atoms ``n = idx + offset``.
 
-    ``weight_at`` maps atoms to their weights.  This is the term block of
-    every lazy modular, weighted sum and coordinate tail.
+    ``weight_at`` maps atoms to their weights.  This is the term chunk of
+    every lazy modular, weighted sum and coordinate tail (see ``_march``).
     """
 
-    def term_block(idx):
+    def term_chunk(idx):
         at = idx + offset if offset else idx
         vals = component_block(raw, at)
-        return _weighted(phi._values(scale * np.abs(vals)), weight_at(at), at, vals)
+        return phi._values(scale * np.abs(vals)), weight_at(at), at, (vals,)
 
-    return term_block
+    return term_chunk
 
 
 def modular(
@@ -925,18 +960,13 @@ def pairing(
         if not space.is_lazy:
             terms = component_array(xr, space) * component_array(yr, space) * space.weights
             return complex(np.sum(terms))
-        signed = 0j
 
-        def term_block(idx):
-            nonlocal signed
+        def term_chunk(idx):
             xs, ys = component_block(xr, idx), component_block(yr, idx)
-            terms, block_sum = _weighted(xs * ys, space.weight_block(idx), idx, xs, ys)
-            signed += complex(block_sum)
-            mags = np.abs(terms)
-            return mags, mags.sum()
+            return xs * ys, space.weight_block(idx), idx, (xs, ys)
 
         support = min((r.size for r in (xr, yr) if not callable(r)), default=None)
-        mv = _march(term_block, space.size, block, support)
+        mv = _march(term_chunk, space.size, block, support)
         if mv.status == "diverged":
             fired = "the divergence guard" if mv.guard else "the comparison probe"
             raise NotSummableError(
@@ -949,6 +979,6 @@ def pairing(
                 RuntimeWarning,
                 stacklevel=3,
             )
-        return signed
+        return mv.value
 
     return BiComplex(summed(1), summed(2))

@@ -245,6 +245,39 @@ def test_op_check_multiplication(capsys, files, tmp_path):
     assert verdict["ess_sups"] == [2.0, 3.0]
 
 
+def test_op_check_composition_bound_is_at_least_one(capsys, files, tmp_path):
+    # every b_n is 1/2, while the empirical norm reaches 0.5^(1/2)
+    space = write(tmp_path / "geo.json", {"weights_rule": "geometric:0.5", "n_max": 5000})
+    verdict = result_value(
+        run_json(
+            capsys,
+            ["op", "check", "--kind", "composition", "--map", files["shift"],
+             "--space", space, "--phi", "power:p=2"],
+        ),
+        "boundedness",
+    )
+    assert verdict["verdict"] == "bounded"
+    assert verdict["sup_distortion"] == 0.5
+    assert verdict["bound"] == 1.0
+    assert verdict["empirical_norm"] <= verdict["bound"]
+
+
+def test_op_check_multiplication_array_on_a_lazy_space(capsys, tmp_path):
+    theta = write(tmp_path / "theta.json", [bc(1, 1), bc(2, 2), bc(3, 3), bc(4, 4)])
+    space = write(tmp_path / "c4.json", {"weights_rule": "counting", "n_max": 4})
+    code, out, err = run_cli(
+        capsys,
+        ["op", "check", "--kind", "multiplication", "--theta", theta,
+         "--space", space, "--phi", "power:p=2", "--strict"],
+    )
+    assert code == 0, err
+    verdict = result_value(json.loads(out), "boundedness")
+    assert verdict["verdict"] == "bounded"
+    assert verdict["bound"] == 4.0
+    assert verdict["distortion_truncated"] is False
+    assert not any("grows" in note for note in verdict["notes"])
+
+
 def test_phi_classify_reports_probe_fields(capsys):
     report = run_json(capsys, ["phi", "classify", "--phi", "power:p=2"])
     probe = result_value(report, "phi_report")

@@ -275,6 +275,19 @@ def test_composition_check_finite_worked_example():
     assert not rep.distortion_truncated
 
 
+def test_composition_bound_is_at_least_one():
+    # the right shift on geometric:0.5 weights has every b_n = 1/2, yet its
+    # norm on power:p=2 is 0.5^(1/2); ||C_T|| <= max(1, b), not b
+    sp = AtomicMeasureSpace.geometric(0.5, 5000)
+    rep = check_composition_bounded(
+        sp, IndexMap.right_shift(), OrliczFunction.power(2), trials=20
+    )
+    assert rep.verdict == "bounded"
+    assert rep.sup_distortion == 0.5
+    assert rep.bound() == 1.0
+    assert rep.empirical_norm <= rep.bound()
+
+
 def test_composition_check_right_shift_lazy():
     sp = AtomicMeasureSpace.counting(10 ** 5)
     rep = check_composition_bounded(sp, IndexMap.right_shift(), OrliczFunction.power(2))
@@ -389,6 +402,23 @@ def test_multiplication_check_lazy_bounded():
     assert rep.verdict == "bounded"
     assert abs(rep.ess_sups[0] - 2.0) < 1e-12
     assert rep.distortion_truncated
+
+
+@pytest.mark.parametrize(
+    "space",
+    [AtomicMeasureSpace.counting(4), AtomicMeasureSpace.geometric(0.5, 10 ** 5)],
+    ids=["counting-4", "geometric"],
+)
+def test_multiplication_check_array_symbol_is_exact_on_a_lazy_space(space):
+    # an array is zero past its length, so its sup is exact; the climb
+    # 1, 2, 4 across the window once read as growth, and as unbounded
+    theta = BCSequence.from_components([1, 2, 3, 4], [0.5, 0, 0, 3j])
+    rep = check_multiplication_bounded(theta, space)
+    assert rep.verdict == "bounded"
+    assert rep.ess_sups == (4.0, 3.0)
+    assert rep.bound() == 4.0
+    assert not rep.distortion_truncated
+    assert not any("grows" in note for note in rep.notes)
 
 
 def test_multiplication_check_lazy_unbounded():

@@ -134,9 +134,9 @@ def _json_numbers(values, what: str) -> list:
     return values
 
 
-def _check_n_max(n_max) -> int:
+def _check_n_max(n_max, what: str = "n_max") -> int:
     if not (is_json_number(n_max) and isinstance(n_max, int) and n_max >= 1):
-        raise InvalidInputError(f"n_max must be a positive integer, got {n_max!r}")
+        raise InvalidInputError(f"{what} must be a positive integer, got {n_max!r}")
     return n_max
 
 
@@ -180,7 +180,14 @@ class IndexMap:
         return cls(kind="rule", forward=forward, name=name)
 
     def image_block(self, idx: np.ndarray) -> np.ndarray:
-        """Forward images of 1-based indices; right shift maps atom 1 to 0."""
+        """Forward images of 1-based indices; right shift maps atom 1 to 0.
+
+        A rule must return one finite integer image per index, as an
+        integer or integral float array of the indices' shape; anything
+        else raises ``InvalidMapError`` naming the first bad atom.  The
+        result may be ``idx`` itself or the map's table, so callers never
+        write to it.
+        """
         idx = np.asarray(idx)
         if self.table is not None:
             if np.any(idx > self.table.size):
@@ -189,7 +196,7 @@ class IndexMap:
                     f"{int(idx.max())} requested"
                 )
             return self.table[idx - 1]
-        return np.asarray(self.forward(idx), dtype=np.int64)
+        return _rule_images(self.forward(idx), idx)
 
     def to_json_dict(self) -> dict:
         if self.kind == "table":
@@ -211,6 +218,29 @@ class IndexMap:
         raise InvalidInputError("map object needs 'map' or 'map_rule'")
 
 
+def _rule_images(out, idx: np.ndarray) -> np.ndarray:
+    """A rule's output at ``idx`` as int64 images, or the first bad atom named."""
+    images = np.asarray(out)
+    if images.shape != idx.shape:
+        raise InvalidMapError(
+            f"map rule returned images of shape {images.shape} for indices of shape "
+            f"{idx.shape}; it must return one image per atom"
+        )
+    if images.dtype.kind == "i":
+        return images.astype(np.int64, copy=False)
+    if images.dtype.kind not in "buf":
+        raise InvalidMapError(f"map rule returned {images.dtype} images; images must be integers")
+    vals = images.astype(float, copy=False)
+    bad = ~(np.isfinite(vals) & (np.floor(vals) == vals) & (np.abs(vals) < 2.0**63))
+    if np.any(bad):
+        first = int(np.argmax(bad))
+        raise InvalidMapError(
+            f"atom {int(idx.flat[first])} maps to {float(vals.flat[first])!r}; "
+            "images must be finite integers below 2**63"
+        )
+    return vals.astype(np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class Pushforward:
     """Image measure masses per atom; ``truncated`` marks lazy windows."""
@@ -221,28 +251,47 @@ class Pushforward:
 
 @dataclass(frozen=True, eq=False)
 class Distortion:
-    """Mass ratios b_n = pushforward mass / atom weight, and their sup."""
+    """Mass ratios b_n = pushforward mass / atom weight, from one read of the window.
+
+    ``sup`` is the sup of ``ratios``.  On a lazy space ``sup_quarter`` and
+    ``sup_half`` are the sups that a scan with budget ``m = max(1, window // 4)``
+    or ``max(1, window // 2)`` gives: b_n for ``n <= m``, summed over the
+    atoms ``k <= m`` only, in the same order, so bit for bit that scan's
+    sup.  They are ``None`` on a finite space.  ``first_uncovered`` is the
+    first atom of the window that no atom maps to (``None`` when the images
+    cover the window), and ``dropped`` counts the atoms with no image (the
+    right shift's atom 1).
+    """
 
     ratios: np.ndarray
     sup: float
     truncated: bool
+    sup_quarter: float | None
+    sup_half: float | None
+    first_uncovered: int | None
+    dropped: int
 
 
-def _scan(space: AtomicMeasureSpace, imap: IndexMap, budget: int, share):
-    """Per-atom sums ``sum_{T(k)=n} share(k, n)``, and whether they are truncated.
+def _scan(space: AtomicMeasureSpace, imap: IndexMap, budget: int, share) -> Distortion:
+    """Per-atom sums ``sum_{T(k)=n} share(k, n)`` in one read of the map's images.
 
     ``share(k, n)`` is what atom ``k`` adds to its image ``n``.  On lazy
-    spaces only the first ``min(n_max, budget)`` atoms are scanned.
+    spaces only the first ``min(n_max, budget)`` atoms are scanned, and the
+    quarter and half window sups come from the same arrays (see ``Distortion``).
     """
+    _check_n_max(budget, "budget")
     lazy = space.is_lazy
     n = min(space.size, budget) if lazy else space.size
+    prefixes = (max(1, n // 4), max(1, n // 2)) if lazy else ()
     idx = np.arange(1, n + 1, dtype=np.int64)
     if imap.kind == "right_shift":
+        # atom k + 1 lands on k: every atom but the last is covered, and atom 1 is dropped
         if lazy:
-            return share(idx + 1, idx), True
-        sums = np.zeros(n)
-        sums[: n - 1] = share(idx[1:], idx[:-1])
-        return sums, False
+            sums = share(idx + 1, idx)
+        else:
+            sums = np.zeros(n)
+            sums[: n - 1] = share(idx[1:], idx[:-1])
+        return _distortion(sums, lazy, [sums[:m].max() for m in prefixes], n, 1)
     if imap.kind == "table":
         if lazy:
             raise InvalidMapError("finite map tables do not cover a lazy index set")
@@ -252,16 +301,42 @@ def _scan(space: AtomicMeasureSpace, imap: IndexMap, budget: int, share):
                 f"map table has {images.size} entries but the space has {n} atoms"
             )
     else:
-        images = np.asarray(imap.forward(idx), dtype=np.int64)
+        images = imap.image_block(idx)
     if np.any(images < 1):
         bad = int(np.argmax(images < 1)) + 1
         raise InvalidMapError(f"atom {bad} maps to index {int(images[bad - 1])}")
-    if not lazy and np.any(images > n):
-        bad = int(np.argmax(images > n)) + 1
-        raise InvalidMapError(f"atom {bad} maps to index {int(images[bad - 1])}, outside 1..{n}")
-    inside = images <= n  # images beyond a lazy window leave the truncated view
-    k, images = idx[inside], images[inside]
-    return np.bincount(images - 1, weights=share(k, images), minlength=n), lazy
+    inside = None
+    if images.max() > n:
+        if not lazy:
+            bad = int(np.argmax(images > n)) + 1
+            raise InvalidMapError(
+                f"atom {bad} maps to index {int(images[bad - 1])}, outside 1..{n}"
+            )
+        inside = images <= n  # images beyond a lazy window leave the truncated view
+        idx, images = idx[inside], images[inside]
+    shares = share(idx, images)
+    del idx
+    pos = images - 1  # a new array: ``images`` may be ``idx`` or the map's table
+    del images
+    sums = np.bincount(pos, weights=shares, minlength=n)
+    covered = np.zeros(n, dtype=bool)
+    covered[pos] = True
+    first = None if covered.all() else int(np.argmin(covered)) + 1
+    sups = []
+    for m in prefixes:
+        # the atoms k <= m lead the arrays; of those, keep the images n <= m
+        c = m if inside is None else int(np.count_nonzero(inside[:m]))
+        p, w = pos[:c], shares[:c]
+        if c and p.max() >= m:
+            keep = p < m
+            p, w = p[keep], w[keep]
+        sups.append(np.bincount(p, weights=w, minlength=m).max())
+    return _distortion(sums, lazy, sups, first, 0)
+
+
+def _distortion(sums, truncated, sups, first_uncovered, dropped) -> Distortion:
+    q, h = (float(s) for s in sups) if sups else (None, None)
+    return Distortion(sums, float(sums.max()), truncated, q, h, first_uncovered, dropped)
 
 
 def pushforward(
@@ -274,8 +349,8 @@ def pushforward(
     On lazy spaces only the first ``min(n_max, budget)`` atoms are
     scanned and the result is flagged truncated.
     """
-    masses, truncated = _scan(space, imap, budget, lambda k, n: space.weight_block(k))
-    return Pushforward(masses, truncated)
+    scan = _scan(space, imap, budget, lambda k, n: space.weight_block(k))
+    return Pushforward(scan.ratios, scan.truncated)
 
 
 def _weight_ratios(space: AtomicMeasureSpace, k: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -301,9 +376,11 @@ def distortion_ratios(
 
     Each is summed per preimage, ``b_n = sum_{T(k)=n} a_k / a_n``, so it is
     finite wherever the true ratio is, even where the weights overflow.
+    The map's images and the shares ``a_k / a_n`` are read once over the
+    window; the same arrays give the sups over the quarter and half windows
+    on a lazy space and the window's coverage (see ``Distortion``).
     """
-    ratios, truncated = _scan(space, imap, budget, lambda k, n: _weight_ratios(space, k, n))
-    return Distortion(ratios, float(ratios.max()), truncated)
+    return _scan(space, imap, budget, lambda k, n: _weight_ratios(space, k, n))
 
 
 def is_nonsingular(space: AtomicMeasureSpace, imap: IndexMap) -> tuple[bool, str]:

@@ -24,6 +24,7 @@ from .measure import (
     DEFAULT_N_MAX,
     AtomicMeasureSpace,
     IndexMap,
+    _check_n_max,
     distortion_ratios,
 )
 from .orlicz import (
@@ -368,27 +369,6 @@ def _window_sups(values: np.ndarray) -> tuple[float, float, float]:
     return float(values[:q].max()), float(values[:h].max()), float(values.max())
 
 
-def _surjectivity_on_window(imap: IndexMap, n: int) -> tuple[bool, list[str]]:
-    images = imap.image_block(np.arange(1, n + 1, dtype=np.int64))
-    valid = (images >= 1) & (images <= n)
-    covered = np.bincount(images[valid] - 1, minlength=n) > 0
-    notes = []
-    dropped = int(np.count_nonzero(images < 1))
-    if dropped:
-        notes.append(
-            f"{dropped} atom(s) in the window have no image; their entries are "
-            "dropped by the composition convention"
-        )
-    surjective = bool(covered.all())
-    if not surjective:
-        first = int(np.argmin(covered)) + 1
-        notes.append(
-            f"forward images do not cover the window (first uncovered atom: {first}); "
-            "recorded as metadata, not used for the verdict"
-        )
-    return surjective, notes
-
-
 def check_composition_bounded(
     space: AtomicMeasureSpace,
     imap: IndexMap,
@@ -404,11 +384,15 @@ def check_composition_bounded(
     """Certify boundedness of ``F -> F o T`` via pushforward mass ratios.
 
     A finite sup of the ratios b_n bounds the operator; on lazy spaces
-    the sup is window evidence only, and a sup still growing from the
-    quarter to the half to the full window downgrades the verdict to
-    inconclusive.  For each sample sequence the report records the
-    largest gauge scales (grid 2^0 .. 2^-20, per component) whose
-    ratio-weighted modular is certified finite.
+    the sup is window evidence only.  The window is read once, by one
+    ``distortion_ratios`` call: the same scan gives the sups a budget of a
+    quarter and of half the window would give, and a sup still growing
+    from the quarter to the half to the full window downgrades the
+    verdict to inconclusive.  It also gives the window's coverage, which
+    is recorded as ``surjective_on_window`` and never used for the
+    verdict.  For each sample sequence the report records the largest
+    gauge scales (grid 2^0 .. 2^-20, per component) whose ratio-weighted
+    modular is certified finite.
     """
     dist = distortion_ratios(space, imap, budget)
     notes = []
@@ -428,8 +412,7 @@ def check_composition_bounded(
         # growth must be judged against the budget, not window position:
         # a map can concentrate all its mass ratios at low indices while
         # their sup still climbs as the scan window widens
-        sup_q = distortion_ratios(space, imap, max(1, window // 4)).sup
-        sup_h = distortion_ratios(space, imap, max(1, window // 2)).sup
+        sup_q, sup_h = dist.sup_quarter, dist.sup_half
         if _grows(sup_q, sup_h, dist.sup):
             verdict = "inconclusive"
             notes.append(
@@ -440,8 +423,16 @@ def check_composition_bounded(
             verdict = "bounded"
             notes.append(f"distortion scanned over a truncated window of {window} atoms")
 
-    surjective, surj_notes = _surjectivity_on_window(imap, window)
-    notes.extend(surj_notes)
+    if dist.dropped:
+        notes.append(
+            f"{dist.dropped} atom(s) in the window have no image; their entries are "
+            "dropped by the composition convention"
+        )
+    if dist.first_uncovered is not None:
+        notes.append(
+            "forward images do not cover the window (first uncovered atom: "
+            f"{dist.first_uncovered}); recorded as metadata, not used for the verdict"
+        )
 
     lam_grid = 2.0 ** np.arange(0, -21, -1, dtype=float)
     lambda_pairs = []
@@ -483,7 +474,7 @@ def check_composition_bounded(
         distortion_truncated=dist.truncated,
         lambda_pairs=tuple(lambda_pairs),
         delta2=classify_phi(phi).delta2,
-        surjective_on_window=surjective,
+        surjective_on_window=dist.first_uncovered is None,
         empirical_norm=empirical,
         notes=tuple(notes),
     )
@@ -504,6 +495,7 @@ def check_multiplication_bounded(
     a sup still growing across it yields an unbounded verdict with the
     growth trend recorded.
     """
+    _check_n_max(budget, "budget")
     notes = []
     if not space.is_lazy:
         return BoundednessReport(

@@ -1,7 +1,9 @@
 """Tests for bicomplex operators: application, inversion, boundedness checks."""
 
 import math
+import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from bcorlicz import (
     BCSequence,
     BiComplex,
     BoundednessReport,
+    Distortion,
     IndexMap,
     InvalidInputError,
     InvalidMapError,
@@ -24,11 +27,13 @@ from bcorlicz import (
     check_composition_bounded,
     check_multiplication_bounded,
     decompose,
+    distortion_ratios,
     empirical_operator_norm,
     empirical_ratios,
     invert_operator,
     norm_bc,
     operators,
+    pushforward,
 )
 
 
@@ -382,6 +387,155 @@ def test_composition_check_attaches_delta2_and_empirical():
     # a permutation of equal weights is an isometry
     assert rep.empirical_norm is not None
     assert abs(rep.empirical_norm - 1.0) < 1e-9
+
+
+# the one-pass scan against independent scans at the window, half and quarter
+_ONE_PASS_RULES = {
+    "n//2+1": lambda i: i // 2 + 1,
+    "2n": lambda i: 2 * i,
+    "ceil_sqrt": lambda i: np.ceil(np.sqrt(i)),  # integral floats
+    "identity": lambda i: i,  # returns its argument: the scan must not write to it
+}
+_ONE_PASS_SPACES = {
+    "counting": lambda n: AtomicMeasureSpace.counting(n),
+    "geometric:0.5": lambda n: AtomicMeasureSpace.geometric(0.5, n),
+    "geometric:2.0": lambda n: AtomicMeasureSpace.geometric(2.0, n),
+}
+_FINITE_WEIGHTS = {
+    "counting": lambda n: np.ones(n),
+    "geometric:0.5": lambda n: 0.5 ** np.arange(n),
+    "geometric:2.0": lambda n: 2.0 ** np.arange(n),
+}
+
+
+def _one_pass_cases():
+    maps = dict(
+        {name: IndexMap.from_rule(rule, name=name) for name, rule in _ONE_PASS_RULES.items()},
+        right_shift=IndexMap.right_shift(),
+    )
+    cases = []
+    for sname, make in _ONE_PASS_SPACES.items():
+        for mname, imap in maps.items():
+            for n_max in (1, 2, 7, 5000):
+                cases.append(pytest.param(make(n_max), imap, 10**6, id=f"{sname}-{n_max}-{mname}"))
+            cases.append(pytest.param(make(10**6), imap, 10**5, id=f"{sname}-budget-{mname}"))
+    rng = np.random.default_rng(71)
+    for sname, weights in _FINITE_WEIGHTS.items():
+        for n in (1, 2, 7):
+            sp = AtomicMeasureSpace.finite(weights(n))
+            tables = {"right_shift": IndexMap.right_shift(),
+                      "const": IndexMap.from_table(np.ones(n, dtype=int)),
+                      "random": IndexMap.from_table(rng.integers(1, n + 1, n))}
+            for mname, imap in tables.items():
+                cases.append(pytest.param(sp, imap, 10**6, id=f"finite-{sname}-{n}-{mname}"))
+    return cases
+
+
+def _brute_coverage(imap, window):
+    """First uncovered atom and number of atoms with no image, atom by atom."""
+    k = np.arange(1, window + 1)
+    if imap.kind == "right_shift":
+        images = k - 1
+    elif imap.kind == "table":
+        images = imap.table
+    else:
+        images = imap.forward(k)
+    hit = {int(v) for v in images}
+    first = next((n for n in range(1, window + 1) if n not in hit), None)
+    return first, sum(1 for v in images if v < 1)
+
+
+def _reference_distortion(space, imap, budget):
+    full = distortion_ratios(space, imap, budget)
+    window = full.ratios.size
+    sup_q = sup_h = None
+    if space.is_lazy:
+        sup_q = distortion_ratios(space, imap, max(1, window // 4)).sup
+        sup_h = distortion_ratios(space, imap, max(1, window // 2)).sup
+    first, dropped = _brute_coverage(imap, window)
+    return Distortion(full.ratios, full.sup, full.truncated, sup_q, sup_h, first, dropped)
+
+
+@pytest.mark.parametrize("space, imap, budget", _one_pass_cases())
+def test_composition_check_one_pass_matches_independent_scans(monkeypatch, space, imap, budget):
+    phi = OrliczFunction.power(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dist = distortion_ratios(space, imap, budget)
+        got = check_composition_bounded(space, imap, phi, budget=budget).to_json_dict()
+    want_dist = _reference_distortion(space, imap, budget)
+    for field in ("sup", "truncated", "sup_quarter", "sup_half", "first_uncovered", "dropped"):
+        assert getattr(dist, field) == getattr(want_dist, field), field
+    np.testing.assert_array_equal(dist.ratios, want_dist.ratios)
+    monkeypatch.setattr(
+        operators, "distortion_ratios", lambda s, m, b: _reference_distortion(s, m, b)
+    )
+    want = check_composition_bounded(space, imap, phi, budget=budget).to_json_dict()
+    assert got == want
+
+
+def test_composition_check_reads_the_window_once(monkeypatch):
+    scans, evaluated = [], []
+    real = operators.distortion_ratios
+
+    def spy(*args):
+        scans.append(args)
+        return real(*args)
+
+    def halving(i):
+        evaluated.append(i.size)
+        return i // 2 + 1
+
+    monkeypatch.setattr(operators, "distortion_ratios", spy)
+    sp = AtomicMeasureSpace.geometric(0.5, 10**4)
+    rep = check_composition_bounded(sp, IndexMap.from_rule(halving), OrliczFunction.power(2))
+    assert rep.verdict == "bounded"
+    assert len(scans) == 1
+    assert evaluated == [10**4]
+
+
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        (lambda i: i / 2 + 0.7, "atom 1 maps to 1.2;"),
+        (lambda i: i * np.nan, "atom 1 maps to nan;"),
+        (lambda i: np.where(i == 5, np.inf, i), "atom 5 maps to inf;"),
+        (lambda i: i * 1e30, "atom 1 maps to 1e+30;"),
+        (lambda i: i[:3], "one image per atom"),
+        (lambda i: 1, "one image per atom"),
+        (lambda i: i + 0j, "complex128 images"),
+    ],
+    ids=["fraction", "nan", "inf", "beyond-int64", "short", "scalar", "complex"],
+)
+def test_composition_check_refuses_a_bad_rule(rule, message):
+    # these were truncated to another map, cast with a warning to a huge
+    # negative index, or ended in a bare IndexError or ValueError
+    sp = AtomicMeasureSpace.counting(100)
+    imap = IndexMap.from_rule(rule)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidMapError, match=re.escape(message)):
+            check_composition_bounded(sp, imap, OrliczFunction.power(2))
+        with pytest.raises(InvalidMapError, match=re.escape(message)):
+            imap.image_block(np.arange(1, 101))
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_bad_budget_is_refused(budget):
+    sp = AtomicMeasureSpace.counting(100)
+    shift = IndexMap.right_shift()
+    theta = BCSequence.from_rules(lambda i: 1.0 / i, lambda i: 1.0 / i)
+    calls = [
+        lambda: check_composition_bounded(sp, shift, OrliczFunction.power(2), budget=budget),
+        lambda: distortion_ratios(sp, shift, budget),
+        lambda: pushforward(sp, shift, budget),
+        lambda: check_multiplication_bounded(theta, sp, budget=budget),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(InvalidInputError, match="budget must be a positive integer"):
+                call()
 
 
 def test_multiplication_check_finite_exact():

@@ -32,6 +32,7 @@ from .orlicz import (
     Delta2Probe,
     OrliczFunction,
     _as_raw_component,
+    _check_rule_values,
     classify_phi,
     component_array,
     component_block,
@@ -491,9 +492,10 @@ def check_multiplication_bounded(
     The operator is bounded exactly when both component symbols are
     essentially bounded, with norm between max(sup)/sqrt(2) and
     sqrt(2)*max(sup).  An array symbol is zero past its length, so its sup
-    is exact on any space.  An index rule is scanned over the window, and
-    a sup still growing across it yields an unbounded verdict with the
-    growth trend recorded.
+    is exact on any space.  An index rule is read over the window like any
+    component (a nan or inf value is an ``InvalidInputError`` naming its
+    atom), and a sup still growing across it yields an unbounded verdict
+    with the growth trend recorded.
     """
     _check_n_max(budget, "budget")
     notes = []
@@ -512,7 +514,10 @@ def check_multiplication_bounded(
         if not callable(raw):
             sups.append(float(np.abs(raw).max(initial=0.0)))
             continue
-        mags = np.abs(theta.block(which, np.arange(1, n + 1, dtype=np.int64)))
+        idx = np.arange(1, n + 1, dtype=np.int64)
+        vals = component_block(raw, idx)
+        _check_rule_values(vals, idx)
+        mags = np.abs(vals)
         sup_q, sup_h, sup_f = _window_sups(mags)
         sups.append(sup_f)
         if _grows(sup_q, sup_h, sup_f):

@@ -249,12 +249,16 @@ def component_block(raw, idx: np.ndarray) -> np.ndarray:
     """Values of one component at 1-based indices ``idx``.
 
     Arrays are zero-extended past their length (finitely supported
-    elements of a lazy space); callables are vectorized index rules, and
-    one must return an array of ``idx``'s shape.
+    elements of a lazy space) and keep their complex dtype; callables are
+    vectorized index rules, and one must return an array of ``idx``'s
+    shape.  A rule's real output (bool, integer or float dtype) is read as
+    float64 and any other as complex: ``|x + 0j|`` is exactly ``|x|``, so
+    every modulus has the bits it would have as complex.
     """
     idx = np.asarray(idx)
     if callable(raw):
-        out = np.asarray(raw(idx), dtype=complex)
+        out = np.asarray(raw(idx))
+        out = out.astype(float if out.dtype.kind in "biuf" else complex, copy=False)
         if out.shape != idx.shape:
             raise InvalidInputError(
                 f"an index rule returned shape {out.shape} for indices of shape {idx.shape}"
@@ -426,9 +430,13 @@ def _march(term_chunk, n_total: int, block: int, support: int | None) -> Modular
 
     ``term_chunk(idx)`` gives, at the 1-based window positions ``idx``,
     the ``values`` and ``weights`` whose products are the terms, the atoms
-    that ``idx`` stands for and the component values ``read`` there.  The
-    terms are nonnegative for a modular and complex for the pairing: every
-    rule reads their moduli, and the returned value is their sum.
+    that ``idx`` stands for and the component values ``read`` there.
+    ``weights`` is None on ``counting``: the values are the terms, since
+    ``x * 1.0`` is ``x`` bit for bit, and no array of ones is built; for
+    the same reason a modular at scale 1 takes ``|f_n|`` unscaled (see
+    ``_moduli``).  The terms are nonnegative for a modular and complex for
+    the pairing: every rule reads their moduli, and the returned value is
+    their sum.
 
     Convergence: three consecutive blocks, once the total is above 0, each
     adding less than ``_SETTLE_REL`` relative to it; a window that sums to
@@ -482,7 +490,7 @@ def _march(term_chunk, n_total: int, block: int, support: int | None) -> Modular
         k = min(want, (n_total - start + 1) // block) or 1
         idx = np.arange(start, min(start + k * block, n_total + 1), dtype=np.int64)
         values, weights, atoms, read = term_chunk(idx)
-        terms = values * weights
+        terms = values if weights is None else values * weights
         sums, adds, mins = _block_stats(idx, terms, k)
         size = idx.size // k
         for j in range(k):
@@ -534,16 +542,35 @@ def _block_stats(idx: np.ndarray, terms: np.ndarray, k: int):
 def _phi_terms(phi: OrliczFunction, raw, weight_at, scale: float = 1.0, offset: int = 0):
     """Terms ``phi(scale |f_n|) w_n`` over the atoms ``n = idx + offset``.
 
-    ``weight_at`` maps atoms to their weights.  This is the term chunk of
-    every lazy modular, weighted sum and coordinate tail (see ``_march``).
+    ``weight_at`` maps atoms to their weights, or to None for unit weights
+    (see ``_weight_reader``).  A rule's real values are read as float64
+    and any others as complex (see ``component_block``); the moduli have
+    the same bits either way.  This is the term chunk of every lazy
+    modular, weighted sum and coordinate tail (see ``_march``).
     """
 
     def term_chunk(idx):
         at = idx + offset if offset else idx
         vals = component_block(raw, at)
-        return phi._values(scale * np.abs(vals)), weight_at(at), at, (vals,)
+        return phi._values(_moduli(vals, scale)), weight_at(at), at, (vals,)
 
     return term_chunk
+
+
+def _weight_reader(space: AtomicMeasureSpace):
+    """``space.weight_block``, or on ``counting`` a reader that gives None:
+    the march leaves unit weights out (see ``_march``)."""
+    return (lambda atoms: None) if space.rule == "counting" else space.weight_block
+
+
+def _moduli(values: np.ndarray, scale: float) -> np.ndarray:
+    """``scale * |values|`` as a new array; at ``scale == 1`` the multiply is
+    skipped (``1.0 * x`` is ``x``), at any other scale, 0 too, it is kept
+    (``0 * inf`` is nan)."""
+    u = np.abs(values)
+    if scale != 1.0:
+        u *= scale
+    return u
 
 
 def modular(
@@ -566,7 +593,7 @@ def modular(
     raw = _as_raw_component(f)
     if not space.is_lazy:
         return _phi_sum(phi, component_array(raw, space), space.weights, scale)
-    terms = _phi_terms(phi, raw, space.weight_block, scale)
+    terms = _phi_terms(phi, raw, _weight_reader(space), scale)
     return _march(terms, space.size, block, _support(raw))
 
 
@@ -605,7 +632,7 @@ def _phi_sum(phi: OrliczFunction, values: np.ndarray, weights: np.ndarray, scale
     argument reads phi = +inf (exp's ``expm1(inf) - inf`` is nan), and a
     zero weight, or a zero phi on a weight of +inf, adds 0.
     """
-    u = scale * np.abs(values)
+    u = _moduli(values, scale)
     phis = phi._values(u)
     total = (phis * weights).sum()
     if not math.isfinite(total):
@@ -922,7 +949,7 @@ def schauder_tail(
         if not space.is_lazy:
             tail = component_array(raw, space)[n:]
             return _phi_sum(phi, tail, space.weights[n:], 1.0).value
-        terms = _phi_terms(phi, raw, space.weight_block, offset=n)
+        terms = _phi_terms(phi, raw, _weight_reader(space), offset=n)
         support = _support(raw)
         mv = _march(terms, remaining, block, None if support is None else max(support - n, 0))
         _require_settled(mv, f"the tail p-sum beyond index {n}", "no tail can be certified")
@@ -952,18 +979,21 @@ def pairing(
     Past the shorter of two arrays the product is zero, so an array
     component bounds the probe as in ``modular``.  Certified divergence
     raises NotSummableError, and a probe that cannot settle within budget
-    returns the partial value with a RuntimeWarning.
+    returns the partial value with a RuntimeWarning.  A real rule's values
+    are multiplied and summed as complex: numpy sums a complex array in
+    another order than the same reals, and the last bit can differ.
     """
+    weight_at = _weight_reader(space)
 
     def summed(which: int) -> complex:
         xr, yr = x.component(which), y.component(which)
         if not space.is_lazy:
-            terms = component_array(xr, space) * component_array(yr, space) * space.weights
-            return complex(np.sum(terms))
+            xs, ys = (component_array(r, space).astype(complex, copy=False) for r in (xr, yr))
+            return complex(np.sum(xs * ys * space.weights))
 
         def term_chunk(idx):
-            xs, ys = component_block(xr, idx), component_block(yr, idx)
-            return xs * ys, space.weight_block(idx), idx, (xs, ys)
+            xs, ys = (component_block(r, idx).astype(complex, copy=False) for r in (xr, yr))
+            return xs * ys, weight_at(idx), idx, (xs, ys)
 
         support = min((r.size for r in (xr, yr) if not callable(r)), default=None)
         mv = _march(term_chunk, space.size, block, support)

@@ -1,12 +1,14 @@
 """Differential test of the lazy probe against a one-block-at-a-time loop.
 
 The library's march evaluates runs of blocks in chunks and reduces each
-chunk to per-block sums.  The reference below evaluates and judges one
-block at a time, the way the probe was first written, and every lazy sum
-(the modular, the lazy weighted sum, the Schauder tail and the pairing)
-must answer exactly as it does: the same ``ModularValue`` with the value
-bit for bit, the same exception and message, the same pairing and the
-same warnings.
+chunk to per-block sums, reads a rule's real values as real and leaves
+out unit weights.  The reference below evaluates and judges one block at
+a time, the way the probe was first written, with every value read as
+complex and every weight multiplied in, and every lazy sum (the modular,
+the lazy weighted sum, the Schauder tail and the pairing) must answer
+exactly as it does: the same ``ModularValue`` with the value bit for
+bit, the same exception and message, the same pairing and the same
+warnings.
 """
 
 import math
@@ -38,7 +40,6 @@ from bcorlicz.orlicz import (
     _TAIL_FLOOR,
     _check_rule_values,
     _require_settled,
-    component_block,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -90,6 +91,23 @@ def reference_march(term_block, n_total, block, support):
     return ModularValue(total, "converged" if total == 0.0 else "inconclusive", done)
 
 
+def reference_block(raw, idx):
+    """One component at ``idx``, every value read as complex, as the probe
+    was first written: an array is zero past its length, and a rule must
+    return one value per index."""
+    if callable(raw):
+        out = np.asarray(raw(idx), dtype=complex)
+        if out.shape != idx.shape:
+            raise InvalidInputError(
+                f"an index rule returned shape {out.shape} for indices of shape {idx.shape}"
+            )
+        return out
+    out = np.zeros(idx.shape, dtype=complex)
+    mask = idx <= raw.size
+    out[mask] = raw[idx[mask] - 1]
+    return out
+
+
 def reference_weighted(values, weights, idx, *read):
     """One block's terms and their sum; only a sum that is not finite is scanned."""
     terms = values * weights
@@ -105,7 +123,7 @@ def reference_weighted(values, weights, idx, *read):
 def reference_phi_terms(phi, raw, weight_at, scale=1.0, offset=0):
     def term_block(idx):
         at = idx + offset if offset else idx
-        vals = component_block(raw, at)
+        vals = reference_block(raw, at)
         return reference_weighted(phi._values(scale * np.abs(vals)), weight_at(at), at, vals)
 
     return term_block
@@ -152,7 +170,7 @@ def reference_pairing(x, y, space, block):
 
         def term_block(idx):
             nonlocal signed
-            xs, ys = component_block(xr, idx), component_block(yr, idx)
+            xs, ys = reference_block(xr, idx), reference_block(yr, idx)
             terms, block_sum = reference_weighted(xs * ys, space.weight_block(idx), idx, xs, ys)
             signed += complex(block_sum)
             mags = np.abs(terms)
@@ -172,6 +190,19 @@ def reference_pairing(x, y, space, block):
                 RuntimeWarning,
             )
         return signed
+
+    return BiComplex(summed(1), summed(2))
+
+
+def reference_finite_pairing(x, y, space):
+    """The pairing on a finite space: one complex sum per component."""
+    idx = np.arange(1, space.size + 1, dtype=np.int64)
+
+    def summed(which):
+        xs, ys = (reference_block(s.component(which), idx) for s in (x, y))
+        for vals in (xs, ys):
+            _check_rule_values(vals, idx)
+        return complex(np.sum(xs * ys * space.weights))
 
     return BiComplex(summed(1), summed(2))
 
@@ -215,7 +246,10 @@ NAN_AT = 2500
 def rules(c):
     """Index rules by name, scaled by ``c``.  ``spike`` passes the guard in
     the second block of 1000 atoms and has a nan in the third, which the
-    first chunk of two blocks evaluates; ``nan early`` has it in the first."""
+    first chunk of two blocks evaluates; ``nan early`` has it in the first.
+    The library reads a rule's real output (``int``, ``bool``, ``float32``
+    and the float rules) as float64 and any other as complex; the
+    reference reads every output as complex."""
     return {
         "c/n": lambda i: c / i,
         "c/n^2": lambda i: c / i**2,
@@ -233,6 +267,12 @@ def rules(c):
         ),
         "spike": lambda i: np.where(i == NAN_AT, np.nan, np.where(i > 1000, 1e7, c / i)),
         "nan early": lambda i: np.where(i == 7, np.nan, c / i),
+        "int": lambda i: round(100 * c) // i,
+        "bool": lambda i: (i % 7 == 0) & (i <= 1000 * c),
+        "float32": lambda i: (c / i).astype(np.float32),
+        "negative float": lambda i: -c / i**1.5,
+        # complex, with imaginary parts of -0.0
+        "complex, zero imaginary": lambda i: np.conj((-c / i**2).astype(complex)),
     }
 
 
@@ -390,6 +430,41 @@ def test_named_probes_keep_their_verdicts():
     assert reference_modular(P2, r["spike"], COUNTING, 1.0, 1000).guard
     with pytest.raises(InvalidInputError, match="at index 7"):
         modular(P2, r["nan early"], COUNTING)
+
+
+REAL_PAIRS = {
+    # on some of the spaces below, each pair's products sum in numpy to
+    # other bits as reals than as complex
+    "float pairs": (("negative float", "int"), ("c/n", "float32")),
+    "mixed pairs": (("bool", "float32"), ("negative float", "complex, zero imaginary")),
+}
+
+
+@pytest.mark.parametrize("pairs", sorted(REAL_PAIRS))
+@pytest.mark.parametrize(
+    "space",
+    [
+        AtomicMeasureSpace.counting(10**4),
+        AtomicMeasureSpace.geometric(0.5, 5000),
+        AtomicMeasureSpace.geometric(2.0, 300),
+        AtomicMeasureSpace.finite(np.ones(1000)),
+        AtomicMeasureSpace.finite(np.linspace(0.1, 3.0, 777)),
+    ],
+    ids=["counting", "geometric:0.5", "geometric:2.0", "finite ones", "finite"],
+)
+def test_real_rules_pair_as_complex(pairs, space):
+    # the pairing's products and sums stay complex, as the reference's
+    r = rules(0.3)
+    (x1, y1), (x2, y2) = REAL_PAIRS[pairs]
+    x = BCSequence.from_rules(r[x1], r[x2])
+    y = BCSequence.from_rules(r[y1], r[y2])
+
+    def want():
+        if space.is_lazy:
+            return reference_pairing(x, y, space, 1000)
+        return reference_finite_pairing(x, y, space)
+
+    same(lambda: pairing(x, y, space), want)
 
 
 def test_pairing_on_the_full_window_matches_the_reference():

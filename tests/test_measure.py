@@ -1,5 +1,7 @@
 """Unit tests for atomic measure spaces, index maps, and distortion."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -237,3 +239,30 @@ def test_distortion_sup_certifies_bounded_composition_small_spaces():
         if sup > 0:
             tighter = sup * (1 - 1e-9)
             assert np.any(push.masses > tighter * weights - 1e-15)
+
+
+@pytest.mark.parametrize("ratio", [0.5, 1e-3, 2.0, 0.999])
+@pytest.mark.parametrize("below", [True, False], ids=["underflowing", "none below -746"])
+def test_geometric_shares_match_the_unmasked_exp_bit_for_bit(ratio, below):
+    # shares a_k / a_n = exp((k - n) log r), with k - n spanning the
+    # exponents where exp underflows, about -745.13, and -746 itself; or
+    # all of them above -746
+    from bcorlicz.measure import _weight_ratios
+
+    space = AtomicMeasureSpace.geometric(ratio, 10**6)
+    log_r = math.log(ratio)
+    edge = round(-745.13 / log_r)
+    lo, hi = sorted((edge - 1500, edge + 1500))
+    d = np.concatenate([np.arange(lo, hi + 1), np.arange(-1100, 1101)])
+    if not below:
+        d = d[d * log_r >= -746.0]
+    n = np.full(d.shape, 2_000_000, dtype=np.int64)
+    k = n + d
+    x = d * log_r
+    assert (x.min() < -746.0) == below and -745.13 < x.max()
+    with np.errstate(over="ignore", under="ignore"):
+        want = np.exp((k - n) * log_r)
+    got = _weight_ratios(space, k, n)
+    assert got.tobytes() == want.tobytes()
+    # the subnormal shares are kept
+    assert np.any((got > 0) & (got < np.finfo(float).tiny))

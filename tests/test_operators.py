@@ -584,6 +584,24 @@ def test_multiplication_check_lazy_unbounded():
     assert any("grows" in note for note in rep.notes)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 1.0)])
+@pytest.mark.parametrize("which", [1, 2])
+def test_multiplication_check_refuses_a_rule_symbol_that_is_not_finite(bad, which):
+    # a nan symbol value once left no finite sup, and the check raised
+    # "a bounded verdict requires at least one finite certificate"
+    sp = AtomicMeasureSpace.counting(1000)
+
+    def symbol(i):
+        return np.where(i == 500, bad, 1.0 / i)
+
+    rules = (symbol, lambda i: 1.0 / i) if which == 1 else (lambda i: 1.0 / i, symbol)
+    theta = BCSequence.from_rules(*rules)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="at index 500; entries must be finite"):
+            check_multiplication_bounded(theta, sp)
+
+
 # ---------------------------------------------------------------- empirical
 
 

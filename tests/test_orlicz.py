@@ -25,6 +25,7 @@ from bcorlicz import (
     pairing,
     schauder_tail,
 )
+from bcorlicz import orlicz
 
 SQRT2 = math.sqrt(2.0)
 
@@ -459,13 +460,15 @@ def test_schauder_tail_lazy_geometric_closed_form():
 
 
 def test_schauder_tail_past_an_array_settles_at_once(monkeypatch):
-    # an exhausted array tail is summed in one block, not over the window
+    # an exhausted array tail is summed in one block, not over the window;
+    # the march reads each block's component values once, and on counting
+    # no weights at all
     blocks = []
-    weight_block = AtomicMeasureSpace.weight_block
+    component_block = orlicz.component_block
     monkeypatch.setattr(
-        AtomicMeasureSpace,
-        "weight_block",
-        lambda self, idx: blocks.append(idx.size) or weight_block(self, idx),
+        orlicz,
+        "component_block",
+        lambda raw, idx: blocks.append(idx.size) or component_block(raw, idx),
     )
     F = BCSequence.from_components([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
     assert schauder_tail(F, 5, 2.0, AtomicMeasureSpace.counting(10 ** 6)) == 0.0

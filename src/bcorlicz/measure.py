@@ -360,10 +360,10 @@ def _weight_ratios(space: AtomicMeasureSpace, k: np.ndarray, n: np.ndarray) -> n
     """``a_k / a_n`` at 1-based atoms (0 if both are null); ``exp((k - n) log r)``
     on a geometric space, so it overflows only where ``r**(k - n)`` does.
 
-    ``exp`` is exactly 0 at exponents below about -745.13, and slow there.
-    When some exponent is below ``_EXP_UNDERFLOW``, ``exp`` is evaluated
-    only at the others; otherwise in one unmasked pass, which is faster.
-    The shares have the same bits either way, subnormal ones included.
+    ``exp`` is exactly 0 at exponents below about -745.13, and slow there,
+    so it is evaluated only at exponents of at least ``_EXP_UNDERFLOW``;
+    the shares have the bits of an unmasked ``exp``, subnormal ones
+    included.
     """
     if space.weights is not None:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -373,12 +373,10 @@ def _weight_ratios(space: AtomicMeasureSpace, k: np.ndarray, n: np.ndarray) -> n
         return np.ones(k.shape)
     ratio = float(space.rule.split(":", 1)[1])
     x = (k - n) * math.log(ratio)
+    shares = np.zeros(x.shape)
     with np.errstate(over="ignore", under="ignore"):
-        if x.min(initial=0.0) >= _EXP_UNDERFLOW:
-            return np.exp(x)
-        shares = np.zeros(x.shape)
         np.exp(x, out=shares, where=x >= _EXP_UNDERFLOW)
-        return shares
+    return shares
 
 
 def distortion_ratios(

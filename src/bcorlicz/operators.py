@@ -201,16 +201,23 @@ def _compose_component(imap: IndexMap, raw, space: AtomicMeasureSpace):
     return rule
 
 
+def _complex(values: np.ndarray) -> np.ndarray:
+    """A factor as complex: a rule with real output reads as float64 (see
+    ``component_block``), and an operator's output keeps the bits and the
+    complex dtype of the complex product."""
+    return values.astype(complex, copy=False)
+
+
 def _multiply_component(theta_raw, raw, space: AtomicMeasureSpace):
     if not space.is_lazy:
-        return component_array(theta_raw, space) * component_array(raw, space)
+        return _complex(component_array(theta_raw, space)) * _complex(component_array(raw, space))
     if not callable(theta_raw) and not callable(raw):
         idx = np.arange(1, max(theta_raw.size, raw.size) + 1, dtype=np.int64)
         return component_block(theta_raw, idx) * component_block(raw, idx)
 
     def rule(idx, _t=theta_raw, _f=raw):
         idx = np.asarray(idx, dtype=np.int64)
-        return component_block(_t, idx) * component_block(_f, idx)
+        return _complex(component_block(_t, idx)) * _complex(component_block(_f, idx))
 
     return rule
 
@@ -223,7 +230,7 @@ def _dense_component(m: np.ndarray, raw, space: AtomicMeasureSpace):
             f"dense operator must be {space.size}x{space.size} on this space, "
             f"got {m.shape[0]}x{m.shape[1]}"
         )
-    return m @ component_array(raw, space)
+    return m @ _complex(component_array(raw, space))
 
 
 def decompose(op: BCOperator):

@@ -271,7 +271,8 @@ def component_block(raw, idx: np.ndarray) -> np.ndarray:
 
 
 def component_array(raw, space: AtomicMeasureSpace) -> np.ndarray:
-    """One component as a dense array over a finite space (strict length)."""
+    """One component as a dense array over a finite space (strict length);
+    float64 for a rule with real output, like ``component_block``."""
     if callable(raw):
         idx = np.arange(1, space.size + 1, dtype=np.int64)
         out = component_block(raw, idx)
@@ -321,7 +322,9 @@ class BCSequence:
     Each component is either an explicit complex array or a vectorized
     rule mapping 1-based index arrays to values.  On a finite space an
     array must match the atom count exactly; on a lazy space arrays are
-    zero-extended and rules are evaluated on demand.
+    zero-extended and rules are evaluated on demand.  ``block`` and
+    ``array`` read a component through ``component_block``: complex for an
+    array, float64 for a rule with real output.
     """
 
     comp1: "np.ndarray | Callable[[np.ndarray], np.ndarray]"
@@ -431,12 +434,17 @@ def _march(term_chunk, n_total: int, block: int, support: int | None) -> Modular
     ``term_chunk(idx)`` gives, at the 1-based window positions ``idx``,
     the ``values`` and ``weights`` whose products are the terms, the atoms
     that ``idx`` stands for and the component values ``read`` there.
-    ``weights`` is None on ``counting``: the values are the terms, since
-    ``x * 1.0`` is ``x`` bit for bit, and no array of ones is built; for
-    the same reason a modular at scale 1 takes ``|f_n|`` unscaled (see
-    ``_moduli``).  The terms are nonnegative for a modular and complex for
-    the pairing: every rule reads their moduli, and the returned value is
-    their sum.
+    ``weights`` is None on ``counting``, and no array of ones is built:
+    the values are the terms.  For a modular's real terms this is exact,
+    since ``x * 1.0`` is ``x`` bit for bit, and for the same reason a
+    modular at scale 1 takes ``|f_n|`` unscaled (see ``_moduli``).  For
+    the pairing's complex terms, numpy's multiply by ``1 + 0j`` could
+    differ only in the sign of a zero part and in the imaginary part of an
+    infinite term (``inf + 0j`` becomes ``inf + nanj``); neither reaches
+    the result, since an infinite term goes to the divergence guard and
+    the sum starts at +0.0.  The terms are nonnegative for a modular and
+    complex for the pairing: every rule reads their moduli, and the
+    returned value is their sum.
 
     Convergence: three consecutive blocks, once the total is above 0, each
     adding less than ``_SETTLE_REL`` relative to it; a window that sums to

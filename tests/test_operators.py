@@ -132,6 +132,34 @@ def test_dense_apply_dimension_checks():
         apply_operator(op, F, AtomicMeasureSpace.counting(10))
 
 
+def test_operators_on_real_rules_give_complex_products():
+    # a rule with real output reads as float64, but an operator multiplies
+    # complex factors: its components hold the complex product's bits (at
+    # atom 4 both factors are negative and the imaginary part is -0.0)
+    sp = AtomicMeasureSpace.finite(np.ones(6))
+    idx = np.arange(1, 7, dtype=np.int64)
+    F = BCSequence.from_rules(lambda i: i - 4.5, lambda i: (i - 4.5) * 3)
+    theta = BCSequence.from_rules(lambda i: 3.5 - i, lambda i: 7.0 - 2 * i)
+    assert F.array(1, sp).dtype == np.float64 and F.block(2, idx).dtype == np.float64
+    rng = np.random.default_rng(8)
+    m1, m2 = (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) for _ in range(2))
+
+    def complex_read(raw):
+        return np.asarray(raw(idx), dtype=complex)
+
+    for which, t_raw, f_raw, m in ((1, theta.comp1, F.comp1, m1), (2, theta.comp2, F.comp2, m2)):
+        want = complex_read(t_raw) * complex_read(f_raw)
+        assert np.signbit(want.imag).any()
+        finite = apply_operator(BCOperator.multiplication(theta), F, sp).component(which)
+        lazy = apply_operator(BCOperator.multiplication(theta), F, AtomicMeasureSpace.counting(100))
+        dense = apply_operator(BCOperator.dense(BCMatrix(m1, m2)), F, sp).component(which)
+        assert finite.dtype == np.complex128 and finite.tobytes() == want.tobytes()
+        lazy_values = lazy.component(which)(idx)
+        assert lazy_values.dtype == np.complex128 and lazy_values.tobytes() == want.tobytes()
+        assert dense.dtype == np.complex128
+        assert dense.tobytes() == (m @ complex_read(f_raw)).tobytes()
+
+
 # lazy index maps for the property below (tables need a finite space)
 LAZY_MAPS = {
     "k+2": lambda k: k + 2,

@@ -68,6 +68,9 @@ _CONFIG_ENV = "BCORLICZ_CONFIG"
 # lazy analyses materialise whole-window arrays, so n_max is capped at ten
 # default windows
 _N_MAX_CAP = 10 * DEFAULT_N_MAX
+# each empirical trial applies the operator to a fresh sample, so their
+# number is capped too
+_TRIALS_CAP = 1000
 
 
 class _UsageError(Exception):
@@ -159,7 +162,9 @@ def _validate_config_value(key: str, value):
             is_json_number(v) and isinstance(v, int) and 1 <= v <= _N_MAX_CAP
         ),
         "block": lambda v: is_json_number(v) and isinstance(v, int) and v >= 1,
-        "trials": lambda v: is_json_number(v) and isinstance(v, int) and v >= 0,
+        "trials": lambda v: (
+            is_json_number(v) and isinstance(v, int) and 0 <= v <= _TRIALS_CAP
+        ),
     }
     if key not in checks:
         raise InvalidInputError(
@@ -468,26 +473,11 @@ def _cmd_op_check(args, config, report):
 def _cmd_phi_classify(args, config, report):
     phi = OrliczFunction.parse(args.phi)
     report["inputs"]["phi"] = phi.spec_string()
-    probe = classify_phi(phi)
     report["results"].append(
         _result(
             "phi_report",
-            {
-                "family": phi.family,
-                "convexity_ok": probe.convexity_ok,
-                "n_function": {
-                    "limit0_ok": probe.n_function.limit0_ok,
-                    "limit_inf_ok": probe.n_function.limit_inf_ok,
-                    "continuous_ok": probe.n_function.continuous_ok,
-                    "vanishes_only_at_0": probe.n_function.vanishes_only_at_0,
-                },
-                "delta2": {
-                    "K_estimate": probe.delta2.k_estimate,
-                    "holds_on_grid": probe.delta2.holds_on_grid,
-                },
-                "label": probe.label,
-            },
-            "sampled grid probe of convexity, limits, continuity and doubling",
+            classify_phi(phi).to_json_dict(),
+            "closed form of the family: convexity, N-function limits, continuity, doubling",
         )
     )
 

@@ -29,8 +29,8 @@ from .measure import (
 )
 from .orlicz import (
     BCSequence,
-    Delta2Probe,
     OrliczFunction,
+    PhiReport,
     _as_raw_component,
     _check_rule_values,
     classify_phi,
@@ -309,7 +309,7 @@ class BoundednessReport:
     distortion_truncated: bool = False
     ess_sups: tuple[float, float] | None = None
     lambda_pairs: tuple = ()
-    delta2: Delta2Probe | None = None
+    phi_facts: PhiReport | None = None
     surjective_on_window: bool | None = None
     empirical_norm: float | None = None
     notes: tuple[str, ...] = ()
@@ -354,12 +354,7 @@ class BoundednessReport:
             "ess_sups": list(self.ess_sups) if self.ess_sups is not None else None,
             "lambda_pairs": [list(p) for p in self.lambda_pairs],
             "delta2": (
-                {
-                    "K_estimate": self.delta2.k_estimate,
-                    "holds_on_grid": self.delta2.holds_on_grid,
-                }
-                if self.delta2 is not None
-                else None
+                self.phi_facts.to_json_dict()["delta2"] if self.phi_facts is not None else None
             ),
             "surjective_on_window": self.surjective_on_window,
             "empirical_norm": self.empirical_norm,
@@ -481,7 +476,7 @@ def check_composition_bounded(
         sup_distortion=dist.sup,
         distortion_truncated=dist.truncated,
         lambda_pairs=tuple(lambda_pairs),
-        delta2=classify_phi(phi).delta2,
+        phi_facts=classify_phi(phi),
         surjective_on_window=dist.first_uncovered is None,
         empirical_norm=empirical,
         notes=tuple(notes),

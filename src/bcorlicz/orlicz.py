@@ -33,11 +33,8 @@ from .measure import AtomicMeasureSpace
 
 __all__ = [
     "OrliczFunction",
-    "NFunctionProbe",
-    "Delta2Probe",
     "PhiReport",
     "classify_phi",
-    "default_grid",
     "BCSequence",
     "component_block",
     "component_array",
@@ -162,82 +159,64 @@ class OrliczFunction:
         return float(self.eval_array(np.array([u]))[0])
 
 
-def default_grid() -> np.ndarray:
-    """Log-spaced probe grid used by the phi classifier."""
-    return np.geomspace(1e-8, 1e8, 100)
-
-
 @dataclass(frozen=True)
-class NFunctionProbe:
+class PhiReport:
+    """Exact N-function and doubling facts of a Young function, in closed form.
+
+    ``k`` is the global doubling constant ``sup phi(2u) / phi(u)``, inf
+    where it is past the floats or Delta2 fails (``delta2_ok`` tells which),
+    and ``alpha`` the least elasticity ``inf u phi'(u) / phi(u)``.
+    """
+
+    phi: OrliczFunction
+    convexity_ok: bool
     limit0_ok: bool
     limit_inf_ok: bool
     continuous_ok: bool
     vanishes_only_at_0: bool
+    delta2_ok: bool
+    k: float
+    alpha: float
+    label: str = "closed form"
+
+    def to_json_dict(self) -> dict:
+        return {
+            "family": self.phi.family,
+            "convexity_ok": self.convexity_ok,
+            "n_function": {
+                "limit0_ok": self.limit0_ok,
+                "limit_inf_ok": self.limit_inf_ok,
+                "continuous_ok": self.continuous_ok,
+                "vanishes_only_at_0": self.vanishes_only_at_0,
+            },
+            "delta2": {"K_estimate": self.k, "holds_on_grid": self.delta2_ok},
+            "label": self.label,
+        }
 
 
-@dataclass(frozen=True)
-class Delta2Probe:
-    k_estimate: float
-    holds_on_grid: bool
+def classify_phi(phi: OrliczFunction) -> PhiReport:
+    """The N-function limits ``phi(u)/u -> 0`` at 0 and ``-> inf`` at inf,
+    the doubling constant and the least elasticity of ``phi``'s family.
 
-
-@dataclass(frozen=True)
-class PhiReport:
-    phi: OrliczFunction
-    convexity_ok: bool
-    n_function: NFunctionProbe
-    delta2: Delta2Probe
-    # sampled evidence, not a proof; the label says so explicitly
-    label: str = "sampled probe, not a proof"
-
-
-def classify_phi(phi: OrliczFunction, grid: np.ndarray | None = None) -> PhiReport:
-    """Probe N-function properties and the doubling condition on a grid.
-
-    All verdicts are sampled: convexity via midpoint checks on adjacent
-    grid pairs, the limits phi(u)/u -> 0 and -> inf at the grid edges,
-    continuity via small relative steps, and the doubling constant as
-    ``max phi(2u) / phi(u)`` over the grid (infinite when doubling
-    escapes the floating range, which is how exp-type growth fails).
+    Every family is convex, continuous and positive off 0.
     """
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(grid <= 0):
-        raise InvalidInputError("grid must be a 1-d array of positive points")
-    grid = np.sort(grid)
-    vals = phi.eval_array(grid)
-
-    mids = phi.eval_array(0.5 * (grid[:-1] + grid[1:]))
-    rhs = 0.5 * (vals[:-1] + vals[1:])
-    with np.errstate(invalid="ignore"):
-        convex_ok = bool(
-            np.all(np.isinf(rhs) | (mids <= rhs * (1 + 1e-9) + 1e-12))
-        )
-
-    low = slice(0, 3)
-    high = slice(-3, None)
-    limit0_ok = bool(np.all(vals[low] / grid[low] < 1e-3))
-    limit_inf_ok = bool(np.all(vals[high] / grid[high] > 1e3))
-
-    finite = np.isfinite(vals)
-    probe_pts = grid[finite][::7]
-    if probe_pts.size:
-        jumps = np.abs(phi.eval_array(probe_pts * (1 + 1e-9)) - phi.eval_array(probe_pts))
-        continuous_ok = bool(np.all(jumps <= 1e-6 * (phi.eval_array(probe_pts) + 1e-300)))
+    if phi.family == "power":
+        # phi(u)/u = u^(p-1), phi(2u)/phi(u) = 2^p and u phi'(u)/phi(u) = p
+        try:
+            k = 2.0**phi.p
+        except OverflowError:  # p >= 1024: Delta2 holds past the floats
+            k = math.inf
+        limits, delta2_ok, alpha = phi.p > 1, True, phi.p
+    elif phi.family == "exp":
+        # phi(2u)/phi(u) grows like e^u; u phi'(u)/phi(u) rises from 2 at 0+
+        limits, delta2_ok, k, alpha = True, False, math.inf, 2.0
+    elif phi.family == "entropy":
+        # phi(u)/u = log(1+u); 2 log(1+2u)/log(1+u) falls from 4 at 0+, and
+        # u phi'(u)/phi(u) = 1 + u/((1+u) log(1+u)) falls from 2 to 1
+        limits, delta2_ok, k, alpha = True, True, 4.0, 1.0
     else:
-        continuous_ok = False
-    vanishes_only_at_0 = phi(0.0) == 0.0 and bool(np.all(vals > 0))
-
-    with np.errstate(invalid="ignore", divide="ignore"):
-        doubled = phi.eval_array(2.0 * grid)
-        ratios = doubled / vals
-    # inf/inf is nan: both sides escaped the float range, count it against
-    # the doubling bound rather than silently dropping the point
-    ratios = np.where(np.isnan(ratios), np.inf, ratios)
-    k_estimate = float(ratios.max())
-    delta2 = Delta2Probe(k_estimate, bool(math.isfinite(k_estimate)))
-
-    probe = NFunctionProbe(limit0_ok, limit_inf_ok, continuous_ok, vanishes_only_at_0)
-    return PhiReport(phi, convex_ok, probe, delta2)
+        raise InvalidInputError(f"unknown phi family {phi.family!r}")
+    return PhiReport(phi, True, limits, limits, True, True, delta2_ok, k, alpha)
 
 
 # ----------------------------------------------------------------------
@@ -677,9 +656,6 @@ _SOLVE_STEPS = 100
 # a gauge that rounding leaves just outside the level set is stepped up
 # (see _certified); the level is checked at most this many times
 _CERTIFY_TRIES = 8
-# least elasticity u phi'(u) / phi(u) of each family, so that the level's
-# log-log slope is at least this
-_MIN_ELASTICITY = {"exp": 2.0, "entropy": 1.0}
 # solver iterates stay within t = e^-700 .. e^700, where exp(s) is finite
 _LOG_T_RANGE = 700.0
 _EPS = float(np.finfo(float).eps)
@@ -738,9 +714,8 @@ def luxemburg_norm(
             root = math.nextafter(root, math.inf)
         lam = sup * root
     else:
-        # a power level is exactly t^p level(1), so its elasticity is p
-        k = phi.p if phi.family == "power" else _MIN_ELASTICITY[phi.family]
-        lam = sup / _unit_scale(level, at_one, k, tol)
+        # the level's log-log slope is at least phi's least elasticity
+        lam = sup / _unit_scale(level, at_one, classify_phi(phi).alpha, tol)
     return _certified(phi, raw, space, lam, block)
 
 

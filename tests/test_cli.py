@@ -294,6 +294,35 @@ def test_phi_classify_exp_serializes_infinite_doubling(capsys):
     assert probe["delta2"]["holds_on_grid"] is False
 
 
+@pytest.mark.parametrize(
+    "spec, limits, k, holds",
+    [
+        ("power:p=1", False, 2.0, True),
+        ("power:p=2", True, 4.0, True),
+        ("power:p=2.5", True, 2.0**2.5, True),
+        ("power:p=1000", True, 2.0**1000, True),
+        # 2^p is past the floats, yet Delta2 holds
+        ("power:p=1e300", True, "inf", True),
+        ("exp", True, "inf", False),
+        ("entropy", True, 4.0, True),
+    ],
+)
+def test_phi_classify_reports_closed_form_facts(capsys, spec, limits, k, holds):
+    report = run_json(capsys, ["phi", "classify", "--phi", spec])
+    assert result_value(report, "phi_report") == {
+        "family": spec.split(":")[0],
+        "convexity_ok": True,
+        "n_function": {
+            "limit0_ok": limits,
+            "limit_inf_ok": limits,
+            "continuous_ok": True,
+            "vanishes_only_at_0": True,
+        },
+        "delta2": {"K_estimate": k, "holds_on_grid": holds},
+        "label": "closed form",
+    }
+
+
 def test_schauder_command(capsys, tmp_path):
     seq = write(tmp_path / "seq.json", [bc(3, 0), bc(4, 0)])
     space = write(tmp_path / "sp2.json", {"weights": [1.0, 1.0]})
@@ -585,6 +614,18 @@ def test_n_max_beyond_ten_default_windows_exits_1(capsys, files, tmp_path, monke
     monkeypatch.setenv("BCORLICZ_CONFIG", write(tmp_path / "cfg.json", {"n_max": n_max}))
     code, out, err = run_cli(capsys, argv)
     assert_one_error_line(code, out, err, "n_max", str(n_max))
+
+
+@pytest.mark.parametrize("trials", [1001, 10**9])
+def test_trials_beyond_cap_exits_1(capsys, files, tmp_path, monkeypatch, trials):
+    # each trial applies the operator to a fresh sample: 10**9 would run for days
+    argv = ["op", "check", "--kind", "composition", "--map", files["shift"],
+            "--space", files["counting"], "--phi", "power:p=2"]
+    code, out, err = run_cli(capsys, argv + ["--trials", str(trials)])
+    assert_one_error_line(code, out, err, "trials", str(trials))
+    monkeypatch.setenv("BCORLICZ_CONFIG", write(tmp_path / "cfg.json", {"trials": trials}))
+    code, out, err = run_cli(capsys, argv)
+    assert_one_error_line(code, out, err, "trials", str(trials))
 
 
 # ------------------------------------------------------------- entry points

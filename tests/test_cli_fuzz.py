@@ -161,7 +161,7 @@ def _cases():
         cases.append((f"schauder-p={value}", schauder[:6] + [value] + schauder[7:], {}, None))
     for value in ("-1", "abc", str(10**30)):
         cases.append((f"schauder-n={value}", schauder[:8] + [value], {}, None))
-    for value in ("-1", "0", "1", "abc"):
+    for value in ("-1", "0", "1", "abc", "1000000000"):
         argv = BASELINES["check_comp"] + ["--trials", value]
         cases.append((f"check_comp-trials={value}", argv, {}, None))
     for config in ("{", "[]", '{"tol": "x"}', '{"unknown": 1}', '{"n_max": true}', '{"block": 0}'):

@@ -410,8 +410,8 @@ def test_composition_check_attaches_delta2_and_empirical():
     rep = check_composition_bounded(
         sp, IndexMap.from_table([2, 1]), OrliczFunction.power(2), trials=4, seed=3
     )
-    assert rep.delta2 is not None
-    assert abs(rep.delta2.k_estimate - 4.0) < 1e-9
+    assert rep.phi_facts is not None
+    assert rep.phi_facts.k == 4.0
     # a permutation of equal weights is an isometry
     assert rep.empirical_norm is not None
     assert abs(rep.empirical_norm - 1.0) < 1e-9

@@ -76,48 +76,67 @@ def test_phi_parse_round_trip():
 def test_classifier_power_two_is_clean():
     rep = classify_phi(OrliczFunction.power(2))
     assert rep.convexity_ok
-    assert rep.n_function.limit0_ok
-    assert rep.n_function.limit_inf_ok
-    assert rep.n_function.continuous_ok
-    assert rep.n_function.vanishes_only_at_0
-    assert rep.delta2.holds_on_grid
-    assert abs(rep.delta2.k_estimate - 4.0) < 1e-9
-    assert "probe" in rep.label
+    assert rep.limit0_ok
+    assert rep.limit_inf_ok
+    assert rep.continuous_ok
+    assert rep.vanishes_only_at_0
+    assert rep.delta2_ok
+    assert rep.k == 4.0
+    assert rep.alpha == 2.0
+    assert rep.label == "closed form"
 
 
 def test_classifier_doubling_constants_for_powers():
-    # phi(2u)/phi(u) = 2**p exactly, at every grid point
-    for p in (1.5, 2.0, 3.0):
+    # phi(2u)/phi(u) = 2**p at every u; past the floats K reads inf, and
+    # Delta2 still holds
+    for p in (1.5, 2.0, 3.0, 2.5):
         rep = classify_phi(OrliczFunction.power(p))
-        assert rep.delta2.holds_on_grid
-        assert abs(rep.delta2.k_estimate - 2.0 ** p) < 1e-9 * 2.0 ** p
+        assert rep.delta2_ok and rep.k == 2.0**p and rep.alpha == p
+    for p in (1000, 1e300):
+        rep = classify_phi(OrliczFunction.power(p))
+        assert rep.continuous_ok and rep.vanishes_only_at_0
+        assert rep.limit0_ok and rep.limit_inf_ok
+        assert rep.delta2_ok
+        assert rep.k == (2.0**1000 if p == 1000 else math.inf)
+        assert rep.alpha == p
 
 
 def test_classifier_power_one_fails_small_u_limit():
     # phi(u)/u is identically 1, so both N-function limits fail
     rep = classify_phi(OrliczFunction.power(1))
     assert rep.convexity_ok
-    assert not rep.n_function.limit0_ok
-    assert not rep.n_function.limit_inf_ok
+    assert not rep.limit0_ok
+    assert not rep.limit_inf_ok
+    assert rep.delta2_ok and rep.k == 2.0
 
 
 def test_classifier_exp_type():
     rep = classify_phi(OrliczFunction.exp_type())
     assert rep.convexity_ok
-    assert rep.n_function.limit0_ok
-    assert rep.n_function.limit_inf_ok
-    assert not rep.delta2.holds_on_grid
-    assert rep.delta2.k_estimate == math.inf
+    assert rep.limit0_ok
+    assert rep.limit_inf_ok
+    assert not rep.delta2_ok
+    assert rep.k == math.inf
+    # phi(2u)/phi(u) grows like e^u
+    assert rep.phi(200.0) / rep.phi(100.0) > 1e40
+    assert rep.alpha == 2.0
 
 
 def test_classifier_entropy():
     rep = classify_phi(OrliczFunction.entropy())
     assert rep.convexity_ok
-    assert rep.n_function.limit0_ok
-    # u*log(1+u)/u = log(1+u) never exceeds the large-u threshold in doubles
-    assert not rep.n_function.limit_inf_ok
-    assert rep.delta2.holds_on_grid
-    assert rep.delta2.k_estimate < 4.0 + 1e-9
+    assert rep.limit0_ok
+    # u*log(1+u)/u = log(1+u) tends to infinity: an N-function
+    assert rep.limit_inf_ok
+    assert rep.delta2_ok
+    # 2 log(1+2u)/log(1+u) rises to 4 as u -> 0
+    assert rep.k == 4.0
+    assert rep.alpha == 1.0
+
+
+def test_classifier_refuses_an_unknown_family():
+    with pytest.raises(InvalidInputError):
+        classify_phi(OrliczFunction("gauss"))
 
 
 # ---------------------------------------------------------------- sequences

@@ -37,6 +37,7 @@ __all__ = [
     "E_DAGGER",
     "classify",
     "indicator",
+    "pair_norm",
     "poly_eval",
     "poly_roots",
 ]
@@ -174,7 +175,7 @@ class BiComplex:
         Coincides with the R^4 Euclidean length of ``(a, b, c, d)`` when
         ``Z = a + b*i + c*j + d*i*j``.
         """
-        return math.hypot(abs(self.beta1), abs(self.beta2)) / _SQRT2
+        return pair_norm(self.beta1, self.beta2)
 
     def classify(self, eps: float = 1e-12) -> "Classification":
         return classify(self, eps)
@@ -233,6 +234,23 @@ class BiComplex:
                     f"{obj!r} (difference norm {(out - alt).norm():.3e})"
                 )
         return out
+
+
+def _modulus(z) -> float:
+    """``|z|``, or inf where ``abs`` of a finite complex raises as it overflows."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def pair_norm(x1, x2) -> float:
+    """``sqrt((|x1|^2 + |x2|^2) / 2)``; where a modulus or ``hypot`` overflows,
+    both are scaled by ``1/sqrt(2)`` first, so it is finite wherever the norm is."""
+    norm = math.hypot(_modulus(x1), _modulus(x2)) / _SQRT2
+    if math.isinf(norm):
+        norm = math.hypot(abs(x1 / _SQRT2), abs(x2 / _SQRT2))
+    return norm
 
 
 def is_json_number(v) -> bool:
@@ -309,7 +327,7 @@ def classify(Z: BiComplex, eps: float = 1e-12) -> Classification:
         raise InvalidInputError(f"eps must be a finite number >= 0, got {eps!r}")
     threshold = eps * max(1.0, Z.norm())
     vanishing = tuple(
-        idx for idx, b in ((1, Z.beta1), (2, Z.beta2)) if abs(b) <= threshold
+        idx for idx, b in ((1, Z.beta1), (2, Z.beta2)) if _modulus(b) <= threshold
     )
     if len(vanishing) == 2:
         kind = "zero"

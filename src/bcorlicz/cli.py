@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bicomplex import BiComplex, classify, is_json_number, poly_roots
+from .bicomplex import BiComplex, classify, is_json_number, pair_norm, poly_roots
 from .errors import (
     BCOrliczError,
     InvalidInputError,
@@ -34,6 +34,8 @@ from .errors import (
     UnsupportedInstanceError,
 )
 from .measure import DEFAULT_N_MAX, AtomicMeasureSpace, IndexMap
+from .measure import MAX_BUDGET as _N_MAX_CAP  # n_max is also the scan budget
+from .operators import MAX_TRIALS as _TRIALS_CAP
 from .operators import (
     BCOperator,
     apply_operator,
@@ -44,7 +46,6 @@ from .orlicz import (
     BCSequence,
     OrliczFunction,
     classify_phi,
-    combine_gauges,
     luxemburg_norm,
     modular,
     pairing,
@@ -65,12 +66,6 @@ _DEFAULTS = {
 }
 
 _CONFIG_ENV = "BCORLICZ_CONFIG"
-# lazy analyses materialise whole-window arrays, so n_max is capped at ten
-# default windows
-_N_MAX_CAP = 10 * DEFAULT_N_MAX
-# each empirical trial applies the operator to a fresh sample, so their
-# number is capped too
-_TRIALS_CAP = 1000
 
 
 class _UsageError(Exception):
@@ -410,7 +405,7 @@ def _cmd_norm(args, config, report):
     results.append(
         _result(
             "norm",
-            combine_gauges(*gauges),
+            pair_norm(*gauges),
             "component gauges combined as sqrt((n1^2 + n2^2) / 2)",
         )
     )

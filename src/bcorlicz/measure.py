@@ -25,12 +25,18 @@ __all__ = [
     "pushforward",
     "distortion_ratios",
     "is_nonsingular",
+    "map_images",
+    "scan_window",
     "DEFAULT_N_MAX",
+    "MAX_BUDGET",
 ]
 
 # default truncation of a lazy space, and cap on how many atoms a
 # lazy-space distortion scan materializes
 DEFAULT_N_MAX = 10**6
+# a scan holds whole-window arrays, so its budget is capped at ten default
+# windows (a space's n_max is not: a march holds no window array)
+MAX_BUDGET = 10 * DEFAULT_N_MAX
 # exp(x) is exactly 0.0 for every x below this (it underflows past the
 # least subnormal near x = -745.13)
 _EXP_UNDERFLOW = -746.0
@@ -88,11 +94,18 @@ class AtomicMeasureSpace:
             return self.weights[idx - 1]
         if self.rule == "counting":
             return np.ones(idx.shape, dtype=float)
-        ratio = float(self.rule.split(":", 1)[1])
-        # a_n = ratio**(n-1); exp/log form keeps huge exponents from
-        # overflowing intermediate integer powers
+        return self._ratio_powers(idx, 1)
+
+    def _ratio_powers(self, k: np.ndarray, n) -> np.ndarray:
+        """``r**(k - n)`` on a geometric space as ``exp((k - n) log r)``, which
+        overflows only where ``r**(k - n)`` does.  ``exp`` is 0 and slow below
+        ``_EXP_UNDERFLOW``, so it is skipped there, with the bits of an unmasked
+        ``exp`` kept."""
+        x = (k - n) * math.log(float(self.rule.split(":", 1)[1]))
+        out = np.zeros(x.shape)
         with np.errstate(over="ignore", under="ignore"):
-            return np.exp((idx - 1) * math.log(ratio))
+            np.exp(x, out=out, where=x >= _EXP_UNDERFLOW)
+        return out
 
     def total_mass(self) -> float:
         if self.is_lazy:
@@ -162,17 +175,9 @@ class IndexMap:
         t = np.asarray(images)
         if t.ndim != 1 or t.size == 0:
             raise InvalidInputError("map table must be a nonempty 1-d sequence")
-        if not np.issubdtype(t.dtype, np.integer):
-            ti = np.asarray(images, dtype=float)
-            if not np.all(ti == np.floor(ti)):
-                raise InvalidMapError("map images must be integers")
-            t = ti.astype(np.int64)
-        if np.any(t < 1):
-            bad = int(np.argmax(t < 1)) + 1
-            raise InvalidMapError(
-                f"atom {bad} maps to index {int(t[bad - 1])}; images must be >= 1"
-            )
-        return cls(kind="table", table=t.astype(np.int64), name="table")
+        if t.dtype.kind not in "iu":
+            t = np.asarray(images, dtype=float)
+        return cls(kind="table", table=_images(t, np.arange(1, t.size + 1)), name="table")
 
     @classmethod
     def right_shift(cls) -> "IndexMap":
@@ -185,10 +190,10 @@ class IndexMap:
     def image_block(self, idx: np.ndarray) -> np.ndarray:
         """Forward images of 1-based indices; right shift maps atom 1 to 0.
 
-        A rule must return one finite integer image per index, as an
-        integer or integral float array of the indices' shape; anything
-        else raises ``InvalidMapError`` naming the first bad atom.  The
-        result may be ``idx`` itself or the map's table, so callers never
+        A rule must return one finite integer image of at least 1 per
+        index, as an integer or integral float array of the indices'
+        shape; anything else raises ``InvalidMapError`` naming the first
+        bad atom.  The result may be ``idx`` itself, so callers never
         write to it.
         """
         idx = np.asarray(idx)
@@ -199,7 +204,8 @@ class IndexMap:
                     f"{int(idx.max())} requested"
                 )
             return self.table[idx - 1]
-        return _rule_images(self.forward(idx), idx)
+        images = self.forward(idx)
+        return images if self.kind == "right_shift" else _images(images, idx)
 
     def to_json_dict(self) -> dict:
         if self.kind == "table":
@@ -221,27 +227,35 @@ class IndexMap:
         raise InvalidInputError("map object needs 'map' or 'map_rule'")
 
 
-def _rule_images(out, idx: np.ndarray) -> np.ndarray:
-    """A rule's output at ``idx`` as int64 images, or the first bad atom named."""
+def _images(out, idx: np.ndarray) -> np.ndarray:
+    """A table's or a rule's images of ``idx`` as int64, each at least 1, or
+    the first bad atom named."""
     images = np.asarray(out)
     if images.shape != idx.shape:
         raise InvalidMapError(
             f"map rule returned images of shape {images.shape} for indices of shape "
             f"{idx.shape}; it must return one image per atom"
         )
-    if images.dtype.kind == "i":
-        return images.astype(np.int64, copy=False)
-    if images.dtype.kind not in "buf":
+    if images.dtype.kind not in "ibuf":
         raise InvalidMapError(f"map rule returned {images.dtype} images; images must be integers")
-    vals = images.astype(float, copy=False)
-    bad = ~(np.isfinite(vals) & (np.floor(vals) == vals) & (np.abs(vals) < 2.0**63))
-    if np.any(bad):
-        first = int(np.argmax(bad))
+    if images.dtype.kind != "i":
+        vals = images.astype(float, copy=False)
+        bad = ~(np.isfinite(vals) & (np.floor(vals) == vals) & (np.abs(vals) < 2.0**63))
+        if np.any(bad):
+            first = int(np.argmax(bad))
+            raise InvalidMapError(
+                f"atom {int(idx.flat[first])} maps to {float(vals.flat[first])!r}; "
+                "images must be finite integers below 2**63"
+            )
+    images = images.astype(np.int64, copy=False)
+    low = images < 1
+    if np.any(low):
+        first = int(np.argmax(low))
         raise InvalidMapError(
-            f"atom {int(idx.flat[first])} maps to {float(vals.flat[first])!r}; "
-            "images must be finite integers below 2**63"
+            f"atom {int(idx.flat[first])} maps to index {int(images.flat[first])}; "
+            "images must be >= 1"
         )
-    return vals.astype(np.int64)
+    return images
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,17 +289,43 @@ class Distortion:
     dropped: int
 
 
+def scan_window(space: AtomicMeasureSpace, budget: int) -> tuple[int, tuple[int, ...]]:
+    """The atoms ``1..n`` a scan reads, all of a finite space and the first
+    ``min(n_max, budget)`` of a lazy one, and on a lazy one the quarter and
+    half window lengths its growth test compares.  A budget that is not an
+    integer from 1 to ``MAX_BUDGET`` is an ``InvalidInputError``."""
+    _check_n_max(budget, "budget")
+    if budget > MAX_BUDGET:
+        raise InvalidInputError(f"budget must be at most {MAX_BUDGET}, got {budget!r}")
+    n = min(space.size, budget) if space.is_lazy else space.size
+    return n, (max(1, n // 4), max(1, n // 2)) if space.is_lazy else ()
+
+
+def map_images(space: AtomicMeasureSpace, imap: IndexMap, idx: np.ndarray) -> np.ndarray:
+    """``imap.image_block(idx)`` checked against the space: a table needs one
+    entry per atom of a finite space, and there every image is at most its
+    size (``image_block`` refuses images below 1); else ``InvalidMapError``."""
+    if imap.table is not None and (space.is_lazy or imap.table.size != space.size):
+        atoms = "is lazy" if space.is_lazy else f"has {space.size} atoms"
+        raise InvalidMapError(f"map table has {imap.table.size} entries but the space {atoms}")
+    images = imap.image_block(idx)
+    if not space.is_lazy and images.max() > space.size:
+        bad = int(np.argmax(images > space.size))
+        raise InvalidMapError(
+            f"atom {int(idx[bad])} maps to index {int(images[bad])}, outside 1..{space.size}"
+        )
+    return images
+
+
 def _scan(space: AtomicMeasureSpace, imap: IndexMap, budget: int, share) -> Distortion:
     """Per-atom sums ``sum_{T(k)=n} share(k, n)`` in one read of the map's images.
 
     ``share(k, n)`` is what atom ``k`` adds to its image ``n``.  On lazy
-    spaces only the first ``min(n_max, budget)`` atoms are scanned, and the
-    quarter and half window sups come from the same arrays (see ``Distortion``).
+    spaces only the window of ``scan_window`` is scanned, and the quarter
+    and half window sups come from the same arrays (see ``Distortion``).
     """
-    _check_n_max(budget, "budget")
+    n, prefixes = scan_window(space, budget)
     lazy = space.is_lazy
-    n = min(space.size, budget) if lazy else space.size
-    prefixes = (max(1, n // 4), max(1, n // 2)) if lazy else ()
     idx = np.arange(1, n + 1, dtype=np.int64)
     if imap.kind == "right_shift":
         # atom k + 1 lands on k: every atom but the last is covered, and atom 1 is dropped
@@ -295,31 +335,14 @@ def _scan(space: AtomicMeasureSpace, imap: IndexMap, budget: int, share) -> Dist
             sums = np.zeros(n)
             sums[: n - 1] = share(idx[1:], idx[:-1])
         return _distortion(sums, lazy, [sums[:m].max() for m in prefixes], n, 1)
-    if imap.kind == "table":
-        if lazy:
-            raise InvalidMapError("finite map tables do not cover a lazy index set")
-        images = imap.table
-        if images.size != n:
-            raise InvalidMapError(
-                f"map table has {images.size} entries but the space has {n} atoms"
-            )
-    else:
-        images = imap.image_block(idx)
-    if np.any(images < 1):
-        bad = int(np.argmax(images < 1)) + 1
-        raise InvalidMapError(f"atom {bad} maps to index {int(images[bad - 1])}")
+    images = map_images(space, imap, idx)
     inside = None
-    if images.max() > n:
-        if not lazy:
-            bad = int(np.argmax(images > n)) + 1
-            raise InvalidMapError(
-                f"atom {bad} maps to index {int(images[bad - 1])}, outside 1..{n}"
-            )
+    if lazy and images.max() > n:
         inside = images <= n  # images beyond a lazy window leave the truncated view
         idx, images = idx[inside], images[inside]
     shares = share(idx, images)
     del idx
-    pos = images - 1  # a new array: ``images`` may be ``idx`` or the map's table
+    pos = images - 1  # a new array: ``images`` may be ``idx``
     del images
     sums = np.bincount(pos, weights=shares, minlength=n)
     covered = np.zeros(n, dtype=bool)
@@ -357,26 +380,15 @@ def pushforward(
 
 
 def _weight_ratios(space: AtomicMeasureSpace, k: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """``a_k / a_n`` at 1-based atoms (0 if both are null); ``exp((k - n) log r)``
-    on a geometric space, so it overflows only where ``r**(k - n)`` does.
-
-    ``exp`` is exactly 0 at exponents below about -745.13, and slow there,
-    so it is evaluated only at exponents of at least ``_EXP_UNDERFLOW``;
-    the shares have the bits of an unmasked ``exp``, subnormal ones
-    included.
-    """
+    """``a_k / a_n`` at 1-based atoms (0 if both are null); ``r**(k - n)`` on a
+    geometric space (see ``_ratio_powers``)."""
     if space.weights is not None:
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             q = space.weights[k - 1] / space.weights[n - 1]
         return np.where(np.isnan(q), 0.0, q)
     if space.rule == "counting":
         return np.ones(k.shape)
-    ratio = float(space.rule.split(":", 1)[1])
-    x = (k - n) * math.log(ratio)
-    shares = np.zeros(x.shape)
-    with np.errstate(over="ignore", under="ignore"):
-        np.exp(x, out=shares, where=x >= _EXP_UNDERFLOW)
-    return shares
+    return space._ratio_powers(k, n)
 
 
 def distortion_ratios(

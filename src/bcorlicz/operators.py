@@ -19,23 +19,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bicomplex import is_json_number
-from .errors import InvalidInputError, InvalidMapError, NotInvertibleError
+from .errors import InvalidInputError, NotInvertibleError
 from .measure import (
     DEFAULT_N_MAX,
     AtomicMeasureSpace,
     IndexMap,
-    _check_n_max,
     distortion_ratios,
+    map_images,
+    scan_window,
 )
 from .orlicz import (
     BCSequence,
     OrliczFunction,
     PhiReport,
     _as_raw_component,
-    _check_rule_values,
     classify_phi,
     component_array,
     component_block,
+    component_head,
     norm_bc,
     weighted_phi_sum,
 )
@@ -57,6 +58,9 @@ __all__ = [
 _RCOND_FLOOR = 1e-12
 # on a lazy space the empirical probe draws sequences of at most this length
 _TRIAL_SUPPORT = 50
+# each empirical trial applies the operator to a fresh sample, so their
+# number is capped
+MAX_TRIALS = 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,15 +180,9 @@ class BCOperator:
 def _compose_component(imap: IndexMap, raw, space: AtomicMeasureSpace):
     """(C_T f)_n = f_{T(n)}; indices with no image contribute 0."""
     if not space.is_lazy:
-        n = space.size
-        images = imap.image_block(np.arange(1, n + 1, dtype=np.int64))
-        if np.any(images > n):
-            bad = int(np.argmax(images > n)) + 1
-            raise InvalidMapError(
-                f"atom {bad} maps to index {int(images[bad - 1])}, outside 1..{n}"
-            )
+        images = map_images(space, imap, np.arange(1, space.size + 1, dtype=np.int64))
         arr = component_array(raw, space)
-        out = np.zeros(n, dtype=complex)
+        out = np.zeros(space.size, dtype=complex)
         valid = images >= 1
         out[valid] = arr[images[valid] - 1]
         return out
@@ -192,7 +190,7 @@ def _compose_component(imap: IndexMap, raw, space: AtomicMeasureSpace):
         return np.concatenate([np.zeros(1, dtype=complex), np.asarray(raw, dtype=complex)])
 
     def rule(idx, _raw=raw, _imap=imap):
-        images = _imap.image_block(np.asarray(idx, dtype=np.int64))
+        images = map_images(space, _imap, np.asarray(idx, dtype=np.int64))
         out = np.zeros(images.shape, dtype=complex)
         valid = images >= 1
         out[valid] = component_block(_raw, images[valid])
@@ -212,8 +210,8 @@ def _multiply_component(theta_raw, raw, space: AtomicMeasureSpace):
     if not space.is_lazy:
         return _complex(component_array(theta_raw, space)) * _complex(component_array(raw, space))
     if not callable(theta_raw) and not callable(raw):
-        idx = np.arange(1, max(theta_raw.size, raw.size) + 1, dtype=np.int64)
-        return component_block(theta_raw, idx) * component_block(raw, idx)
+        n = max(theta_raw.size, raw.size)
+        return component_head(theta_raw, n) * component_head(raw, n)
 
     def rule(idx, _t=theta_raw, _f=raw):
         idx = np.asarray(idx, dtype=np.int64)
@@ -367,11 +365,6 @@ def _grows(sup_q: float, sup_h: float, sup_f: float) -> bool:
     return sup_f > sup_h * (1 + 1e-9) and sup_h > sup_q * (1 + 1e-9)
 
 
-def _window_sups(values: np.ndarray) -> tuple[float, float, float]:
-    q, h = max(1, values.size // 4), max(1, values.size // 2)
-    return float(values[:q].max()), float(values[:h].max()), float(values.max())
-
-
 def check_composition_bounded(
     space: AtomicMeasureSpace,
     imap: IndexMap,
@@ -499,7 +492,7 @@ def check_multiplication_bounded(
     atom), and a sup still growing across it yields an unbounded verdict
     with the growth trend recorded.
     """
-    _check_n_max(budget, "budget")
+    n, prefixes = scan_window(space, budget)
     notes = []
     if not space.is_lazy:
         return BoundednessReport(
@@ -509,18 +502,14 @@ def check_multiplication_bounded(
             notes=("finite space: component sups are exact essential sups",),
         )
 
-    n = min(space.size, budget)
     sups = []
     for which in (1, 2):
         raw = theta.component(which)
         if not callable(raw):
             sups.append(float(np.abs(raw).max(initial=0.0)))
             continue
-        idx = np.arange(1, n + 1, dtype=np.int64)
-        vals = component_block(raw, idx)
-        _check_rule_values(vals, idx)
-        mags = np.abs(vals)
-        sup_q, sup_h, sup_f = _window_sups(mags)
+        mags = np.abs(component_head(raw, n))
+        sup_q, sup_h, sup_f = (float(mags[:m].max()) for m in (*prefixes, n))
         sups.append(sup_f)
         if _grows(sup_q, sup_h, sup_f):
             notes.append(
@@ -567,9 +556,13 @@ def empirical_ratios(
     Each trial draws its own generator from (seed, trial), so any single
     trial can be reproduced without replaying the others.  On lazy
     spaces the draws are finitely supported (length <= ``_TRIAL_SUPPORT``).
+    ``trials`` must be an integer from 1 to ``MAX_TRIALS`` and ``seed`` an
+    integer >= 0; anything else is an ``InvalidInputError``.
     """
-    if not (isinstance(trials, int) and trials >= 1):
-        raise InvalidInputError(f"trials must be a positive integer, got {trials!r}")
+    if not (isinstance(trials, int) and 1 <= trials <= MAX_TRIALS):
+        raise InvalidInputError(f"trials must be an integer from 1 to {MAX_TRIALS}, got {trials!r}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
     ratios = []
     for t in range(trials):
         rng = np.random.default_rng([seed, t])

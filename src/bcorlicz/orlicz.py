@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bicomplex import BiComplex, HyperbolicValue
+from .bicomplex import BiComplex, HyperbolicValue, pair_norm
 from .errors import (
     InvalidInputError,
     NotInSpaceError,
@@ -38,18 +38,16 @@ __all__ = [
     "BCSequence",
     "component_block",
     "component_array",
+    "component_head",
     "ModularValue",
     "modular",
     "weighted_phi_sum",
     "modular_bc",
     "luxemburg_norm",
-    "combine_gauges",
     "norm_bc",
     "schauder_tail",
     "pairing",
 ]
-
-_SQRT2 = math.sqrt(2.0)
 
 # lazy-sum probe parameters: a partial sum past this is declared divergent,
 # and a terms-decay comparison fires when n * t_n stays above the floor
@@ -249,21 +247,28 @@ def component_block(raw, idx: np.ndarray) -> np.ndarray:
     return out
 
 
+def component_head(raw, n: int) -> np.ndarray:
+    """A component's values at atoms ``1..n``: an array of exactly ``n``
+    entries as it is (no copy), any other zero-extended or cut, and a
+    rule's values read like ``component_block`` and checked finite."""
+    if not callable(raw) and raw.size == n:
+        return raw
+    idx = np.arange(1, n + 1, dtype=np.int64)
+    out = component_block(raw, idx)
+    _check_rule_values(out, idx)
+    return out
+
+
 def component_array(raw, space: AtomicMeasureSpace) -> np.ndarray:
     """One component as a dense array over a finite space (strict length);
     float64 for a rule with real output, like ``component_block``."""
-    if callable(raw):
-        idx = np.arange(1, space.size + 1, dtype=np.int64)
-        out = component_block(raw, idx)
-        _check_rule_values(out, idx)
-        return out
-    if space.is_lazy:
+    if not callable(raw) and space.is_lazy:
         raise InvalidInputError("dense component arrays need a finite space")
-    if raw.size != space.size:
+    if not callable(raw) and raw.size != space.size:
         raise InvalidInputError(
             f"sequence has {raw.size} entries but the space has {space.size} atoms"
         )
-    return raw
+    return component_head(raw, space.size)
 
 
 def _check_rule_values(values: np.ndarray, idx: np.ndarray) -> None:
@@ -605,11 +610,7 @@ def weighted_phi_sum(
     if lazy:
         terms = _phi_terms(phi, raw, lambda idx: weights[idx - 1], scale)
         return _march(terms, weights.size, block, _support(raw))
-    if callable(raw) or raw.size != weights.size:
-        idx = np.arange(1, weights.size + 1, dtype=np.int64)
-        raw = component_block(raw, idx)
-        _check_rule_values(raw, idx)
-    return _phi_sum(phi, raw, weights, scale)
+    return _phi_sum(phi, component_head(raw, weights.size), weights, scale)
 
 
 def _phi_sum(phi: OrliczFunction, values: np.ndarray, weights: np.ndarray, scale: float):
@@ -750,11 +751,7 @@ def _lazy_level(phi: OrliczFunction, raw, space: AtomicMeasureSpace, block: int)
     scales may diverge at large ones); neither is evidence against
     membership, and the solver steps down from it.
     """
-    head = raw
-    if callable(raw):
-        idx = np.arange(1, min(space.size, _SUP_PREFIX) + 1, dtype=np.int64)
-        head = component_block(raw, idx)
-        _check_rule_values(head, idx)
+    head = component_head(raw, min(space.size, _SUP_PREFIX)) if callable(raw) else raw
     mags = np.abs(head)
     sup = float(mags.max(initial=0.0)) or 1.0
     if sup == math.inf:
@@ -876,17 +873,6 @@ def _certified(phi, raw, space, lam: float, block: int) -> float:
     )
 
 
-def combine_gauges(n1: float, n2: float) -> float:
-    """The bicomplex norm ``(1/sqrt(2)) * sqrt(n1^2 + n2^2)`` of two gauges.
-
-    Where ``hypot`` alone overflows, the gauges are scaled first.
-    """
-    norm = math.hypot(n1, n2) / _SQRT2
-    if math.isinf(norm):
-        norm = math.hypot(n1 / _SQRT2, n2 / _SQRT2)
-    return norm
-
-
 def norm_bc(
     phi: OrliczFunction,
     F: BCSequence,
@@ -899,7 +885,7 @@ def norm_bc(
     component Luxemburg gauges."""
     n1 = luxemburg_norm(phi, F.comp1, space, tol=tol, block=block)
     n2 = luxemburg_norm(phi, F.comp2, space, tol=tol, block=block)
-    return combine_gauges(n1, n2)
+    return pair_norm(n1, n2)
 
 
 # ----------------------------------------------------------------------
@@ -940,7 +926,7 @@ def schauder_tail(
 
     t1 = tail_psum(F.comp1) ** (1.0 / p)
     t2 = tail_psum(F.comp2) ** (1.0 / p)
-    return math.hypot(t1, t2) / _SQRT2
+    return pair_norm(t1, t2)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Unit tests for the bicomplex core: algebra, conjugations, norm, roots."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -190,6 +191,37 @@ def test_classify_tolerance_scaling():
     assert classify(BiComplex(1e-6, 1e-6)).kind == "invertible"
     with pytest.raises(InvalidInputError):
         classify(ONE, eps=-1.0)
+
+
+@pytest.mark.parametrize(
+    "Z",
+    [BiComplex(1.5e308, 1.5e308), BiComplex(1.5e308 + 1.5e308j, 1e300j)],
+    ids=["hypot-overflows", "modulus-overflows"],
+)
+def test_norm_near_float_max_keeps_large_elements_invertible(Z):
+    # the norm once overflowed to inf (or |beta| raised OverflowError), so
+    # the tolerance was inf and these read as zero (or escaped as a traceback)
+    assert Z.norm() == pytest.approx(1.5e308, rel=1e-15)
+    diagnosis = classify(Z)
+    assert diagnosis.kind == "invertible" and math.isfinite(diagnosis.threshold)
+    inverse = Z.invert()
+    assert inverse.beta1 == 1.0 / Z.beta1 and inverse.beta2 == 1.0 / Z.beta2
+
+
+def test_pair_norm_keeps_the_bits_of_hypot_where_it_is_finite():
+    from bcorlicz.bicomplex import pair_norm
+
+    rng = np.random.default_rng(14)
+    for _ in range(500):
+        x1, x2 = np.abs(rng.standard_normal(2)) * 10.0 ** rng.integers(-300, 300, 2)
+        Z = BiComplex(complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2)))
+        assert pair_norm(x1, x2) == math.hypot(x1, x2) / SQRT2
+        assert Z.norm() == math.hypot(abs(Z.beta1), abs(Z.beta2)) / SQRT2
+    # past the floats only the scaled form is finite
+    assert pair_norm(1.5e308, 1.5e308) == math.hypot(1.5e308 / SQRT2, 1.5e308 / SQRT2)
+    assert pair_norm(1.7e308, 1.7e308) < math.inf
+    big = sys.float_info.max
+    assert pair_norm(big, big) == math.hypot(big / SQRT2, big / SQRT2) < math.inf
 
 
 def test_invert_componentwise():

@@ -511,6 +511,61 @@ def test_norm_modulus_beyond_float_range_is_a_certificate(capsys, files, tmp_pat
     assert code == 2
 
 
+@pytest.mark.parametrize("op", ["classify", "invert"])
+@pytest.mark.parametrize(
+    "b1, b2",
+    [(1.5e308 + 0j, 1.5e308 + 0j), (1.5e308 + 1.5e308j, 1e300j)],
+    ids=["hypot-overflows", "modulus-overflows"],
+)
+def test_bc_eval_large_element_is_invertible(capsys, tmp_path, op, b1, b2):
+    # the norm of b1 = b2 = 1.5e308 once overflowed, so the tolerance was
+    # inf: classify read "zero" and invert refused with not_invertible; and
+    # |b1| past the floats ended in an OverflowError traceback
+    lhs = write(tmp_path / "big.json", bc(b1, b2))
+    report = run_json(capsys, ["bc", "eval", "--op", op, "--lhs", lhs])
+    assert report["status"] == "ok"
+    if op == "classify":
+        value = result_value(report, "classification")
+        assert value["kind"] == "invertible" and value["vanishing"] == []
+        assert value["threshold"] == pytest.approx(1.5e296, rel=1e-12)
+    else:
+        inverse = result_value(report, "inverse")["idempotent"]["b1"]
+        assert inverse == [(1.0 / b1).real, (1.0 / b1).imag]
+
+
+def test_schauder_from_zero_equals_the_p1_norm_near_float_max(capsys, files, tmp_path):
+    # schauder once combined the two 1.5e308 tails to "inf"
+    seq = write(tmp_path / "seq.json", [bc(1.5e308 + 0j, 1.5e308 + 0j)])
+    space = files["one_atom"]
+    tail = result_value(
+        run_json(capsys, ["schauder", "--seq", seq, "--space", space, "--p", "1", "--n", "0"]),
+        "tail_norm",
+    )
+    norm = result_value(
+        run_json(capsys, ["norm", "--phi", "power:p=1", "--space", space, "--seq", seq]), "norm"
+    )
+    assert isinstance(tail, float) and tail == pytest.approx(norm, rel=1e-12)
+
+
+def test_op_apply_refuses_a_table_longer_than_the_space(capsys, tmp_path):
+    # apply once used the first three entries and exited 0; op check refused
+    space = write(tmp_path / "space.json", {"weights": [1, 1, 1]})
+    seq = write(tmp_path / "seq.json", [bc(1 + 0j, 2 + 0j)] * 3)
+    table = [2, 3, 1, 1, 1]
+    op = write(tmp_path / "op.json", {"composition": {"map": table}})
+    code, out, err = run_cli(
+        capsys, ["op", "apply", "--operator", op, "--space", space, "--seq", seq]
+    )
+    assert_one_error_line(code, out, err, "5 entries", "3 atoms")
+    imap = write(tmp_path / "map.json", {"map": table})
+    code, out, err = run_cli(
+        capsys,
+        ["op", "check", "--kind", "composition", "--map", imap,
+         "--space", space, "--phi", "power:p=2"],
+    )
+    assert_one_error_line(code, out, err, "5 entries", "3 atoms")
+
+
 # ------------------------------------------------------------- configuration
 
 

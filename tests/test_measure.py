@@ -266,3 +266,10 @@ def test_geometric_shares_match_the_unmasked_exp_bit_for_bit(ratio, below):
     assert got.tobytes() == want.tobytes()
     # the subnormal shares are kept
     assert np.any((got > 0) & (got < np.finfo(float).tiny))
+    # the weights a_n = r**(n - 1) come from the same masked exp, over the
+    # first atoms and around the atom where they underflow (or overflow)
+    atoms = np.concatenate([np.arange(1, 2201), abs(edge) + 1 + np.arange(-1500, 1501)])
+    atoms = atoms[atoms >= 1]
+    with np.errstate(over="ignore", under="ignore"):
+        want_weights = np.exp((atoms - 1) * log_r)
+    assert space.weight_block(atoms).tobytes() == want_weights.tobytes()

@@ -31,6 +31,7 @@ from bcorlicz import (
     empirical_operator_norm,
     empirical_ratios,
     invert_operator,
+    modular,
     norm_bc,
     operators,
     pushforward,
@@ -81,6 +82,32 @@ def test_composition_apply_rejects_escaping_images():
     op = BCOperator.composition(IndexMap.from_table([1, 3]))
     with pytest.raises(InvalidMapError):
         apply_operator(op, BCSequence.from_components([1, 2], [1, 2]), sp)
+
+
+def test_composition_apply_refuses_the_maps_the_check_refuses():
+    # apply once used the first three entries of a longer table, and read
+    # images below 1 as "no image" (zeros), where the check refused both
+    sp = AtomicMeasureSpace.finite(np.ones(3))
+    F = BCSequence.from_components([1, 2, 3], [4, 5, 6])
+    maps = {
+        "table has 5 entries but the space has 3 atoms": IndexMap.from_table([2, 3, 1, 1, 1]),
+        "atom 1 maps to index -4; images must be >= 1": IndexMap.from_rule(lambda i: i - 5),
+    }
+    for message, imap in maps.items():
+        for call in (
+            lambda: apply_operator(BCOperator.composition(imap), F, sp),
+            lambda: check_composition_bounded(sp, imap, OrliczFunction.power(2)),
+        ):
+            with pytest.raises(InvalidMapError, match=re.escape(message)):
+                call()
+    # on a lazy space the composed rule refuses the image when it is read
+    G = apply_operator(
+        BCOperator.composition(IndexMap.from_rule(lambda i: i - 5)),
+        BCSequence.from_rules(lambda i: 1.0 / i, lambda i: 1.0 / i),
+        AtomicMeasureSpace.counting(100),
+    )
+    with pytest.raises(InvalidMapError, match=re.escape("atom 1 maps to index -4")):
+        G.block(1, np.arange(1, 11))
 
 
 def test_composition_apply_lazy_rule():
@@ -566,6 +593,46 @@ def test_bad_budget_is_refused(budget):
                 call()
 
 
+@pytest.mark.parametrize("budget", [10**7 + 1, 10**12])
+def test_budget_past_ten_default_windows_is_refused(monkeypatch, budget):
+    # a budget of 10**12 on counting(10**12) once asked numpy for a
+    # 7.28 TiB window; the spy fails fast on any window past the cap
+    arange = np.arange
+
+    def guarded(*args, **kwargs):
+        assert len(args) < 2 or args[1] - args[0] <= 10**7, "a window past the cap"
+        return arange(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", guarded)
+    sp = AtomicMeasureSpace.counting(10**12)
+    theta = BCSequence.from_rules(lambda i: 1.0 / i, lambda i: 1.0 / i)
+    calls = [
+        lambda: check_composition_bounded(
+            sp, IndexMap.right_shift(), OrliczFunction.power(2), budget=budget
+        ),
+        lambda: check_multiplication_bounded(theta, sp, budget=budget),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInputError, match=f"budget must be at most 10000000, got {budget}"):
+            call()
+
+
+def test_budget_cap_leaves_n_max_alone():
+    # a space may be longer than any window: the checks scan their budget,
+    # and a march holds no window array
+    sp = AtomicMeasureSpace.counting(10**8)
+    rep = check_composition_bounded(sp, IndexMap.right_shift(), OrliczFunction.power(2))
+    assert rep.verdict == "bounded" and rep.sup_distortion == 1.0
+    theta = BCSequence.from_rules(lambda i: 1.0 / i, lambda i: 1.0 / i)
+    rep = check_multiplication_bounded(theta, sp)
+    assert rep.verdict == "bounded" and rep.ess_sups == (1.0, 1.0)
+    mv = modular(OrliczFunction.power(2), lambda i: 1.0 / i**2, sp)
+    assert mv.status == "converged" and mv.n_terms < 10**6
+    # the cap itself is a valid budget
+    rep = check_multiplication_bounded(theta, AtomicMeasureSpace.counting(100), budget=10**7)
+    assert rep.verdict == "bounded"
+
+
 def test_multiplication_check_finite_exact():
     sp = AtomicMeasureSpace.finite(np.ones(3))
     theta = BCSequence.from_components([1, -2, 1.5], [0.5, 0, 3j])
@@ -690,6 +757,32 @@ def test_empirical_rejects_bad_trials():
     sp = AtomicMeasureSpace.finite(np.ones(2))
     with pytest.raises(InvalidInputError):
         empirical_ratios(BCOperator.right_shift(), OrliczFunction.power(2), sp, trials=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"trials": 1001}, "trials must be an integer from 1 to 1000"),
+        ({"trials": 10**9}, "trials must be an integer from 1 to 1000"),
+        ({"seed": -1}, "seed must be an integer >= 0"),
+        ({"seed": 1.5}, "seed must be an integer >= 0"),
+    ],
+    ids=["trials-1001", "trials-1e9", "seed-negative", "seed-float"],
+)
+def test_empirical_refuses_trials_past_the_cap_and_bad_seeds(monkeypatch, kwargs, message):
+    # trials=10**9 once ran for about 16 days, and seed=-1 raised numpy's
+    # own ValueError; the spy fails at the first trial instead of waiting
+    trials = []
+
+    def spy(*args, **kw):
+        trials.append(args)
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(operators, "norm_bc", spy)
+    sp = AtomicMeasureSpace.finite(np.ones(2))
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        empirical_ratios(BCOperator.right_shift(), OrliczFunction.power(2), sp, **kwargs)
+    assert trials == []
 
 
 # ---------------------------------------------------------------- reports

@@ -494,6 +494,16 @@ def test_schauder_tail_past_an_array_settles_at_once(monkeypatch):
     assert blocks == [1000, 1000]
 
 
+def test_schauder_tail_at_zero_equals_the_p1_norm_near_float_max():
+    # with n = 0 and p = 1 the tail is the whole l^1 norm; its components
+    # are finite, and the tail once combined them to inf where the norm did not
+    sp = AtomicMeasureSpace.finite([1.0])
+    F = BCSequence.from_components([1.5e308], [1.5e308])
+    tail = schauder_tail(F, 0, 1.0, sp)
+    assert math.isfinite(tail)
+    assert tail == pytest.approx(norm_bc(OrliczFunction.power(1), F, sp), rel=1e-12)
+
+
 def test_schauder_tail_rejects_bad_inputs():
     sp = AtomicMeasureSpace.finite([1.0, 1.0])
     F = BCSequence.from_components([1, 2], [3, 4])

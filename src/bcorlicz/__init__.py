@@ -18,7 +18,6 @@ from .bicomplex import (
     BiComplex,
     Classification,
     ComponentSet,
-    HyperbolicValue,
     PolyRoots,
     classify,
     indicator,
@@ -38,10 +37,7 @@ from .measure import (
     AtomicMeasureSpace,
     Distortion,
     IndexMap,
-    Pushforward,
     distortion_ratios,
-    is_nonsingular,
-    pushforward,
 )
 from .operators import (
     BCMatrix,
@@ -63,7 +59,6 @@ from .orlicz import (
     classify_phi,
     luxemburg_norm,
     modular,
-    modular_bc,
     norm_bc,
     pairing,
     schauder_tail,
@@ -74,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BiComplex",
-    "HyperbolicValue",
     "Classification",
     "ComponentSet",
     "PolyRoots",
@@ -91,18 +85,14 @@ __all__ = [
     "poly_roots",
     "AtomicMeasureSpace",
     "IndexMap",
-    "Pushforward",
     "Distortion",
-    "pushforward",
     "distortion_ratios",
-    "is_nonsingular",
     "OrliczFunction",
     "PhiReport",
     "classify_phi",
     "BCSequence",
     "ModularValue",
     "modular",
-    "modular_bc",
     "weighted_phi_sum",
     "luxemburg_norm",
     "norm_bc",

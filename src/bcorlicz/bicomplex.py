@@ -24,7 +24,6 @@ from .errors import InvalidInputError, NotInvertibleError, UnsupportedInstanceEr
 
 __all__ = [
     "BiComplex",
-    "HyperbolicValue",
     "Classification",
     "ComponentSet",
     "PolyRoots",
@@ -280,27 +279,6 @@ UNIT_J = BiComplex(-1j, 1j)
 UNIT_K = BiComplex(1, -1)  # k = i*j = e - edag
 E = BiComplex(1, 0)
 E_DAGGER = BiComplex(0, 1)
-
-
-@dataclass(frozen=True)
-class HyperbolicValue:
-    """Pair of extended nonnegative reals on the idempotent axes."""
-
-    h1: float
-    h2: float
-
-    def __post_init__(self):
-        for name, h in (("h1", self.h1), ("h2", self.h2)):
-            h = float(h)
-            if math.isnan(h) or h < 0:
-                raise InvalidInputError(f"{name} must be >= 0 or +inf, got {h!r}")
-            object.__setattr__(self, name, h)
-
-    def is_finite(self) -> bool:
-        return math.isfinite(self.h1) and math.isfinite(self.h2)
-
-    def max(self) -> float:
-        return max(self.h1, self.h2)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Purely atomic measure spaces, index maps, and pushforward ratios.
+"""Purely atomic measure spaces, index maps, and distortion ratios.
 
 Atoms are indexed 1, 2, 3, ... and carry strictly positive weights.
 A space is either *finite* (an explicit weight vector) or *lazy* (a
@@ -20,11 +20,8 @@ from .errors import InvalidInputError, InvalidMapError
 __all__ = [
     "AtomicMeasureSpace",
     "IndexMap",
-    "Pushforward",
     "Distortion",
-    "pushforward",
     "distortion_ratios",
-    "is_nonsingular",
     "map_images",
     "scan_window",
     "DEFAULT_N_MAX",
@@ -47,26 +44,20 @@ class AtomicMeasureSpace:
     weights: np.ndarray | None
     rule: str | None
     n_max: int
-    allow_null_atoms: bool = False
 
     @classmethod
-    def finite(cls, weights, allow_null_atoms: bool = False) -> "AtomicMeasureSpace":
+    def finite(cls, weights) -> "AtomicMeasureSpace":
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise InvalidInputError("weights must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(w)):
             raise InvalidInputError("weights must be finite")
-        if not allow_null_atoms:
-            if np.any(w <= 0):
-                bad = int(np.argmax(w <= 0)) + 1
-                raise InvalidInputError(
-                    f"atom {bad} has weight {w[bad - 1]!r}; weights must be > 0 "
-                    "(pass allow_null_atoms=True for diagnostic spaces)"
-                )
-        elif np.any(w < 0):
-            bad = int(np.argmax(w < 0)) + 1
-            raise InvalidInputError(f"atom {bad} has negative weight {w[bad - 1]!r}")
-        return cls(weights=w, rule=None, n_max=w.size, allow_null_atoms=allow_null_atoms)
+        if np.any(w <= 0):
+            bad = int(np.argmax(w <= 0)) + 1
+            raise InvalidInputError(
+                f"atom {bad} has weight {float(w[bad - 1])!r}; weights must be > 0"
+            )
+        return cls(weights=w, rule=None, n_max=w.size)
 
     @classmethod
     def counting(cls, n_max: int = DEFAULT_N_MAX) -> "AtomicMeasureSpace":
@@ -259,14 +250,6 @@ def _images(out, idx: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Pushforward:
-    """Image measure masses per atom; ``truncated`` marks lazy windows."""
-
-    masses: np.ndarray
-    truncated: bool
-
-
-@dataclass(frozen=True, eq=False)
 class Distortion:
     """Mass ratios b_n = pushforward mass / atom weight, from one read of the window.
 
@@ -317,12 +300,30 @@ def map_images(space: AtomicMeasureSpace, imap: IndexMap, idx: np.ndarray) -> np
     return images
 
 
-def _scan(space: AtomicMeasureSpace, imap: IndexMap, budget: int, share) -> Distortion:
-    """Per-atom sums ``sum_{T(k)=n} share(k, n)`` in one read of the map's images.
+def _weight_ratios(space: AtomicMeasureSpace, k: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``a_k / a_n`` at 1-based atoms; ``r**(k - n)`` on a geometric space (see
+    ``_ratio_powers``)."""
+    if space.weights is not None:
+        with np.errstate(over="ignore"):
+            return space.weights[k - 1] / space.weights[n - 1]
+    if space.rule == "counting":
+        return np.ones(k.shape)
+    return space._ratio_powers(k, n)
 
-    ``share(k, n)`` is what atom ``k`` adds to its image ``n``.  On lazy
-    spaces only the window of ``scan_window`` is scanned, and the quarter
-    and half window sups come from the same arrays (see ``Distortion``).
+
+def distortion_ratios(
+    space: AtomicMeasureSpace,
+    imap: IndexMap,
+    budget: int = DEFAULT_N_MAX,
+) -> Distortion:
+    """Ratios b_n = m_n / a_n; sup b_n is the composition-bound certificate.
+
+    Each is summed per preimage, ``b_n = sum_{T(k)=n} a_k / a_n``, so it is
+    finite wherever the true ratio is, even where the weights overflow.
+    The map's images and the shares ``a_k / a_n`` are read once over the
+    window of ``scan_window``; the same arrays give the sups over the
+    quarter and half windows on a lazy space and the window's coverage
+    (see ``Distortion``).
     """
     n, prefixes = scan_window(space, budget)
     lazy = space.is_lazy
@@ -330,17 +331,17 @@ def _scan(space: AtomicMeasureSpace, imap: IndexMap, budget: int, share) -> Dist
     if imap.kind == "right_shift":
         # atom k + 1 lands on k: every atom but the last is covered, and atom 1 is dropped
         if lazy:
-            sums = share(idx + 1, idx)
+            sums = _weight_ratios(space, idx + 1, idx)
         else:
             sums = np.zeros(n)
-            sums[: n - 1] = share(idx[1:], idx[:-1])
+            sums[: n - 1] = _weight_ratios(space, idx[1:], idx[:-1])
         return _distortion(sums, lazy, [sums[:m].max() for m in prefixes], n, 1)
     images = map_images(space, imap, idx)
     inside = None
     if lazy and images.max() > n:
         inside = images <= n  # images beyond a lazy window leave the truncated view
         idx, images = idx[inside], images[inside]
-    shares = share(idx, images)
+    shares = _weight_ratios(space, idx, images)
     del idx
     pos = images - 1  # a new array: ``images`` may be ``idx``
     del images
@@ -363,65 +364,3 @@ def _scan(space: AtomicMeasureSpace, imap: IndexMap, budget: int, share) -> Dist
 def _distortion(sums, truncated, sups, first_uncovered, dropped) -> Distortion:
     q, h = (float(s) for s in sups) if sups else (None, None)
     return Distortion(sums, float(sums.max()), truncated, q, h, first_uncovered, dropped)
-
-
-def pushforward(
-    space: AtomicMeasureSpace,
-    imap: IndexMap,
-    budget: int = DEFAULT_N_MAX,
-) -> Pushforward:
-    """Mass the image measure puts on each atom: m_n = sum of weights over T^-1({n}).
-
-    On lazy spaces only the first ``min(n_max, budget)`` atoms are
-    scanned and the result is flagged truncated.
-    """
-    scan = _scan(space, imap, budget, lambda k, n: space.weight_block(k))
-    return Pushforward(scan.ratios, scan.truncated)
-
-
-def _weight_ratios(space: AtomicMeasureSpace, k: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """``a_k / a_n`` at 1-based atoms (0 if both are null); ``r**(k - n)`` on a
-    geometric space (see ``_ratio_powers``)."""
-    if space.weights is not None:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            q = space.weights[k - 1] / space.weights[n - 1]
-        return np.where(np.isnan(q), 0.0, q)
-    if space.rule == "counting":
-        return np.ones(k.shape)
-    return space._ratio_powers(k, n)
-
-
-def distortion_ratios(
-    space: AtomicMeasureSpace,
-    imap: IndexMap,
-    budget: int = DEFAULT_N_MAX,
-) -> Distortion:
-    """Ratios b_n = m_n / a_n; sup b_n is the composition-bound certificate.
-
-    Each is summed per preimage, ``b_n = sum_{T(k)=n} a_k / a_n``, so it is
-    finite wherever the true ratio is, even where the weights overflow.
-    The map's images and the shares ``a_k / a_n`` are read once over the
-    window; the same arrays give the sups over the quarter and half windows
-    on a lazy space and the window's coverage (see ``Distortion``).
-    """
-    return _scan(space, imap, budget, lambda k, n: _weight_ratios(space, k, n))
-
-
-def is_nonsingular(space: AtomicMeasureSpace, imap: IndexMap) -> tuple[bool, str]:
-    """Whether preimages of null sets are null, with a one-line certificate.
-
-    With strictly positive weights the only null set is empty, so the
-    answer is immediate; diagnostic spaces with zero-weight atoms get an
-    explicit check of the pushforward mass that lands on them.
-    """
-    if space.is_lazy or not space.allow_null_atoms or np.all(space.weights > 0):
-        return True, "all atom weights are strictly positive; only the empty set is null"
-    null_atoms = np.flatnonzero(space.weights == 0) + 1
-    masses = pushforward(space, imap).masses
-    offenders = [int(a) for a in null_atoms if masses[a - 1] > 0]
-    if offenders:
-        return False, (
-            f"null atom(s) {offenders} receive positive pushforward mass; "
-            "preimages of null sets are not null"
-        )
-    return True, f"null atoms {[int(a) for a in null_atoms]} receive zero pushforward mass"

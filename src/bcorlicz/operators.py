@@ -377,31 +377,26 @@ def check_composition_bounded(
     tol: float = 1e-12,
     block: int = 1000,
 ) -> BoundednessReport:
-    """Certify boundedness of ``F -> F o T`` via pushforward mass ratios.
+    """Certify boundedness of ``F -> F o T`` via the distortion ratios b_n.
 
-    A finite sup of the ratios b_n bounds the operator; on lazy spaces
-    the sup is window evidence only.  The window is read once, by one
-    ``distortion_ratios`` call: the same scan gives the sups a budget of a
-    quarter and of half the window would give, and a sup still growing
-    from the quarter to the half to the full window downgrades the
-    verdict to inconclusive.  It also gives the window's coverage, which
-    is recorded as ``surjective_on_window`` and never used for the
-    verdict.  For each sample sequence the report records the largest
-    gauge scales (grid 2^0 .. 2^-20, per component) whose ratio-weighted
-    modular is certified finite.
+    A finite sup of the ratios b_n bounds the operator, and a sup past the
+    floats is inconclusive; on lazy spaces the sup is window evidence
+    only.  The window is read once, by one ``distortion_ratios`` call: the
+    same scan gives the sups a budget of a quarter and of half the window
+    would give, and a sup still growing from the quarter to the half to
+    the full window downgrades the verdict to inconclusive.  It also gives
+    the window's coverage, which is recorded as ``surjective_on_window``
+    and never used for the verdict.  For each sample sequence the report
+    records the largest gauge scales (grid 2^0 .. 2^-20, per component)
+    whose ratio-weighted modular is certified finite.
     """
     dist = distortion_ratios(space, imap, budget)
     notes = []
     window = dist.ratios.size
     if not math.isfinite(dist.sup):
-        bad = ~np.isfinite(dist.ratios)
-        if not space.is_lazy and np.any(space.weights[bad] == 0):
-            verdict = "unbounded"
-            notes.append("pushforward mass lands on a zero-weight atom; no finite bound exists")
-        else:
-            verdict = "inconclusive"
-            first = int(np.argmax(bad)) + 1
-            notes.append(f"distortion ratio at atom {first} overflows floats; no bound certified")
+        verdict = "inconclusive"
+        first = int(np.argmax(~np.isfinite(dist.ratios))) + 1
+        notes.append(f"distortion ratio at atom {first} overflows floats; no bound certified")
     elif not space.is_lazy:
         verdict = "bounded"
     else:
@@ -485,8 +480,9 @@ def check_multiplication_bounded(
     """Certify boundedness of pointwise multiplication by theta.
 
     The operator is bounded exactly when both component symbols are
-    essentially bounded, with norm between max(sup)/sqrt(2) and
-    sqrt(2)*max(sup).  An array symbol is zero past its length, so its sup
+    essentially bounded.  Under the pair norm ``sqrt((n1^2 + n2^2) / 2)``
+    its norm is then ``max(sup|theta1|, sup|theta2|)``, which ``bound()``
+    reports.  An array symbol is zero past its length, so its sup
     is exact on any space.  An index rule is read over the window like any
     component (a nan or inf value is an ``InvalidInputError`` naming its
     atom), and a sup still growing across it yields an unbounded verdict

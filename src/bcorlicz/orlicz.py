@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bicomplex import BiComplex, HyperbolicValue, pair_norm
+from .bicomplex import BiComplex, pair_norm
 from .errors import (
     InvalidInputError,
     NotInSpaceError,
@@ -42,7 +42,6 @@ __all__ = [
     "ModularValue",
     "modular",
     "weighted_phi_sum",
-    "modular_bc",
     "luxemburg_norm",
     "norm_bc",
     "schauder_tail",
@@ -579,7 +578,7 @@ def modular(
     sum exactly; lazy spaces run the block probe.
     """
     if isinstance(f, BCSequence):
-        raise InvalidInputError("pass one component here, or use modular_bc")
+        raise InvalidInputError("pass one component here, not a BCSequence")
     if not (isinstance(scale, (int, float)) and scale >= 0 and math.isfinite(scale)):
         raise InvalidInputError(f"scale must be finite and >= 0, got {scale!r}")
     raw = _as_raw_component(f)
@@ -601,7 +600,7 @@ def weighted_phi_sum(
     """``sum phi(scale * |f_n|) * weights[n-1]`` over ``n = 1..len(weights)``.
 
     The weight vector may be any nonnegative certificate vector (for
-    example pushforward mass ratios), not just atom weights.  With
+    example distortion ratios), not just atom weights.  With
     ``lazy=True`` the sum runs through the convergence probe instead of
     being declared exact.
     """
@@ -629,20 +628,6 @@ def _phi_sum(phi: OrliczFunction, values: np.ndarray, weights: np.ndarray, scale
         terms[(phis == 0) | (weights == 0)] = 0.0
         total = terms.sum()
     return ModularValue(float(total), "exact", weights.size)
-
-
-def modular_bc(
-    phi: OrliczFunction,
-    F: BCSequence,
-    space: AtomicMeasureSpace,
-    *,
-    scale: float = 1.0,
-    block: int = 1000,
-) -> HyperbolicValue:
-    """Componentwise modular of a bicomplex sequence, as a hyperbolic pair."""
-    mv1 = modular(phi, F.comp1, space, scale=scale, block=block)
-    mv2 = modular(phi, F.comp2, space, scale=scale, block=block)
-    return HyperbolicValue(mv1.value, mv2.value)
 
 
 # ----------------------------------------------------------------------
@@ -721,18 +706,12 @@ def luxemburg_norm(
 
 
 def _finite_level(phi: OrliczFunction, values: np.ndarray, weights: np.ndarray):
-    """``sup |f|`` and ``t -> sum phi(t |f_n| / sup) a_n`` on a finite space.
-
-    Null atoms add nothing to the modular, so they are dropped first; a
-    component that vanishes keeps the scale 1.
-    """
+    """``sup |f|`` and ``t -> sum phi(t |f_n| / sup) a_n`` on a finite space;
+    a component that vanishes keeps the scale 1."""
     mags = np.abs(values)
-    keep = weights > 0
-    if not keep.all():
-        mags, weights = mags[keep], weights[keep]
     sup = float(mags.max(initial=0.0)) or 1.0
     if sup == math.inf:
-        raise _overflow(np.isinf(np.abs(values)) & keep)
+        raise _overflow(np.isinf(mags))
     unit = mags / sup
 
     def level(t: float) -> float:

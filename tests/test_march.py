@@ -347,7 +347,7 @@ def test_lazy_weighted_sum_matches_the_reference(spec, window, c, data):
     phi = OrliczFunction.parse(spec)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     weights = rng.uniform(0.0, 2.0, n_total)
-    # null atoms and overflowed ratios, as a distortion scan can give
+    # zero and overflowed ratios, as a distortion scan can give
     weights[rng.random(n_total) < 0.05] = 0.0
     if data.draw(st.booleans()):
         weights[rng.random(n_total) < 0.01] = np.inf

@@ -11,8 +11,6 @@ from bcorlicz import (
     InvalidInputError,
     InvalidMapError,
     distortion_ratios,
-    is_nonsingular,
-    pushforward,
 )
 
 
@@ -28,15 +26,12 @@ def test_finite_space_basics():
 def test_finite_space_rejects_bad_weights():
     with pytest.raises(InvalidInputError):
         AtomicMeasureSpace.finite([])
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match=r"^atom 2 has weight 0\.0; weights must be > 0$"):
         AtomicMeasureSpace.finite([1.0, 0.0])
-    with pytest.raises(InvalidInputError):
-        AtomicMeasureSpace.finite([1.0, -2.0])
+    with pytest.raises(InvalidInputError, match=r"^atom 3 has weight -2\.0"):
+        AtomicMeasureSpace.finite([1.0, 1.0, -2.0])
     with pytest.raises(InvalidInputError):
         AtomicMeasureSpace.finite([1.0, float("nan")])
-    # zero weights allowed only in diagnostic mode
-    sp = AtomicMeasureSpace.finite([1.0, 0.0], allow_null_atoms=True)
-    assert sp.total_mass() == 1.0
 
 
 def test_counting_space():
@@ -110,11 +105,10 @@ def test_index_map_json():
 def test_pushforward_worked_example():
     sp = AtomicMeasureSpace.finite([1.0, 1.0, 2.0])
     m = IndexMap.from_table([1, 1, 2])
-    push = pushforward(sp, m)
-    # preimages: {1,2} -> mass 2, {3} -> mass 2, {} -> mass 0
-    np.testing.assert_allclose(push.masses, [2.0, 2.0, 0.0])
-    assert not push.truncated
     dist = distortion_ratios(sp, m)
+    # preimages: {1,2} -> mass 2, {3} -> mass 2, {} -> mass 0
+    np.testing.assert_allclose(dist.ratios * sp.weights, [2.0, 2.0, 0.0])
+    assert not dist.truncated
     np.testing.assert_allclose(dist.ratios, [2.0, 2.0, 0.0])
     assert dist.sup == 2.0
 
@@ -126,8 +120,8 @@ def test_pushforward_conserves_mass():
         weights = rng.uniform(0.1, 3.0, n)
         table = rng.integers(1, n + 1, n)
         sp = AtomicMeasureSpace.finite(weights)
-        push = pushforward(sp, IndexMap.from_table(table))
-        assert abs(push.masses.sum() - weights.sum()) < 1e-9 * weights.sum()
+        masses = distortion_ratios(sp, IndexMap.from_table(table)).ratios * weights
+        assert abs(masses.sum() - sp.total_mass()) < 1e-9 * sp.total_mass()
 
 
 def test_pushforward_brute_force_cross_check():
@@ -137,24 +131,25 @@ def test_pushforward_brute_force_cross_check():
         weights = rng.uniform(0.1, 3.0, n)
         table = rng.integers(1, n + 1, n)
         sp = AtomicMeasureSpace.finite(weights)
-        push = pushforward(sp, IndexMap.from_table(table))
+        dist = distortion_ratios(sp, IndexMap.from_table(table))
         want = np.zeros(n)
         for src, dst in enumerate(table, start=1):
-            want[dst - 1] += weights[src - 1]
-        np.testing.assert_allclose(push.masses, want)
+            want[dst - 1] += weights[src - 1] / weights[dst - 1]
+        np.testing.assert_allclose(dist.ratios, want)
 
 
 def test_pushforward_rejects_out_of_range_image():
     sp = AtomicMeasureSpace.finite([1.0, 1.0])
     with pytest.raises(InvalidMapError):
-        pushforward(sp, IndexMap.from_table([1, 3]))
+        distortion_ratios(sp, IndexMap.from_table([1, 3]))
 
 
 def test_pushforward_right_shift_finite():
     sp = AtomicMeasureSpace.finite([3.0, 5.0, 7.0])
-    push = pushforward(sp, IndexMap.right_shift())
+    dist = distortion_ratios(sp, IndexMap.right_shift())
     # m_n = weight at n+1; the last atom has empty preimage
-    np.testing.assert_allclose(push.masses, [5.0, 7.0, 0.0])
+    np.testing.assert_allclose(dist.ratios * sp.weights, [5.0, 7.0, 0.0])
+    assert (dist.dropped, dist.first_uncovered) == (1, 3)
 
 
 def test_right_shift_on_counting_has_unit_ratios():
@@ -195,31 +190,7 @@ def test_lazy_rule_map_uses_window():
 def test_lazy_space_with_table_map_rejected():
     sp = AtomicMeasureSpace.counting(10 ** 6)
     with pytest.raises(InvalidMapError):
-        pushforward(sp, IndexMap.from_table([1, 2]))
-
-
-def test_zero_weight_targets():
-    sp = AtomicMeasureSpace.finite([1.0, 0.0], allow_null_atoms=True)
-    # mass lands on a null atom -> infinite ratio
-    dist = distortion_ratios(sp, IndexMap.from_table([2, 2]))
-    assert dist.ratios[1] == np.inf
-    assert dist.sup == np.inf
-    # no mass on the null atom -> ratio 0, harmless
-    dist = distortion_ratios(sp, IndexMap.from_table([1, 1]))
-    assert dist.ratios[1] == 0.0
-    assert dist.sup == 1.0
-
-
-def test_is_nonsingular():
-    sp = AtomicMeasureSpace.finite([1.0, 1.0, 2.0])
-    ok, detail = is_nonsingular(sp, IndexMap.from_table([1, 1, 2]))
-    assert ok
-    bad_sp = AtomicMeasureSpace.finite([1.0, 0.0], allow_null_atoms=True)
-    ok, detail = is_nonsingular(bad_sp, IndexMap.from_table([2, 2]))
-    assert not ok
-    assert "2" in detail
-    ok, _ = is_nonsingular(bad_sp, IndexMap.from_table([1, 1]))
-    assert ok
+        distortion_ratios(sp, IndexMap.from_table([1, 2]))
 
 
 def test_distortion_sup_certifies_bounded_composition_small_spaces():
@@ -233,12 +204,12 @@ def test_distortion_sup_certifies_bounded_composition_small_spaces():
         sp = AtomicMeasureSpace.finite(weights)
         m = IndexMap.from_table(table)
         dist = distortion_ratios(sp, m)
-        push = pushforward(sp, m)
+        masses = np.bincount(table - 1, weights=weights, minlength=n)
         sup = dist.sup
-        assert np.all(push.masses <= sup * weights + 1e-12)
+        assert np.all(masses <= sup * weights + 1e-12)
         if sup > 0:
             tighter = sup * (1 - 1e-9)
-            assert np.any(push.masses > tighter * weights - 1e-15)
+            assert np.any(masses > tighter * weights - 1e-15)
 
 
 @pytest.mark.parametrize("ratio", [0.5, 1e-3, 2.0, 0.999])

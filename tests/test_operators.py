@@ -34,7 +34,6 @@ from bcorlicz import (
     modular,
     norm_bc,
     operators,
-    pushforward,
 )
 
 
@@ -412,13 +411,6 @@ def test_composition_check_growing_sup_is_inconclusive():
     assert any("grows" in note for note in rep.notes)
 
 
-def test_composition_check_unbounded_on_null_atom():
-    sp = AtomicMeasureSpace.finite([1.0, 0.0], allow_null_atoms=True)
-    rep = check_composition_bounded(sp, IndexMap.from_table([2, 2]), OrliczFunction.power(2))
-    assert rep.verdict == "unbounded"
-    assert rep.bound() is None
-
-
 def test_composition_check_lambda_pairs():
     sp = AtomicMeasureSpace.finite([1.0, 2.0, 3.0])
     rng = np.random.default_rng(55)
@@ -583,7 +575,6 @@ def test_bad_budget_is_refused(budget):
     calls = [
         lambda: check_composition_bounded(sp, shift, OrliczFunction.power(2), budget=budget),
         lambda: distortion_ratios(sp, shift, budget),
-        lambda: pushforward(sp, shift, budget),
         lambda: check_multiplication_bounded(theta, sp, budget=budget),
     ]
     with warnings.catch_warnings():
@@ -640,6 +631,24 @@ def test_multiplication_check_finite_exact():
     assert rep.verdict == "bounded"
     assert rep.ess_sups == (2.0, 3.0)
     assert rep.bound() == 3.0
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("which", [1, 2])
+def test_multiplication_bound_is_the_norm_on_a_finite_space(p, which):
+    # ||theta F|| <= max(sup|theta1|, sup|theta2|) ||F|| under the pair norm,
+    # with equality at the indicator of the atom n* of the larger sup
+    sp = AtomicMeasureSpace.finite([1.0, 2.5, 0.5, 3.0])
+    big, small = [0.5, -4.0 + 1.0j, 2.0, 1.0], [3.0j, 0.25, -1.0, 2.0]
+    theta = BCSequence.from_components(*((big, small) if which == 1 else (small, big)))
+    rep = check_multiplication_bounded(theta, sp)
+    star = np.zeros(4)
+    star[int(np.argmax(np.abs(big)))] = 1.0
+    F = BCSequence.from_components(*((star, np.zeros(4)) if which == 1 else (np.zeros(4), star)))
+    phi = OrliczFunction.power(p)
+    G = apply_operator(BCOperator.multiplication(theta), F, sp)
+    assert rep.bound() == abs(-4.0 + 1.0j)
+    assert abs(norm_bc(phi, G, sp) / norm_bc(phi, F, sp) - rep.bound()) <= 1e-12 * rep.bound()
 
 
 def test_multiplication_check_lazy_bounded():

@@ -20,7 +20,6 @@ from bcorlicz import (
     classify_phi,
     luxemburg_norm,
     modular,
-    modular_bc,
     norm_bc,
     pairing,
     schauder_tail,
@@ -229,14 +228,6 @@ def test_modular_rejects_whole_sequences():
         modular(OrliczFunction.power(2), F, sp)
 
 
-def test_modular_bc_components():
-    sp = AtomicMeasureSpace.finite([1.0])
-    F = BCSequence.from_values([BiComplex(3, 4)])  # 3e + 4e-dagger
-    hv = modular_bc(OrliczFunction.power(2), F, sp)
-    assert (hv.h1, hv.h2) == (9.0, 16.0)
-    assert hv.is_finite() and hv.max() == 16.0
-
-
 def test_modular_lazy_geometric_converges():
     sp = AtomicMeasureSpace.counting(10 ** 6)
     f = lambda idx: np.power(0.5, idx)  # noqa: E731
@@ -378,12 +369,10 @@ BIG = 1.5e308 + 1.5e308j  # finite parts, modulus beyond the floats
     "f, space, atom",
     [
         (np.array([BIG]), AtomicMeasureSpace.finite([1.0]), 1),
-        # the null first atom is dropped before the sup; atom 2 is named
-        (np.array([BIG, BIG]), AtomicMeasureSpace.finite([0.0, 1.0], allow_null_atoms=True), 2),
         (np.array([1.0, BIG]), AtomicMeasureSpace.counting(10 ** 3), 2),
         (lambda i: np.where(i == 7, BIG, 1.0 / i**2), AtomicMeasureSpace.counting(10 ** 3), 7),
     ],
-    ids=["finite", "finite-null-atom", "lazy-array", "lazy-rule"],
+    ids=["finite", "lazy-array", "lazy-rule"],
 )
 def test_luxemburg_modulus_beyond_floats_is_unsupported(f, space, atom):
     with warnings.catch_warnings():

@@ -54,6 +54,33 @@ def _finite_complex(value, what: str) -> complex:
     return value
 
 
+def _ring_result(op: str, beta1: complex, beta2: complex) -> "BiComplex":
+    """The result of ring operation ``op`` on finite operands; a component
+    past the floats is an unsupported instance, not an invalid input."""
+    for k, beta in ((1, beta1), (2, beta2)):
+        if not (math.isfinite(beta.real) and math.isfinite(beta.imag)):
+            raise UnsupportedInstanceError(
+                f"{op} overflows: idempotent component {k} of the exact result "
+                f"passes the largest float ({sys.float_info.max:.3e})"
+            )
+    return BiComplex(beta1, beta2)
+
+
+def _product(u: complex, v: complex) -> complex:
+    """``u * v``.  Where a partial product ``a*c`` overflows, ``u`` is
+    scaled into [-1/2, 1/2] by a power of two and the product taken again,
+    so the result is inf only where the exact product passes the floats."""
+    p = u * v
+    if math.isfinite(p.real) and math.isfinite(p.imag):
+        return p
+    k = math.frexp(max(abs(u.real), abs(u.imag)))[1] + 1
+    q = complex(math.ldexp(u.real, -k), math.ldexp(u.imag, -k)) * v
+    try:
+        return complex(math.ldexp(q.real, k), math.ldexp(q.imag, k))
+    except OverflowError:
+        return p
+
+
 @dataclass(frozen=True)
 class BiComplex:
     """One bicomplex number as idempotent coordinates ``(beta1, beta2)``."""
@@ -113,7 +140,7 @@ class BiComplex:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return BiComplex(self.beta1 + other.beta1, self.beta2 + other.beta2)
+        return _ring_result("add", self.beta1 + other.beta1, self.beta2 + other.beta2)
 
     __radd__ = __add__
 
@@ -121,7 +148,7 @@ class BiComplex:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return BiComplex(self.beta1 - other.beta1, self.beta2 - other.beta2)
+        return _ring_result("sub", self.beta1 - other.beta1, self.beta2 - other.beta2)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -133,7 +160,9 @@ class BiComplex:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return BiComplex(self.beta1 * other.beta1, self.beta2 * other.beta2)
+        return _ring_result(
+            "mul", _product(self.beta1, other.beta1), _product(self.beta2, other.beta2)
+        )
 
     __rmul__ = __mul__
 
@@ -189,7 +218,7 @@ class BiComplex:
                 f"(|beta| <= {diagnosis.threshold:.3e}); element is a {diagnosis.kind}",
                 classification=diagnosis,
             )
-        return BiComplex(1.0 / self.beta1, 1.0 / self.beta2)
+        return _ring_result("invert", 1.0 / self.beta1, 1.0 / self.beta2)
 
     # ------------------------------------------------------------------
     # JSON wire form
@@ -226,11 +255,14 @@ class BiComplex:
             z2 = _pair_to_complex(obj["cartesian"], "z2", "cartesian")
             alt = cls.from_cartesian(z1, z2)
             if out is None:
-                out = alt
-            elif (out - alt).norm() > 1e-9 * max(1.0, out.norm()):
+                return alt
+            # differences of the betas, not out - alt: a difference past the
+            # floats is a disagreement, not an unsupported instance
+            gap = pair_norm(out.beta1 - alt.beta1, out.beta2 - alt.beta2)
+            if gap > 1e-9 * max(1.0, out.norm()):
                 raise InvalidInputError(
                     "cartesian and idempotent coordinates disagree: "
-                    f"{obj!r} (difference norm {(out - alt).norm():.3e})"
+                    f"{obj!r} (difference norm {gap:.3e})"
                 )
         return out
 

@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import math
+import operator
 import os
 import sys
 import warnings
@@ -224,31 +225,98 @@ def _read_space(args, config, report) -> AtomicMeasureSpace:
 # ----------------------------------------------------------------------
 
 
-def _sanitize(obj):
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        if math.isnan(f):
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _clean(value):
+    """One report scalar as JSON reads it: numpy scalars become Python
+    values, and nan and +-inf become the strings ``"nan"``, ``"inf"`` and
+    ``"-inf"``."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        if math.isnan(value):
             return "nan"
-        if f == math.inf:
-            return "inf"
-        if f == -math.inf:
-            return "-inf"
-        return f
-    return obj
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+    return value
+
+
+def _str_keys(value: dict) -> dict:
+    if type(value) is dict and all(type(k) is str for k in value):
+        return value
+    return {str(k): v for k, v in value.items()}
+
+
+def _json_leaf(value) -> str:
+    value = _clean(value)
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _emit_json(value, pad: str, out: list) -> None:
+    """Append ``value`` as indented JSON text to ``out``; ``pad`` is the
+    newline and indentation of the line the value starts on."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        value = _str_keys(value)
+        inner = pad + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key in sorted(value):
+            out.append(sep + _quote(key) + ": ")
+            _emit_json(value[key], inner, out)
+            sep = comma
+        out.append(pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        comma = "," + inner
+        # a run of finite floats is one join: float.__repr__ refuses any
+        # item that is no float, and of its outputs only nan and inf hold an "n"
+        try:
+            floats = comma.join(map(float.__repr__, value))
+        except TypeError:
+            floats = None
+        if floats is not None and "n" not in floats:
+            out.append("[" + inner + floats + pad + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _emit_json(item, inner, out)
+            sep = comma
+        out.append(pad + "]")
+    else:
+        out.append(_json_leaf(value))
 
 
 def _render(report: dict, fmt: str) -> str:
-    clean = _sanitize(report)
+    """The report as text.  JSON is two-space indented with sorted keys,
+    non-ASCII escaped and nan and +-inf as strings: the same bytes as
+    ``json.dumps(report, indent=2, sort_keys=True)`` on the report with
+    its scalars cleaned, written in one pass."""
     if fmt == "json":
-        return json.dumps(clean, indent=2, sort_keys=True)
+        out = []
+        _emit_json(report, "\n", out)
+        return "".join(out)
     lines = []
 
     def walk(value, indent, label=None):
@@ -257,21 +325,22 @@ def _render(report: dict, fmt: str) -> str:
         if isinstance(value, dict):
             if label is not None:
                 lines.append(f"{pad}{label}:")
+            value = _str_keys(value)
             for key in sorted(value):
                 walk(value[key], indent + (label is not None), key)
-        elif isinstance(value, list):
+        elif isinstance(value, (list, tuple)):
             if label is not None:
                 lines.append(f"{pad}{label}:")
             for item in value:
-                if isinstance(item, (dict, list)):
+                if isinstance(item, (dict, list, tuple)):
                     lines.append(f"{pad}  -")
                     walk(item, indent + 2)
                 else:
-                    lines.append(f"{pad}  - {item}")
+                    lines.append(f"{pad}  - {_clean(item)}")
         else:
-            lines.append(f"{tag}{value}")
+            lines.append(f"{tag}{_clean(value)}")
 
-    walk(clean, 0)
+    walk(report, 0)
     return "\n".join(lines)
 
 
@@ -323,6 +392,13 @@ def _parse_coeffs(raw) -> list:
     return [BiComplex.from_json_dict(c) for c in raw]
 
 
+_RING_OPS = {
+    "add": ("sum", operator.add),
+    "sub": ("difference", operator.sub),
+    "mul": ("product", operator.mul),
+}
+
+
 def _cmd_bc_eval(args, config, report):
     op, eps = args.op, config["eps"]
     report["inputs"].update({"op": op, "eps": eps})
@@ -347,8 +423,8 @@ def _cmd_bc_eval(args, config, report):
     lhs = _read(args, report, "lhs", BiComplex.from_json_dict)
     if op in ("add", "sub", "mul"):
         rhs = _read(args, report, "rhs", BiComplex.from_json_dict)
-        value = {"add": lhs + rhs, "sub": lhs - rhs, "mul": lhs * rhs}[op]
-        name = {"add": "sum", "sub": "difference", "mul": "product"}[op]
+        name, combine = _RING_OPS[op]
+        value = combine(lhs, rhs)
         results.append(
             _result(name, value.to_json_dict(), f"componentwise {op} in the idempotent basis")
         )
@@ -554,7 +630,16 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    print(_render(report, config["format"]))
+    try:
+        print(_render(report, config["format"]))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe; stdout points at devnull so that the
+        # interpreter's flush at shutdown stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     if config["strict"]:
         if report["status"] == "error_certificate":
             return 2

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -206,6 +207,42 @@ def test_norm_near_float_max_keeps_large_elements_invertible(Z):
     assert diagnosis.kind == "invertible" and math.isfinite(diagnosis.threshold)
     inverse = Z.invert()
     assert inverse.beta1 == 1.0 / Z.beta1 and inverse.beta2 == 1.0 / Z.beta2
+
+
+BIG = BiComplex(1.5e308 + 1.5e308j, 1)
+
+
+@pytest.mark.parametrize(
+    "op, run",
+    [
+        ("add", lambda: BIG + BIG),
+        ("sub", lambda: BIG - (-BIG)),
+        ("mul", lambda: BIG * BIG),
+        ("invert", lambda: BiComplex(5e-324, 1).invert(eps=0.0)),
+    ],
+)
+def test_ring_result_past_the_floats_is_an_unsupported_instance(op, run):
+    # valid operands once gave InvalidInputError "beta1 must be finite"
+    with pytest.raises(UnsupportedInstanceError, match=f"^{op} overflows: idempotent component 1"):
+        run()
+
+
+def test_product_is_finite_where_only_a_partial_product_overflows():
+    u = complex(1.4e154, 0.5e154)
+    assert math.isinf((u * u).real)  # a*c = 1.96e308 passes the floats on the way
+    Z = BiComplex(u, 2) * BiComplex(u, 3)
+    a, b = Fraction(u.real), Fraction(u.imag)
+    assert Z.beta1 == pytest.approx(complex(float(a * a - b * b), float(2 * a * b)), rel=1e-15)
+    assert Z.beta2 == 6
+
+
+def test_coordinates_disagreeing_past_the_floats_stay_an_input_error():
+    obj = {
+        "idempotent": {"b1": [1.5e308, 0], "b2": [0, 0]},
+        "cartesian": {"z1": [-1e308, 0], "z2": [0, 0]},
+    }
+    with pytest.raises(InvalidInputError, match="disagree"):
+        BiComplex.from_json_dict(obj)
 
 
 def test_pair_norm_keeps_the_bits_of_hypot_where_it_is_finite():

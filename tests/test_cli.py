@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -533,6 +534,27 @@ def test_bc_eval_large_element_is_invertible(capsys, tmp_path, op, b1, b2):
         assert inverse == [(1.0 / b1).real, (1.0 / b1).imag]
 
 
+def test_bc_eval_product_past_the_floats_is_a_certificate(capsys, tmp_path):
+    # both inputs are valid; their product once was refused as an input
+    # error ("beta1 must be finite, got (inf+infj)")
+    lhs = write(tmp_path / "big.json", bc(1.5e308 + 1.5e308j, 1 + 0j))
+    argv = ["bc", "eval", "--op", "mul", "--lhs", lhs, "--rhs", lhs]
+    report = run_json(capsys, argv)
+    assert report["status"] == "error_certificate"
+    cert = result_value(report, "error_certificate")
+    assert cert["error"] == "unsupported_instance"
+    assert cert["detail"].startswith("mul overflows")
+    code, _, _ = run_cli(capsys, argv + ["--strict"])
+    assert code == 2
+
+
+def test_bc_eval_add_does_not_compute_the_product(capsys, tmp_path):
+    # the sum is 2e200; the product 1e400 once was computed too and refused
+    lhs = write(tmp_path / "big.json", bc(1e200 + 0j, 1 + 0j))
+    report = run_json(capsys, ["bc", "eval", "--op", "add", "--lhs", lhs, "--rhs", lhs])
+    assert result_value(report, "sum")["idempotent"]["b1"] == [2e200, 0.0]
+
+
 def test_schauder_from_zero_equals_the_p1_norm_near_float_max(capsys, files, tmp_path):
     # schauder once combined the two 1.5e308 tails to "inf"
     seq = write(tmp_path / "seq.json", [bc(1.5e308 + 0j, 1.5e308 + 0j)])
@@ -696,3 +718,23 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["command"] == "phi classify"
+
+
+def test_closed_stdout_pipe_exits_1_without_a_traceback(files):
+    # a reader that has gone (as `| head -1` does) once left a
+    # BrokenPipeError traceback on stderr
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bcorlicz", "bc", "eval", "--op", "mul",
+             "--lhs", files["e"], "--rhs", files["edag"]],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""

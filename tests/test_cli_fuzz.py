@@ -48,6 +48,8 @@ GOOD = {
     # the distortion ratios of these overflowed or came out nan in floats
     "geometric_big": {"weights_rule": "geometric:2.0", "n_max": 5000},
     "heavy2": {"weights": [1e308, 1e308]},
+    # its square passes the floats
+    "bc_big": {"idempotent": {"b1": [1.5e308, 1.5e308], "b2": [1.0, 0.0]}},
     "table_11": {"map": [1, 1]},
     "tiny_heavy": {"weights": [1.0, 1e-320]},
     "table_22": {"map": [2, 2]},
@@ -187,6 +189,9 @@ def _cases():
         ("distortion-ratio-beyond-floats", [
             "op", "check", "--kind", "composition", "--map", "@table_22",
             "--space", "@tiny_heavy", "--phi", "power:p=2", "--strict",
+        ], {}, None),
+        ("bc_mul-beyond-floats", [
+            "bc", "eval", "--op", "mul", "--lhs", "@bc_big", "--rhs", "@bc_big", "--strict",
         ], {}, None),
     ]
     return cases

@@ -2,7 +2,8 @@
 
 Each command runs through ``bcorlicz.cli.main`` on the files in
 ``sample_inputs/``, and its stdout must equal the report committed under
-``tests/golden/``.  A refactor keeps these reports as they are; a change
+``tests/golden/``; the product report is also pinned in ``--format
+text``.  A refactor keeps these reports as they are; a change
 that means to alter one regenerates its golden file and says why.
 """
 
@@ -27,11 +28,21 @@ EXAMPLES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(EXAMPLES))
-def test_readme_example_report_is_unchanged(capsys, monkeypatch, name):
+def run(capsys, monkeypatch, argv) -> bytes:
     monkeypatch.delenv("BCORLICZ_CONFIG", raising=False)
-    argv = [str(SAMPLES / a) if a.endswith(".json") else a for a in EXAMPLES[name]]
+    argv = [str(SAMPLES / a) if a.endswith(".json") else a for a in argv]
     assert main(argv) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert captured.out.encode() == (HERE / "golden" / f"{name}.json").read_bytes()
+    return captured.out.encode()
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_readme_example_report_is_unchanged(capsys, monkeypatch, name):
+    out = run(capsys, monkeypatch, EXAMPLES[name])
+    assert out == (HERE / "golden" / f"{name}.json").read_bytes()
+
+
+def test_readme_product_text_report_is_unchanged(capsys, monkeypatch):
+    out = run(capsys, monkeypatch, EXAMPLES["bc_eval_mul"] + ["--format", "text"])
+    assert out == (HERE / "golden" / "bc_eval_mul.txt").read_bytes()

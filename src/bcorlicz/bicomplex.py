@@ -66,6 +66,12 @@ def _ring_result(op: str, beta1: complex, beta2: complex) -> "BiComplex":
     return BiComplex(beta1, beta2)
 
 
+def _cartesian_betas(z1, z2) -> tuple[complex, complex]:
+    """``(z1 - i z2, z1 + i z2)`` of finite coordinates; inf past the floats."""
+    z1, z2 = _finite_complex(z1, "z1"), _finite_complex(z2, "z2")
+    return z1 - 1j * z2, z1 + 1j * z2
+
+
 def _product(u: complex, v: complex) -> complex:
     """``u * v``.  Where a partial product ``a*c`` overflows, ``u`` is
     scaled into [-1/2, 1/2] by a power of two and the product taken again,
@@ -98,23 +104,22 @@ class BiComplex:
 
     @classmethod
     def from_cartesian(cls, z1, z2) -> "BiComplex":
-        """Build ``z1 + z2*j`` from its cartesian coordinates."""
-        z1 = _finite_complex(z1, "z1")
-        z2 = _finite_complex(z2, "z2")
-        return cls(z1 - 1j * z2, z1 + 1j * z2)
+        """Build ``z1 + z2*j``; betas past the floats are an unsupported instance."""
+        return _ring_result("from_cartesian", *_cartesian_betas(z1, z2))
 
     @classmethod
     def from_reals(cls, a, b, c, d) -> "BiComplex":
         """Build ``a + b*i + c*j + d*i*j`` from four real coordinates."""
         return cls.from_cartesian(complex(a, b), complex(c, d))
 
+    # halving first keeps the views finite (halving is exact above the subnormals)
     @property
     def z1(self) -> complex:
-        return (self.beta1 + self.beta2) / 2
+        return self.beta1 / 2 + self.beta2 / 2
 
     @property
     def z2(self) -> complex:
-        return 1j * (self.beta1 - self.beta2) / 2
+        return 1j * (self.beta1 / 2 - self.beta2 / 2)
 
     def cartesian(self) -> tuple[complex, complex]:
         return self.z1, self.z2
@@ -253,12 +258,12 @@ class BiComplex:
         if "cartesian" in obj:
             z1 = _pair_to_complex(obj["cartesian"], "z1", "cartesian")
             z2 = _pair_to_complex(obj["cartesian"], "z2", "cartesian")
-            alt = cls.from_cartesian(z1, z2)
             if out is None:
-                return alt
-            # differences of the betas, not out - alt: a difference past the
-            # floats is a disagreement, not an unsupported instance
-            gap = pair_norm(out.beta1 - alt.beta1, out.beta2 - alt.beta2)
+                return cls.from_cartesian(z1, z2)
+            # differences of the betas, which may pass the floats: a gap past
+            # them is a disagreement, not an unsupported instance
+            alt1, alt2 = _cartesian_betas(z1, z2)
+            gap = pair_norm(out.beta1 - alt1, out.beta2 - alt2)
             if gap > 1e-9 * max(1.0, out.norm()):
                 raise InvalidInputError(
                     "cartesian and idempotent coordinates disagree: "

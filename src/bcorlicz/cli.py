@@ -561,7 +561,8 @@ def _cmd_schauder(args, config, report):
         _result(
             "tail_norm",
             schauder_tail(F, args.n, args.p, space, block=config["block"]),
-            f"weighted l^p tail beyond index {args.n}, combined across components",
+            f"power:p gauge of each component beyond index {args.n}: {_POWER_GAUGE}; "
+            "combined as sqrt((n1^2 + n2^2) / 2)",
         )
     )
 

@@ -282,9 +282,9 @@ def _check_rule_values(values: np.ndarray, idx: np.ndarray) -> None:
         )
 
 
-def _support(raw) -> int | None:
-    """An array's length (it is zero beyond); None for an index rule."""
-    return None if callable(raw) else raw.size
+def _support(raw, offset: int = 0) -> int | None:
+    """The atoms past ``offset`` an array covers (zero beyond); None for a rule."""
+    return None if callable(raw) else max(raw.size - offset, 0)
 
 
 def _as_raw_component(f):
@@ -537,7 +537,8 @@ def _phi_terms(phi: OrliczFunction, raw, weight_at, scale: float = 1.0, offset: 
     (see ``_weight_reader``).  A rule's real values are read as float64
     and any others as complex (see ``component_block``); the moduli have
     the same bits either way.  This is the term chunk of every lazy
-    modular, weighted sum and coordinate tail (see ``_march``).
+    modular and weighted sum (see ``_march``); a modular's ``offset``
+    makes it the chunk of the tail past that atom.
     """
 
     def term_chunk(idx):
@@ -571,21 +572,31 @@ def modular(
     *,
     scale: float = 1.0,
     block: int = 1000,
+    offset: int = 0,
 ) -> ModularValue:
-    """Modular ``I_phi(scale * f) = sum phi(scale * |f_n|) a_n``.
+    """Modular ``I_phi(scale * f 1_{>offset}) = sum_{n > offset} phi(scale |f_n|) a_n``.
 
-    ``f`` is one complex component (array or index rule).  Finite spaces
-    sum exactly; lazy spaces run the block probe.
+    ``f`` is one complex component (array or index rule); ``offset = n``
+    leaves out atoms ``1..n``, so it gives the modular of the tail past
+    ``n``.  Finite spaces sum exactly; lazy spaces run the block probe.
     """
     if isinstance(f, BCSequence):
         raise InvalidInputError("pass one component here, not a BCSequence")
     if not (isinstance(scale, (int, float)) and scale >= 0 and math.isfinite(scale)):
         raise InvalidInputError(f"scale must be finite and >= 0, got {scale!r}")
+    offset = _tail_start(offset, space)
     raw = _as_raw_component(f)
     if not space.is_lazy:
-        return _phi_sum(phi, component_array(raw, space), space.weights, scale)
-    terms = _phi_terms(phi, raw, _weight_reader(space), scale)
-    return _march(terms, space.size, block, _support(raw))
+        return _phi_sum(phi, component_array(raw, space)[offset:], space.weights[offset:], scale)
+    terms = _phi_terms(phi, raw, _weight_reader(space), scale, offset)
+    return _march(terms, space.size - offset, block, _support(raw, offset))
+
+
+def _tail_start(offset, space: AtomicMeasureSpace) -> int:
+    """``offset`` checked to be an integer >= 0, and cut at the space's size."""
+    if not (isinstance(offset, int) and offset >= 0):
+        raise InvalidInputError(f"the tail offset must be an integer >= 0, got {offset!r}")
+    return min(offset, space.size)
 
 
 def weighted_phi_sum(
@@ -654,10 +665,13 @@ def luxemburg_norm(
     *,
     tol: float = 1e-12,
     block: int = 1000,
+    offset: int = 0,
 ) -> float:
     """Luxemburg gauge ``inf { lam > 0 : I_phi(f / lam) <= 1 }``.
 
-    ``|f|`` and its sup are read once (rules over a bounded prefix), and
+    With ``offset = n`` it is the gauge of the tail ``f 1_{>n}``, and all
+    below runs over the atoms past ``n``.  ``|f|`` and its sup (1 if ``f``
+    vanishes) are read once (rules over a bounded prefix), and
     the solve runs on the normalised level ``level(t) = I_phi(t |f| / sup)``,
     whose root ``t*`` gives the gauge ``sup / t*``, so nothing in it can
     overflow.  For ``power:p`` the level is ``t^p level(1)``, and one
@@ -685,11 +699,26 @@ def luxemburg_norm(
     """
     if not (isinstance(tol, (int, float)) and 0 < tol < 1):
         raise InvalidInputError(f"tol must be in (0, 1), got {tol!r}")
+    offset = _tail_start(offset, space)
     raw = _as_raw_component(f)
+    mags = np.abs(_sup_window(raw, space, offset))
+    sup = float(mags.max(initial=0.0)) or 1.0
+    if sup == math.inf:
+        atom = offset + int(np.argmax(np.isinf(mags))) + 1
+        raise UnsupportedInstanceError(
+            f"|f_{atom}| is beyond the float range (its parts are finite), "
+            "so the gauge is not computed"
+        )
     if space.is_lazy:
-        sup, level = _lazy_level(phi, raw, space, block)
+        del mags  # not held through the solve, nor by a refusal's traceback
+        level = _lazy_level(phi, raw, space, block, offset, sup)
     else:
-        sup, level = _finite_level(phi, component_array(raw, space), space.weights)
+        mags /= sup  # in place: no second array of the moduli is held
+        weights = space.weights[offset:]
+
+        def level(t: float) -> float:
+            return float((phi._values(t * mags) * weights).sum())
+
     at_one = level(1.0)
     if at_one == 0.0:
         return 0.0
@@ -702,63 +731,41 @@ def luxemburg_norm(
     else:
         # the level's log-log slope is at least phi's least elasticity
         lam = sup / _unit_scale(level, at_one, classify_phi(phi).alpha, tol)
-    return _certified(phi, raw, space, lam, block)
+    return _certified(phi, raw, space, lam, block, offset)
 
 
-def _finite_level(phi: OrliczFunction, values: np.ndarray, weights: np.ndarray):
-    """``sup |f|`` and ``t -> sum phi(t |f_n| / sup) a_n`` on a finite space;
-    a component that vanishes keeps the scale 1."""
-    mags = np.abs(values)
-    sup = float(mags.max(initial=0.0)) or 1.0
-    if sup == math.inf:
-        raise _overflow(np.isinf(mags))
-    unit = mags / sup
-
-    def level(t: float) -> float:
-        return float((phi._values(t * unit) * weights).sum())
-
-    return sup, level
+def _sup_window(raw, space: AtomicMeasureSpace, offset: int) -> np.ndarray:
+    """The values past ``offset`` a gauge takes its sup over; a rule's next ``_SUP_PREFIX``."""
+    if not space.is_lazy:
+        return component_array(raw, space)[offset:]
+    if not callable(raw):
+        return raw[offset:]
+    idx = np.arange(offset + 1, min(space.size, offset + _SUP_PREFIX) + 1, dtype=np.int64)
+    head = component_block(raw, idx)
+    _check_rule_values(head, idx)
+    return head
 
 
-def _lazy_level(phi: OrliczFunction, raw, space: AtomicMeasureSpace, block: int):
-    """``sup |f|`` and ``t -> I_phi(t f / sup)`` as one probe per value.
+def _lazy_level(phi: OrliczFunction, raw, space, block: int, offset: int, sup: float):
+    """``t -> I_phi(t f 1_{>offset} / sup)`` as one probe per value.
 
-    Rules are scanned over a bounded prefix for the sup, and a component
-    that vanishes there keeps the scale 1.  A level past the divergence
-    guard reads as +inf, and so does a ``diverged`` probe at a scale above
-    one that converged (``exp`` is not Delta2, so a modular finite at small
-    scales may diverge at large ones); neither is evidence against
-    membership, and the solver steps down from it.
+    A level past the divergence guard reads as +inf, and so does a
+    ``diverged`` probe at a scale above one that converged (``exp`` is not
+    Delta2, so a modular finite at small scales may diverge at large ones);
+    neither is evidence against membership, and the solver steps down from it.
     """
-    head = component_head(raw, min(space.size, _SUP_PREFIX)) if callable(raw) else raw
-    mags = np.abs(head)
-    sup = float(mags.max(initial=0.0)) or 1.0
-    if sup == math.inf:
-        raise _overflow(np.isinf(mags))
     converged_at = math.inf
 
     def level(t: float) -> float:
         nonlocal converged_at
-        mv = modular(phi, raw, space, scale=t / sup, block=block)
+        mv = modular(phi, raw, space, scale=t / sup, block=block, offset=offset)
         if mv.status == "diverged" and (mv.guard or t > converged_at):
             return math.inf
         _require_settled(mv, f"the {phi.spec_string()} modular", "no gauge can be certified")
         converged_at = min(converged_at, t)
         return mv.value
 
-    return sup, level
-
-
-def _overflow(at_inf: np.ndarray) -> UnsupportedInstanceError:
-    """The refusal of a finite entry whose modulus is beyond the floats.
-
-    ``at_inf`` marks the atoms where ``|f_n|`` overflowed; the first is named.
-    """
-    atom = int(np.argmax(at_inf)) + 1
-    return UnsupportedInstanceError(
-        f"|f_{atom}| is beyond the float range (its parts are finite), "
-        "so the gauge is not computed"
-    )
+    return level
 
 
 def _require_settled(mv: ModularValue, what: str, unsettled: str) -> None:
@@ -831,14 +838,14 @@ def _unit_scale(level: Callable[[float], float], g: float, k: float, tol: float)
     )
 
 
-def _certified(phi, raw, space, lam: float, block: int) -> float:
-    """``lam`` once one ``modular`` call shows ``I_phi(f / lam) <= 1``."""
+def _certified(phi, raw, space, lam: float, block: int, offset: int) -> float:
+    """``lam`` once one ``modular`` call shows ``I_phi(f 1_{>offset} / lam) <= 1``."""
     for _ in range(_CERTIFY_TRIES):
         if not (0.0 < lam < math.inf and 1.0 / lam < math.inf):
             raise UnsupportedInstanceError(
                 f"the {phi.spec_string()} gauge {lam!r} has no finite reciprocal in floats"
             )
-        mv = modular(phi, raw, space, scale=1.0 / lam, block=block)
+        mv = modular(phi, raw, space, scale=1.0 / lam, block=block, offset=offset)
         _require_settled(mv, f"the {phi.spec_string()} modular", "no gauge can be certified")
         if mv.value <= 1.0:
             return lam
@@ -880,31 +887,17 @@ def schauder_tail(
     *,
     block: int = 1000,
 ) -> float:
-    """Weighted l^p norm of the tail beyond index ``n``.
+    """``power:p`` norm of the tail ``F 1_{>n}`` beyond index ``n``.
 
+    Each component is the ``power:p`` gauge with ``offset = n``, certified
+    by ``I(tail / lam) <= 1``; at ``n = 0`` this is ``norm_bc`` bit for bit.
     The basis-expansion remainder after the first ``n`` coordinate
     sections is exactly this tail, so it decreasing to 0 is the
     quantitative basis statement for the power family.
     """
-    if not (isinstance(n, int) and n >= 0):
-        raise InvalidInputError(f"n must be an integer >= 0, got {n!r}")
     phi = OrliczFunction.power(p)
-
-    def tail_psum(raw) -> float:
-        remaining = space.size - n
-        if remaining <= 0:
-            return 0.0
-        if not space.is_lazy:
-            tail = component_array(raw, space)[n:]
-            return _phi_sum(phi, tail, space.weights[n:], 1.0).value
-        terms = _phi_terms(phi, raw, _weight_reader(space), offset=n)
-        support = _support(raw)
-        mv = _march(terms, remaining, block, None if support is None else max(support - n, 0))
-        _require_settled(mv, f"the tail p-sum beyond index {n}", "no tail can be certified")
-        return mv.value
-
-    t1 = tail_psum(F.comp1) ** (1.0 / p)
-    t2 = tail_psum(F.comp2) ** (1.0 / p)
+    t1 = luxemburg_norm(phi, F.comp1, space, block=block, offset=n)
+    t2 = luxemburg_norm(phi, F.comp2, space, block=block, offset=n)
     return pair_norm(t1, t2)
 
 

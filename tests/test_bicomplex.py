@@ -245,6 +245,37 @@ def test_coordinates_disagreeing_past_the_floats_stay_an_input_error():
         BiComplex.from_json_dict(obj)
 
 
+def test_cartesian_view_of_a_large_element_is_finite():
+    # (beta1 + beta2) / 2 once overflowed: z1 read inf + nan i
+    Z = BiComplex(1.5e308, 1.5e308)
+    assert Z.cartesian() == (1.5e308, 0j)
+    assert BiComplex(1.5e308, -1.5e308).cartesian() == (0j, 1.5e308j)
+
+
+def test_cartesian_view_keeps_its_values_where_the_sum_is_finite():
+    rng = np.random.default_rng(15)
+    for _ in range(2000):
+        b1, b2 = (
+            complex(*(rng.standard_normal(2) * 10.0 ** rng.integers(-300, 300, 2)))
+            for _ in range(2)
+        )
+        Z = BiComplex(b1, b2)
+        assert Z.z1 == (b1 + b2) / 2 and Z.z2 == 1j * (b1 - b2) / 2
+
+
+def test_cartesian_coordinates_past_the_floats_are_an_unsupported_instance():
+    # valid coordinates whose beta2 = z1 + i z2 = 3e308 once gave InvalidInputError
+    with pytest.raises(UnsupportedInstanceError, match="^from_cartesian overflows: .* 2"):
+        BiComplex.from_cartesian(1.5e308, -1.5e308j)
+    obj = {"cartesian": {"z1": [1.5e308, 0], "z2": [0, -1.5e308]}}
+    with pytest.raises(UnsupportedInstanceError, match="component 2"):
+        BiComplex.from_json_dict(obj)
+    # beside finite idempotent coordinates they disagree
+    obj["idempotent"] = {"b1": [1.5e308, 0], "b2": [1e308, 0]}
+    with pytest.raises(InvalidInputError, match="disagree"):
+        BiComplex.from_json_dict(obj)
+
+
 def test_pair_norm_keeps_the_bits_of_hypot_where_it_is_finite():
     from bcorlicz.bicomplex import pair_norm
 

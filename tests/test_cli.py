@@ -548,6 +548,27 @@ def test_bc_eval_product_past_the_floats_is_a_certificate(capsys, tmp_path):
     assert code == 2
 
 
+def test_bc_eval_cartesian_view_of_a_large_element_is_finite(capsys, tmp_path):
+    # z1 = (b1 + b2) / 2 once read ["inf", "nan"]
+    lhs = write(tmp_path / "big.json", bc(1.5e308 + 0j, 1.5e308 + 0j))
+    report = run_json(capsys, ["bc", "eval", "--op", "star", "--lhs", lhs])
+    cartesian = result_value(report, "conjugate")["cartesian"]
+    assert cartesian == {"z1": [1.5e308, 0.0], "z2": [0.0, 0.0]}
+
+
+def test_bc_eval_cartesian_input_past_the_floats_is_a_certificate(capsys, tmp_path):
+    # beta2 = z1 + i z2 = 3e308; this once exited 1 with "beta2 must be finite"
+    lhs = write(tmp_path / "cart.json", {"cartesian": {"z1": [1.5e308, 0], "z2": [0, -1.5e308]}})
+    argv = ["bc", "eval", "--op", "star", "--lhs", lhs]
+    report = run_json(capsys, argv)
+    assert report["status"] == "error_certificate"
+    cert = result_value(report, "error_certificate")
+    assert cert["error"] == "unsupported_instance"
+    assert cert["detail"].startswith("from_cartesian overflows")
+    code, _, _ = run_cli(capsys, argv + ["--strict"])
+    assert code == 2
+
+
 def test_bc_eval_add_does_not_compute_the_product(capsys, tmp_path):
     # the sum is 2e200; the product 1e400 once was computed too and refused
     lhs = write(tmp_path / "big.json", bc(1e200 + 0j, 1 + 0j))
@@ -566,7 +587,22 @@ def test_schauder_from_zero_equals_the_p1_norm_near_float_max(capsys, files, tmp
     norm = result_value(
         run_json(capsys, ["norm", "--phi", "power:p=1", "--space", space, "--seq", seq]), "norm"
     )
-    assert isinstance(tail, float) and tail == pytest.approx(norm, rel=1e-12)
+    assert isinstance(tail, float) and tail == norm
+
+
+def test_schauder_from_zero_is_the_norm_where_the_p_sum_overflows(capsys, files, tmp_path):
+    # |f|^2 = 1e400 passes the floats; schauder once read "inf" where norm reads 1e200
+    seq = write(tmp_path / "seq.json", [bc(1e200 + 0j, 1e200 + 0j)])
+    space = files["one_atom"]
+    report = run_json(
+        capsys, ["schauder", "--seq", seq, "--space", space, "--p", "2", "--n", "0"]
+    )
+    norm = result_value(
+        run_json(capsys, ["norm", "--phi", "power:p=2", "--space", space, "--seq", seq]), "norm"
+    )
+    assert result_value(report, "tail_norm") == norm == 1e200
+    produced_by = [r["produced_by"] for r in report["results"] if r["name"] == "tail_norm"]
+    assert produced_by[0].startswith("power:p gauge of each component beyond index 0")
 
 
 def test_op_apply_refuses_a_table_longer_than_the_space(capsys, tmp_path):

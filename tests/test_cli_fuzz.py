@@ -50,6 +50,10 @@ GOOD = {
     "heavy2": {"weights": [1e308, 1e308]},
     # its square passes the floats
     "bc_big": {"idempotent": {"b1": [1.5e308, 1.5e308], "b2": [1.0, 0.0]}},
+    # |f|^2 passes the floats, the tail's gauge does not
+    "seq_1e200": [bc(1e200, 1e200)],
+    # valid cartesian coordinates whose beta2 passes the floats
+    "cartesian_big": {"cartesian": {"z1": [1.5e308, 0.0], "z2": [0.0, -1.5e308]}},
     "table_11": {"map": [1, 1]},
     "tiny_heavy": {"weights": [1.0, 1e-320]},
     "table_22": {"map": [2, 2]},
@@ -192,6 +196,13 @@ def _cases():
         ], {}, None),
         ("bc_mul-beyond-floats", [
             "bc", "eval", "--op", "mul", "--lhs", "@bc_big", "--rhs", "@bc_big", "--strict",
+        ], {}, None),
+        ("schauder-p-sum-beyond-floats", [
+            "schauder", "--seq", "@seq_1e200", "--space", "@one_atom", "--p", "2", "--n", "0",
+            "--strict",
+        ], {}, None),
+        ("bc_star-cartesian-beyond-floats", [
+            "bc", "eval", "--op", "star", "--lhs", "@cartesian_big", "--strict",
         ], {}, None),
     ]
     return cases

@@ -381,6 +381,39 @@ def test_luxemburg_modulus_beyond_floats_is_unsupported(f, space, atom):
             luxemburg_norm(OrliczFunction.power(2), f, space)
 
 
+@pytest.mark.parametrize(
+    "f, space",
+    [
+        (np.array([1.0, 2.0, BIG]), AtomicMeasureSpace.finite([1.0, 1.0, 1.0])),
+        (np.array([1.0, 2.0, BIG]), AtomicMeasureSpace.counting(10 ** 3)),
+        (lambda i: np.where(i == 3, BIG, 0.5**i), AtomicMeasureSpace.counting(10 ** 3)),
+    ],
+    ids=["finite", "lazy-array", "lazy-rule"],
+)
+def test_a_tail_names_the_overflowed_atom_by_its_index(f, space):
+    with pytest.raises(UnsupportedInstanceError, match=r"\|f_3\|"):
+        luxemburg_norm(OrliczFunction.power(2), f, space, offset=2)
+    assert luxemburg_norm(OrliczFunction.power(2), f, space, offset=3) < 1.0
+
+
+@pytest.mark.parametrize("offset", [-1, 1.5, "2", None])
+def test_offset_must_be_an_integer_at_least_zero(offset):
+    sp = AtomicMeasureSpace.finite([1.0, 1.0])
+    for call in (modular, luxemburg_norm):
+        with pytest.raises(InvalidInputError, match="tail offset must be an integer >= 0"):
+            call(OrliczFunction.power(2), [1.0, 2.0], sp, offset=offset)
+
+
+@pytest.mark.parametrize(
+    "space", [AtomicMeasureSpace.finite([1.0, 2.0]), AtomicMeasureSpace.counting(2)]
+)
+@pytest.mark.parametrize("offset", [2, 3, 10 ** 30])
+def test_a_tail_past_the_last_atom_is_empty(space, offset):
+    mv = modular(OrliczFunction.exp_type(), [1.0, 2.0], space, offset=offset)
+    assert (mv.value, mv.n_terms) == (0.0, 0)
+    assert luxemburg_norm(OrliczFunction.exp_type(), [1.0, 2.0], space, offset=offset) == 0.0
+
+
 # ---------------------------------------------------------------- norm_bc
 
 
@@ -490,7 +523,71 @@ def test_schauder_tail_at_zero_equals_the_p1_norm_near_float_max():
     F = BCSequence.from_components([1.5e308], [1.5e308])
     tail = schauder_tail(F, 0, 1.0, sp)
     assert math.isfinite(tail)
-    assert tail == pytest.approx(norm_bc(OrliczFunction.power(1), F, sp), rel=1e-12)
+    assert tail == norm_bc(OrliczFunction.power(1), F, sp)
+
+
+def test_schauder_tail_at_zero_is_finite_where_the_p_sum_overflows():
+    # |f|^2 = 1e400 passes the floats: the tail once summed it unnormalised
+    # and read inf, where the gauge reads 1e200
+    sp = AtomicMeasureSpace.finite([1.0])
+    F = BCSequence.from_components([1e200], [1e200])
+    assert schauder_tail(F, 0, 2.0, sp) == norm_bc(OrliczFunction.power(2), F, sp) == 1e200
+
+
+TAIL_SPACES = [
+    AtomicMeasureSpace.finite(np.linspace(0.2, 2.0, 300)),
+    AtomicMeasureSpace.counting(5000),
+    AtomicMeasureSpace.geometric(0.5, 5000),
+    AtomicMeasureSpace.geometric(2.0, 1200),
+]
+
+
+def tail_sequences(size):
+    rng = np.random.default_rng(41)
+    arr = lambda n: rng.standard_normal(n) + 1j * rng.standard_normal(n)  # noqa: E731
+    return {
+        "arrays": BCSequence.from_components(arr(size), arr(size)),
+        "rules": BCSequence.from_rules(lambda i: 3.0 / i**2, lambda i: 0.5 ** np.minimum(i, 1100)),
+        "array and rule": BCSequence.from_components(
+            arr(min(size, 40)), lambda i: (-1.0) ** i / i
+        ),
+        "zero": BCSequence.from_rules(lambda i: 0.0 * i, lambda i: 0.0 * i),
+    }
+
+
+def outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # an unsettled tail must fail as the norm does
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("space", TAIL_SPACES, ids=lambda sp: sp.rule or "finite")
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_schauder_tail_at_zero_is_the_power_norm(space, p):
+    for name, F in tail_sequences(space.size).items():
+        if space.is_lazy or not F.is_lazy:
+            assert outcome(lambda: schauder_tail(F, 0, p, space)) == outcome(
+                lambda: norm_bc(OrliczFunction.power(p), F, space)
+            ), name
+
+
+def shifted(raw, n):
+    return (lambda i: raw(i + n)) if callable(raw) else raw[n:]
+
+
+@pytest.mark.parametrize("n", [1, 7, 999, 4999])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_schauder_tail_is_the_norm_of_the_shifted_sequence(n, p):
+    # on counting, the tail past n is the sequence moved n atoms to the left
+    size = 5000
+    for name, F in tail_sequences(size).items():
+        moved = BCSequence(shifted(F.comp1, n), shifted(F.comp2, n))
+        want = lambda: norm_bc(  # noqa: E731
+            OrliczFunction.power(p), moved, AtomicMeasureSpace.counting(size - n)
+        )
+        got = lambda: schauder_tail(F, n, p, AtomicMeasureSpace.counting(size))  # noqa: E731
+        assert outcome(got) == outcome(want), name
 
 
 def test_schauder_tail_rejects_bad_inputs():
@@ -512,7 +609,7 @@ def test_schauder_tail_divergent_sequence_raises():
 def test_schauder_tail_inconclusive_raises():
     sp = AtomicMeasureSpace.counting(10 ** 5)
     F = BCSequence.from_rules(lambda i: np.power(i, -0.55), lambda i: 0.0 * i)
-    with pytest.raises(UnsupportedInstanceError):
+    with pytest.raises(UnsupportedInstanceError, match="power:p=2 modular.*no gauge can be"):
         schauder_tail(F, 0, 2.0, sp)
 
 

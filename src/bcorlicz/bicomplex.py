@@ -18,8 +18,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidInputError, NotInvertibleError, UnsupportedInstanceError
 
 __all__ = [
@@ -401,6 +399,8 @@ def poly_roots(coeffs, eps: float = 1e-12) -> PolyRoots:
             f"leading coefficient is a {lead.kind}; componentwise root "
             "splitting requires an invertible leading coefficient"
         )
+    import numpy as np  # the only array step of the ring: the rest runs without numpy
+
     desc1 = np.array([c.beta1 for c in reversed(coeffs)], dtype=complex)
     desc2 = np.array([c.beta2 for c in reversed(coeffs)], dtype=complex)
     roots1 = np.roots(desc1)

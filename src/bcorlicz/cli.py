@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import math
 import operator
@@ -23,9 +24,10 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from .bicomplex import BiComplex, classify, is_json_number, pair_norm, poly_roots
+from .errors import DEFAULT_N_MAX
+from .errors import MAX_BUDGET as _N_MAX_CAP  # n_max is also the scan budget
+from .errors import MAX_TRIALS as _TRIALS_CAP
 from .errors import (
     BCOrliczError,
     InvalidInputError,
@@ -34,26 +36,43 @@ from .errors import (
     NotSummableError,
     UnsupportedInstanceError,
 )
-from .measure import DEFAULT_N_MAX, AtomicMeasureSpace, IndexMap
-from .measure import MAX_BUDGET as _N_MAX_CAP  # n_max is also the scan budget
-from .operators import MAX_TRIALS as _TRIALS_CAP
-from .operators import (
-    BCOperator,
-    apply_operator,
-    check_composition_bounded,
-    check_multiplication_bounded,
-)
-from .orlicz import (
-    BCSequence,
-    OrliczFunction,
-    classify_phi,
-    luxemburg_norm,
-    modular,
-    pairing,
-    schauder_tail,
-)
+from .young import OrliczFunction, classify_phi
 
 __all__ = ["main"]
+
+# The array layer, by home module.  These names are bound in this module
+# at first use (see ``_bind``), so that a command imports only the
+# modules it calls: ``bc eval`` and ``phi classify`` run without numpy.
+_LAZY = {
+    "measure": ("AtomicMeasureSpace", "IndexMap"),
+    "orlicz": ("BCSequence", "luxemburg_norm", "modular", "pairing", "schauder_tail"),
+    "operators": (
+        "BCOperator",
+        "apply_operator",
+        "check_composition_bounded",
+        "check_multiplication_bounded",
+    ),
+}
+
+
+def _bind(*homes: str) -> None:
+    """Import ``homes`` and bind their ``_LAZY`` names here.  A name that is
+    already bound stays: a wrapper or a spy set on this module wins."""
+    scope = globals()
+    for home in homes:
+        module = importlib.import_module(f".{home}", __package__)
+        for name in _LAZY[home]:
+            if name not in scope:
+                scope[name] = getattr(module, name)
+
+
+def __getattr__(name):
+    for home, names in _LAZY.items():
+        if name in names:
+            _bind(home)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _DEFAULTS = {
     "format": "json",
@@ -231,17 +250,29 @@ _quote = json.encoder.encode_basestring_ascii
 def _clean(value):
     """One report scalar as JSON reads it: numpy scalars become Python
     values, and nan and +-inf become the strings ``"nan"``, ``"inf"`` and
-    ``"-inf"``."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
+    ``"-inf"``.  Numpy is looked up, never imported: before it is loaded
+    no numpy scalar exists."""
+    kind = type(value)
+    if kind is not float:
+        if kind is str or kind is int or kind is bool or value is None:
+            return value
+        numpy = sys.modules.get("numpy")
+        if numpy is None:
+            bools, ints, floats = bool, int, float
+        else:
+            bools = (bool, numpy.bool_)
+            ints, floats = (int, numpy.integer), (float, numpy.floating)
+        if isinstance(value, bools):
+            return bool(value)
+        if isinstance(value, ints):
+            return int(value)
+        if not isinstance(value, floats):
+            return value
         value = float(value)
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
+    if math.isnan(value):
+        return "nan"
+    if math.isinf(value):
+        return "inf" if value > 0 else "-inf"
     return value
 
 
@@ -585,14 +616,16 @@ def _cmd_pairing(args, config, report):
     )
 
 
+# each command, and the array modules it calls
+_ARRAYS = ("measure", "orlicz")
 _COMMANDS = {
-    ("bc", "eval"): _cmd_bc_eval,
-    ("norm", None): _cmd_norm,
-    ("op", "apply"): _cmd_op_apply,
-    ("op", "check"): _cmd_op_check,
-    ("phi", "classify"): _cmd_phi_classify,
-    ("schauder", None): _cmd_schauder,
-    ("pairing", None): _cmd_pairing,
+    ("bc", "eval"): (_cmd_bc_eval, ()),
+    ("norm", None): (_cmd_norm, _ARRAYS),
+    ("op", "apply"): (_cmd_op_apply, _ARRAYS + ("operators",)),
+    ("op", "check"): (_cmd_op_check, _ARRAYS + ("operators",)),
+    ("phi", "classify"): (_cmd_phi_classify, ()),
+    ("schauder", None): (_cmd_schauder, _ARRAYS),
+    ("pairing", None): (_cmd_pairing, _ARRAYS),
 }
 
 
@@ -622,8 +655,10 @@ def main(argv=None) -> int:
         "warnings": [],
         "status": "ok",
     }
+    command, homes = _COMMANDS[key]
+    _bind(*homes)
     try:
-        _COMMANDS[key](args, config, report)
+        command(args, config, report)
     except tuple(_CERTIFICATE_KINDS) as exc:
         report["results"].append(_certificate(exc))
         report["status"] = "error_certificate"

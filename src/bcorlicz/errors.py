@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types and input caps shared across the package.
+
+The caps bound how much work one call may ask for; a value past one is
+an ``InvalidInputError``.  They live here, beside that error, so that
+the command line validates its configuration against them without
+importing the array modules that enforce them.
+"""
 
 __all__ = [
     "BCOrliczError",
@@ -9,6 +15,16 @@ __all__ = [
     "NotInSpaceError",
     "NotSummableError",
 ]
+
+# default truncation of a lazy space, and cap on how many atoms a
+# lazy-space distortion scan materializes
+DEFAULT_N_MAX = 10**6
+# a scan holds whole-window arrays, so its budget is capped at ten default
+# windows (a space's n_max is not: a march holds no window array)
+MAX_BUDGET = 10 * DEFAULT_N_MAX
+# each empirical trial applies the operator to a fresh sample, so their
+# number is capped
+MAX_TRIALS = 1000
 
 
 class BCOrliczError(Exception):

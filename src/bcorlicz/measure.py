@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .bicomplex import is_json_number
-from .errors import InvalidInputError, InvalidMapError
+from .errors import DEFAULT_N_MAX, MAX_BUDGET, InvalidInputError, InvalidMapError
 
 __all__ = [
     "AtomicMeasureSpace",
@@ -28,12 +28,6 @@ __all__ = [
     "MAX_BUDGET",
 ]
 
-# default truncation of a lazy space, and cap on how many atoms a
-# lazy-space distortion scan materializes
-DEFAULT_N_MAX = 10**6
-# a scan holds whole-window arrays, so its budget is capped at ten default
-# windows (a space's n_max is not: a march holds no window array)
-MAX_BUDGET = 10 * DEFAULT_N_MAX
 # exp(x) is exactly 0.0 for every x below this (it underflows past the
 # least subnormal near x = -745.13)
 _EXP_UNDERFLOW = -746.0

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bicomplex import is_json_number
-from .errors import InvalidInputError, NotInvertibleError
+from .errors import DEFAULT_N_MAX, MAX_TRIALS, InvalidInputError, NotInvertibleError
 from .measure import (
-    DEFAULT_N_MAX,
     AtomicMeasureSpace,
     IndexMap,
     distortion_ratios,
@@ -58,9 +57,6 @@ __all__ = [
 _RCOND_FLOOR = 1e-12
 # on a lazy space the empirical probe draws sequences of at most this length
 _TRIAL_SUPPORT = 50
-# each empirical trial applies the operator to a fresh sample, so their
-# number is capped
-MAX_TRIALS = 1000
 
 
 @dataclass(frozen=True, eq=False)

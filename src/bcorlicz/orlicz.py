@@ -10,7 +10,8 @@ the norm recombines the component gauges as
 On lazy (rule-defined) spaces every sum is a *probe*: it marches blocks
 of atoms and reports ``converged`` / ``diverged`` / ``inconclusive``
 alongside the partial value, never pretending to more than the budget
-supports.
+supports.  The Young functions live in ``young`` and are re-exported
+here.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import (
     UnsupportedInstanceError,
 )
 from .measure import AtomicMeasureSpace
+from .young import OrliczFunction, PhiReport, classify_phi
 
 __all__ = [
     "OrliczFunction",
@@ -50,7 +52,7 @@ __all__ = [
 
 # lazy-sum probe parameters: a partial sum past this is declared divergent,
 # and a terms-decay comparison fires when n * t_n stays above the floor
-# without decaying between the early and late halves of the window
+# without decaying from the window's second quarter to its late half
 _DIVERGENCE_GUARD = 1e12
 # a block adding less than this relative to the running total counts
 # towards the three-block convergence rule
@@ -61,159 +63,6 @@ _TAIL_DECAY_RATIO = 0.95
 # the probe evaluates runs of blocks in chunks of at most this many atoms:
 # past it the chunk's temporaries fall out of cache and an atom costs more
 _CHUNK_ATOMS = 2**14
-# exp(u) - u - 1 = u^2 (1/2! + u/3! + ... + u^8/10!) to rounding for u below
-# this; above it expm1(u) - u is within 20 eps
-_EXP_SERIES_BELOW = 0.1
-_EXP_SERIES = tuple(1.0 / math.factorial(k) for k in range(10, 1, -1))
-
-
-# ----------------------------------------------------------------------
-# Young functions
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OrliczFunction:
-    """Young function from a small named family.
-
-    Families: ``power`` is ``u**p`` with ``p >= 1``; ``exp`` is
-    ``exp(u) - u - 1``; ``entropy`` is ``u * log(1 + u)``.
-    """
-
-    family: str
-    p: float | None = None
-
-    @classmethod
-    def power(cls, p: float) -> "OrliczFunction":
-        if not (isinstance(p, (int, float)) and math.isfinite(p) and p >= 1):
-            raise InvalidInputError(f"power exponent must be finite and >= 1, got {p!r}")
-        return cls("power", float(p))
-
-    @classmethod
-    def exp_type(cls) -> "OrliczFunction":
-        return cls("exp")
-
-    @classmethod
-    def entropy(cls) -> "OrliczFunction":
-        return cls("entropy")
-
-    @classmethod
-    def parse(cls, spec: str) -> "OrliczFunction":
-        """Parse ``'power:p=<value>'``, ``'exp'`` or ``'entropy'``."""
-        if isinstance(spec, OrliczFunction):
-            return spec
-        if not isinstance(spec, str):
-            raise InvalidInputError(f"phi spec must be a string, got {spec!r}")
-        if spec == "exp":
-            return cls.exp_type()
-        if spec == "entropy":
-            return cls.entropy()
-        if spec.startswith("power:p="):
-            try:
-                return cls.power(float(spec[len("power:p="):]))
-            except ValueError:
-                pass
-        raise InvalidInputError(
-            f"unknown phi spec {spec!r} (expected 'power:p=<value>', 'exp' or 'entropy')"
-        )
-
-    def spec_string(self) -> str:
-        if self.family == "power":
-            return f"power:p={self.p:g}"
-        return self.family
-
-    def eval_array(self, u) -> np.ndarray:
-        """Vectorized phi over nonnegative arguments; overflow becomes +inf."""
-        u = np.asarray(u, dtype=float)
-        if u.size and (np.any(np.isnan(u)) or np.any(u < 0)):
-            raise InvalidInputError("phi arguments must be real and >= 0")
-        # expm1(inf) - inf is nan; every family tends to +inf
-        return np.where(np.isinf(u), np.inf, self._values(u))
-
-    def _values(self, u: np.ndarray) -> np.ndarray:
-        """phi at finite arguments >= 0, unchecked; overflow becomes +inf."""
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            if self.family == "power":
-                return u**self.p
-            if self.family == "exp":
-                # expm1(u) - u keeps relative error up to eps / u, so small
-                # arguments take the Taylor series (Horner, in place)
-                out = np.full_like(u, _EXP_SERIES[0])
-                for c in _EXP_SERIES[1:]:
-                    out *= u
-                    out += c
-                out *= u
-                out *= u
-                large = u >= _EXP_SERIES_BELOW
-                if large.any():
-                    np.copyto(out, np.expm1(u) - u, where=large)
-                return out
-            if self.family == "entropy":
-                return u * np.log1p(u)
-        raise InvalidInputError(f"unknown phi family {self.family!r}")
-
-    def __call__(self, u: float) -> float:
-        return float(self.eval_array(np.array([u]))[0])
-
-
-@dataclass(frozen=True)
-class PhiReport:
-    """Exact N-function and doubling facts of a Young function, in closed form.
-
-    ``k`` is the global doubling constant ``sup phi(2u) / phi(u)``, inf
-    where it is past the floats or Delta2 fails (``delta2_ok`` tells which),
-    and ``alpha`` the least elasticity ``inf u phi'(u) / phi(u)``.
-    """
-
-    phi: OrliczFunction
-    convexity_ok: bool
-    limit0_ok: bool
-    limit_inf_ok: bool
-    continuous_ok: bool
-    vanishes_only_at_0: bool
-    delta2_ok: bool
-    k: float
-    alpha: float
-    label: str = "closed form"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.phi.family,
-            "convexity_ok": self.convexity_ok,
-            "n_function": {
-                "limit0_ok": self.limit0_ok,
-                "limit_inf_ok": self.limit_inf_ok,
-                "continuous_ok": self.continuous_ok,
-                "vanishes_only_at_0": self.vanishes_only_at_0,
-            },
-            "delta2": {"K_estimate": self.k, "holds_on_grid": self.delta2_ok},
-            "label": self.label,
-        }
-
-
-def classify_phi(phi: OrliczFunction) -> PhiReport:
-    """The N-function limits ``phi(u)/u -> 0`` at 0 and ``-> inf`` at inf,
-    the doubling constant and the least elasticity of ``phi``'s family.
-
-    Every family is convex, continuous and positive off 0.
-    """
-    if phi.family == "power":
-        # phi(u)/u = u^(p-1), phi(2u)/phi(u) = 2^p and u phi'(u)/phi(u) = p
-        try:
-            k = 2.0**phi.p
-        except OverflowError:  # p >= 1024: Delta2 holds past the floats
-            k = math.inf
-        limits, delta2_ok, alpha = phi.p > 1, True, phi.p
-    elif phi.family == "exp":
-        # phi(2u)/phi(u) grows like e^u; u phi'(u)/phi(u) rises from 2 at 0+
-        limits, delta2_ok, k, alpha = True, False, math.inf, 2.0
-    elif phi.family == "entropy":
-        # phi(u)/u = log(1+u); 2 log(1+2u)/log(1+u) falls from 4 at 0+, and
-        # u phi'(u)/phi(u) = 1 + u/((1+u) log(1+u)) falls from 2 to 1
-        limits, delta2_ok, k, alpha = True, True, 4.0, 1.0
-    else:
-        raise InvalidInputError(f"unknown phi family {phi.family!r}")
-    return PhiReport(phi, True, limits, limits, True, True, delta2_ok, k, alpha)
 
 
 # ----------------------------------------------------------------------
@@ -436,8 +285,12 @@ def _march(term_chunk, n_total: int, block: int, support: int | None) -> Modular
     converges exactly once its support is summed, and not before.
     Divergence: the total passes the guard, or n * t_n stays above a floor
     without decaying from the early to the late half of the window (a
-    sampled comparison with the harmonic series; a zero term in the early
-    half leaves it without a floor).
+    sampled comparison with the harmonic series).  The early floor is read
+    over the blocks that end in ``(n_total // 4, n_total // 2]`` only: a
+    series whose n * t_n still rises near the window's start would get a
+    floor far below its late values there, and a convergent series could
+    read ``diverged``.  A zero term in those blocks leaves the rule without
+    a floor; a zero term before them no longer does.
 
     ``block`` is the unit of these rules, not of evaluation.  The terms of
     a run of blocks are computed in one chunk: the first chunk is one
@@ -466,7 +319,7 @@ def _march(term_chunk, n_total: int, block: int, support: int | None) -> Modular
     total = 0.0
     value = 0.0
     consec = 0
-    half = n_total // 2
+    quarter, half = n_total // 4, n_total // 2
     min_early = math.inf
     min_late = math.inf
     start = 1
@@ -497,10 +350,10 @@ def _march(term_chunk, n_total: int, block: int, support: int | None) -> Modular
             done = start + (j + 1) * size - 1
             if not total <= _DIVERGENCE_GUARD:  # also catches nan/inf
                 return ModularValue(math.inf, "diverged", done, guard=True)
-            if done <= half:
-                min_early = min(min_early, mins[j])
-            else:
+            if done > half:
                 min_late = min(min_late, mins[j])
+            elif done > quarter:
+                min_early = min(min_early, mins[j])
             consec = consec + 1 if 0.0 < total and adds[j] < _SETTLE_REL * total else 0
             settled = consec >= 3 if support is None else done >= support
             if settled:

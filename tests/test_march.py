@@ -52,7 +52,7 @@ def reference_march(term_block, n_total, block, support):
     block = min(block, max(1, n_total // 8))
     total = 0.0
     consec = 0
-    half = n_total // 2
+    quarter, half = n_total // 4, n_total // 2
     min_early = math.inf
     min_late = math.inf
     start = 1
@@ -69,10 +69,10 @@ def reference_march(term_block, n_total, block, support):
         mask = idx >= _TAIL_BURN_IN
         if mask.any():
             m = float((idx[mask] * terms[mask]).min())
-            if stop <= half:
-                min_early = min(min_early, m)
-            else:
+            if stop > half:
                 min_late = min(min_late, m)
+            elif stop > quarter:
+                min_early = min(min_early, m)
         consec = consec + 1 if 0.0 < total and add < _SETTLE_REL * total else 0
         settled = consec >= 3 if support is None else done >= support
         if settled:

@@ -294,6 +294,32 @@ def test_modular_lazy_gap_in_the_early_half_is_not_divergence():
         luxemburg_norm(OrliczFunction.power(2), rule, sp)
 
 
+def test_modular_lazy_rising_early_terms_are_not_divergence():
+    # n * 3/(n+999)^2 rises up to n = 999, so a floor read over the whole
+    # early half sat near its start, far below the late floor, and this
+    # sum of about 0.0024 once read diverged
+    rule = lambda i: 3 / (i + 999.0) ** 2  # noqa: E731
+    mv = modular(OrliczFunction.power(1), rule, AtomicMeasureSpace.counting(4001))
+    want = math.fsum(3 / (n + 999.0) ** 2 for n in range(1, 4002))
+    assert mv.status == "inconclusive"
+    assert mv.value == pytest.approx(want, rel=1e-12)
+
+
+def test_schauder_tail_of_rising_early_terms_is_inconclusive_not_outside():
+    # the tail past 999 of 3/n^2 is the same series as above: it once
+    # raised NotInSpaceError, "diverges ... outside the space"
+    F = BCSequence.from_rules(lambda i: 3 / i**2, lambda i: 3 / i**2)
+    with pytest.raises(UnsupportedInstanceError, match="inconclusive"):
+        schauder_tail(F, 999, 1.0, AtomicMeasureSpace.counting(5000))
+
+
+@pytest.mark.parametrize("n_max", [4001, 10**6])
+@pytest.mark.parametrize("rule", [lambda i: 1 / np.sqrt(i), lambda i: 2.0 / i])
+def test_modular_lazy_divergent_series_still_diverge(n_max, rule):
+    mv = modular(OrliczFunction.power(1), rule, AtomicMeasureSpace.counting(n_max))
+    assert (mv.value, mv.status, mv.n_terms) == (math.inf, "diverged", n_max)
+
+
 # ---------------------------------------------------------------- luxemburg
 
 

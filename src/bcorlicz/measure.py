@@ -79,18 +79,21 @@ class AtomicMeasureSpace:
             return self.weights[idx - 1]
         if self.rule == "counting":
             return np.ones(idx.shape, dtype=float)
-        return self._ratio_powers(idx, 1)
+        return self._ratio_powers(idx - 1)
 
-    def _ratio_powers(self, k: np.ndarray, n) -> np.ndarray:
-        """``r**(k - n)`` on a geometric space as ``exp((k - n) log r)``, which
-        overflows only where ``r**(k - n)`` does.  ``exp`` is 0 and slow below
-        ``_EXP_UNDERFLOW``, so it is skipped there, with the bits of an unmasked
-        ``exp`` kept."""
-        x = (k - n) * math.log(float(self.rule.split(":", 1)[1]))
+    def _ratio_powers(self, d: np.ndarray) -> np.ndarray:
+        """``r**d`` at integer exponents ``d`` on a geometric space, as
+        ``exp(d log r)``, which overflows only where ``r**d`` does.  ``exp`` is
+        0 and slow below ``_EXP_UNDERFLOW``, so it is skipped there, with the
+        bits of an unmasked ``exp`` kept."""
+        x = d * self._log_ratio()
         out = np.zeros(x.shape)
         with np.errstate(over="ignore", under="ignore"):
             np.exp(x, out=out, where=x >= _EXP_UNDERFLOW)
         return out
+
+    def _log_ratio(self) -> float:
+        return math.log(float(self.rule.split(":", 1)[1]))
 
     def total_mass(self) -> float:
         if self.is_lazy:
@@ -302,7 +305,7 @@ def _weight_ratios(space: AtomicMeasureSpace, k: np.ndarray, n: np.ndarray) -> n
             return space.weights[k - 1] / space.weights[n - 1]
     if space.rule == "counting":
         return np.ones(k.shape)
-    return space._ratio_powers(k, n)
+    return space._ratio_powers(k - n)
 
 
 def distortion_ratios(
@@ -314,45 +317,75 @@ def distortion_ratios(
 
     Each is summed per preimage, ``b_n = sum_{T(k)=n} a_k / a_n``, so it is
     finite wherever the true ratio is, even where the weights overflow.
-    The map's images and the shares ``a_k / a_n`` are read once over the
-    window of ``scan_window``; the same arrays give the sups over the
-    quarter and half windows on a lazy space and the window's coverage
-    (see ``Distortion``).
+    The map's images are read once over the window of ``scan_window``, and
+    every image inside it counts for the window's coverage.  Only the atoms
+    whose share ``a_k / a_n`` can be nonzero are summed (see
+    ``_within_reach``): a share of +0.0 leaves its bin's bits as they are,
+    since the bins start at +0.0 and every share is at least 0 or +inf.  The
+    kept arrays give the sups over the quarter and half windows on a lazy
+    space (see ``Distortion``).  The window ends at its last atom ``n``:
+    the right shift's preimage of ``n``, atom ``n + 1``, lies outside it,
+    so ``b_n`` is 0 there on every space, as for any map.
     """
     n, prefixes = scan_window(space, budget)
     lazy = space.is_lazy
     idx = np.arange(1, n + 1, dtype=np.int64)
     if imap.kind == "right_shift":
-        # atom k + 1 lands on k: every atom but the last is covered, and atom 1 is dropped
-        if lazy:
-            sums = _weight_ratios(space, idx + 1, idx)
-        else:
-            sums = np.zeros(n)
-            sums[: n - 1] = _weight_ratios(space, idx[1:], idx[:-1])
-        return _distortion(sums, lazy, [sums[:m].max() for m in prefixes], n, 1)
+        # atom k + 1 lands on k: atom 1 is dropped, and the last atom is uncovered
+        sums = np.empty(n)
+        sums[: n - 1] = _weight_ratios(space, idx[1:], idx[:-1])
+        sums[n - 1] = 0.0
+        return _distortion(sums, lazy, [sums[: m - 1].max(initial=0.0) for m in prefixes], n, 1)
     images = map_images(space, imap, idx)
-    inside = None
     if lazy and images.max() > n:
         inside = images <= n  # images beyond a lazy window leave the truncated view
         idx, images = idx[inside], images[inside]
-    shares = _weight_ratios(space, idx, images)
-    del idx
-    pos = images - 1  # a new array: ``images`` may be ``idx``
-    del images
-    sums = np.bincount(pos, weights=shares, minlength=n)
-    covered = np.zeros(n, dtype=bool)
-    covered[pos] = True
-    first = None if covered.all() else int(np.argmin(covered)) + 1
+        del inside
+    covered = np.zeros(n + 1, dtype=bool)
+    covered[images] = True
+    first = None if covered[1:].all() else int(np.argmin(covered[1:])) + 1
+    del covered
+    d = None
+    if space.rule is None or space.rule == "counting":
+        shares = _weight_ratios(space, idx, images)
+    else:
+        d = idx - images
+        near = _within_reach(d, space._log_ratio())
+        if near is not None:
+            idx, images, d = idx[near], images[near], d[near]
+    # the atoms k <= m lead the arrays
+    leads = [int(np.searchsorted(idx, m, side="right")) for m in prefixes]
+    del idx  # not held while the shares r**(k - n) are computed
+    if d is not None:
+        shares = space._ratio_powers(d)
+        del d
+    # a bin's index is its atom, and bin 0 stays empty; float64 even where
+    # no atom is summed, for which numpy's bincount gives integer zeros
+    sums = np.bincount(images, weights=shares, minlength=n + 1)[1:].astype(float, copy=False)
     sups = []
-    for m in prefixes:
-        # the atoms k <= m lead the arrays; of those, keep the images n <= m
-        c = m if inside is None else int(np.count_nonzero(inside[:m]))
-        p, w = pos[:c], shares[:c]
-        if c and p.max() >= m:
-            keep = p < m
+    for m, c in zip(prefixes, leads):
+        # of the atoms k <= m, keep the images n <= m
+        p, w = images[:c], shares[:c]
+        if c and p.max() > m:
+            keep = p <= m
             p, w = p[keep], w[keep]
-        sups.append(np.bincount(p, weights=w, minlength=m).max())
+        sups.append(np.bincount(p, weights=w, minlength=m + 1)[1:].max())
     return _distortion(sums, lazy, sups, first, 0)
+
+
+def _within_reach(d: np.ndarray, log_r: float) -> np.ndarray | None:
+    """The positions of the exponents ``d`` where ``exp(d log r)`` can be
+    nonzero, or None where that is every one.
+
+    Past ``|d log r| = -_EXP_UNDERFLOW`` on the decaying side the share is
+    exactly 0; the reach is counted in integers with one atom to spare, so
+    no float rounding of ``d log r`` can put a nonzero share past it.
+    """
+    if log_r == 0.0:
+        return None
+    reach = math.ceil(-_EXP_UNDERFLOW / abs(log_r)) + 1
+    near = d < reach if log_r < 0 else d > -reach
+    return None if near.all() else np.flatnonzero(near)
 
 
 def _distortion(sums, truncated, sups, first_uncovered, dropped) -> Distortion:

@@ -335,7 +335,7 @@ def _march(term_chunk, n_total: int, block: int, support: int | None) -> Modular
         idx = np.arange(start, min(start + k * block, n_total + 1), dtype=np.int64)
         values, weights, atoms, read = term_chunk(idx)
         terms = values if weights is None else values * weights
-        sums, adds, mins = _block_stats(idx, terms, k)
+        sums, adds, mins = _block_stats(idx, terms, k, quarter)
         size = idx.size // k
         for j in range(k):
             if not math.isfinite(adds[j]):
@@ -344,7 +344,7 @@ def _march(term_chunk, n_total: int, block: int, support: int | None) -> Modular
                     _check_rule_values(comp[lo:hi], atoms[lo:hi])
                 fixed = terms[lo:hi]
                 fixed[values[lo:hi] == 0] = 0.0
-                (sums[j],), (adds[j],), (mins[j],) = _block_stats(idx[lo:hi], fixed, 1)
+                (sums[j],), (adds[j],), (mins[j],) = _block_stats(idx[lo:hi], fixed, 1, quarter)
             total += adds[j]
             value += sums[j]
             done = start + (j + 1) * size - 1
@@ -370,17 +370,25 @@ def _march(term_chunk, n_total: int, block: int, support: int | None) -> Modular
     return ModularValue(value, "converged" if total == 0.0 else "inconclusive", done)
 
 
-def _block_stats(idx: np.ndarray, terms: np.ndarray, k: int):
+def _block_stats(idx: np.ndarray, terms: np.ndarray, k: int, quarter: int):
     """Per-block lists over ``k`` equal blocks of a chunk: the terms' sums,
     their moduli's sums, and the least ``n |t_n|`` over ``n >= _TAIL_BURN_IN``
-    (+inf in a block wholly below it)."""
+    (+inf in a block wholly below it).  The march reads that least value only
+    in a block that ends past ``quarter``, so it is +inf, uncomputed, in the
+    leading blocks that end at or before it."""
     mags = np.abs(terms) if np.iscomplexobj(terms) else terms
-    probe = idx * mags
-    if idx[0] < _TAIL_BURN_IN:
-        probe[: _TAIL_BURN_IN - idx[0]] = np.inf
     sums = terms.reshape(k, -1).sum(axis=1).tolist()
     mag_sums = mags.reshape(k, -1).sum(axis=1).tolist() if mags is not terms else sums
-    return sums, mag_sums, probe.reshape(k, -1).min(axis=1).tolist()
+    size = idx.size // k
+    skip = min(max(quarter - int(idx[0]) + 1, 0) // size, k)
+    mins = [math.inf] * skip
+    if skip < k:
+        lo = skip * size
+        probe = idx[lo:] * mags[lo:]
+        if idx[lo] < _TAIL_BURN_IN:
+            probe[: _TAIL_BURN_IN - idx[lo]] = np.inf
+        mins += probe.reshape(k - skip, -1).min(axis=1).tolist()
+    return sums, mag_sums, mins
 
 
 def _phi_terms(phi: OrliczFunction, raw, weight_at, scale: float = 1.0, offset: int = 0):
@@ -774,8 +782,12 @@ def pairing(
     component bounds the probe as in ``modular``.  Certified divergence
     raises NotSummableError, and a probe that cannot settle within budget
     returns the partial value with a RuntimeWarning.  A real rule's values
-    are multiplied and summed as complex: numpy sums a complex array in
-    another order than the same reals, and the last bit can differ.
+    are summed as complex: numpy sums a complex array in another order than
+    the same reals, and the last bit can differ.  Two real blocks are
+    multiplied as reals into the real part of a zeroed complex array: the
+    real part of ``(x + 0j)(y + 0j)`` is ``x * y``, and its imaginary
+    ``+-0`` cannot reach the sum, which starts at +0.0, while an
+    overflowed product goes to the divergence guard.
     """
     weight_at = _weight_reader(space)
 
@@ -786,8 +798,13 @@ def pairing(
             return complex(np.sum(xs * ys * space.weights))
 
         def term_chunk(idx):
-            xs, ys = (component_block(r, idx).astype(complex, copy=False) for r in (xr, yr))
-            return xs * ys, weight_at(idx), idx, (xs, ys)
+            xs, ys = (component_block(r, idx) for r in (xr, yr))
+            if xs.dtype == ys.dtype == np.float64:
+                products = np.zeros(idx.shape, dtype=complex)
+                np.multiply(xs, ys, out=products.real)
+            else:
+                products = xs.astype(complex, copy=False) * ys.astype(complex, copy=False)
+            return products, weight_at(idx), idx, (xs, ys)
 
         support = min((r.size for r in (xr, yr) if not callable(r)), default=None)
         mv = _march(term_chunk, space.size, block, support)

@@ -455,3 +455,137 @@ def test_pairing_on_the_full_window_matches_the_reference():
     x = BCSequence.from_rules(lambda i: 0.7 / i, lambda i: 1.0 / i**2)
     y = BCSequence.from_rules(lambda i: (-1.0) ** i / i, lambda i: 1.0 / i**2)
     same(lambda: pairing(x, y, COUNTING), lambda: reference_pairing(x, y, COUNTING, 1000))
+
+
+# ------------------------------------------------------------ real pairings
+
+PAIRING_RULES = {
+    # real rules with negative and zero values
+    "negative, zero every third": lambda i: np.where(i % 3 == 0, 0.0, -1.0 / i),
+    "zero on odd atoms": lambda i: -(i % 2 == 0) / i**2,
+    "all zero": lambda i: 0.0 * i,
+    "signed harmonic": lambda i: (-1.0) ** i / i,
+    # products past the floats: 1e200 * -1e200 is -inf
+    "huge": lambda i: np.full(i.shape, 1e200),
+    "huge negative": lambda i: np.full(i.shape, -1e200),
+    "huge late": lambda i: np.where(i > 2500, 1e200, 1.0 / i),
+}
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        ("negative, zero every third", "zero on odd atoms"),
+        ("negative, zero every third", "signed harmonic"),
+        ("all zero", "signed harmonic"),
+        ("all zero", "all zero"),
+        ("huge", "huge negative"),
+        ("huge late", "huge late"),
+        ("signed harmonic", "array"),
+        ("array", "negative, zero every third"),
+    ],
+    ids=lambda p: " x ".join(p),
+)
+@pytest.mark.parametrize(
+    "space",
+    [
+        AtomicMeasureSpace.counting(10**4),
+        AtomicMeasureSpace.counting(7),
+        AtomicMeasureSpace.geometric(0.5, 5000),
+        # the weights overflow past atom 1024: zero products meet inf weights
+        AtomicMeasureSpace.geometric(2.0, 3000),
+    ],
+    ids=["counting", "counting(7)", "geometric:0.5", "geometric:2.0"],
+)
+def test_real_pairing_matches_the_reference(pair, space):
+    # two real blocks are multiplied as reals; the value, the warning, or
+    # the NotSummableError text with its atom count are those of the
+    # complex reference
+    rng = np.random.default_rng(3)
+    array = rng.standard_normal(1500) + 1j * rng.standard_normal(1500)
+    comps = [array if name == "array" else PAIRING_RULES[name] for name in pair]
+    x = BCSequence.from_components(comps[0], PAIRING_RULES["signed harmonic"])
+    y = BCSequence.from_components(comps[1], PAIRING_RULES["zero on odd atoms"])
+    same(lambda: pairing(x, y, space), lambda: reference_pairing(x, y, space, 1000))
+
+
+def test_an_overflowed_real_product_is_refused_as_before():
+    x = BCSequence.from_rules(PAIRING_RULES["huge late"], PAIRING_RULES["all zero"])
+    space = AtomicMeasureSpace.counting(10**4)
+    with pytest.raises(NotSummableError, match=r"component 1 diverges \(the divergence guard "
+                       r"fired after 3000 atoms\)"):
+        pairing(x, x, space)
+
+
+# ------------------------------------------------------------ the early floor
+
+# (window, block, offset): a quarter of the window inside a chunk and inside
+# one of its blocks, on one-block chunks, at a block's end, on windows
+# smaller than eight blocks, and on tails past an offset
+FLOOR_CASES = [
+    (10_000, 1000, 0),  # quarter 2500 in the second block of the second chunk
+    (9_999, 1000, 0),  # blocks of 1000, quarter 2499
+    (4_003, 1000, 0),  # blocks shrink to 500; quarter 1000 ends a block
+    (37, 1000, 0),  # blocks of 4, quarter 9 inside the third
+    (13, 5, 0),  # blocks of 1
+    (250_000, 20_000, 0),  # blocks past a chunk's atom cap, one per chunk
+    (12_345, 700, 1_234),  # a tail past an offset: quarter 2777 of the tail
+    (6_001, 1000, 5_000),  # a short tail: blocks of 125
+]
+FLOOR_RULES = ("c/n", "c/n^1.01", "zero below the burn-in", "gapped 1/n", "zero head", "dip")
+
+
+def dip(window, offset):
+    """``n t_n`` over the tail's positions ``n``: 0.5 just past the quarter,
+    0.6 in the late half and 1 elsewhere, so the comparison probe fires
+    only if it reads the block that holds the quarter's next position."""
+    n_total = window - offset
+
+    def rule(atoms):
+        n = atoms - offset
+        c = np.where(n > n_total // 2, 0.6, np.where(n == n_total // 4 + 1, 0.5, 1.0))
+        return c / n
+
+    return rule
+
+
+@pytest.mark.parametrize("window, block, offset", FLOOR_CASES)
+@pytest.mark.parametrize("name", FLOOR_RULES)
+def test_the_early_floor_matches_the_reference(window, block, offset, name):
+    raw = dip(window, offset) if name == "dip" else rules(1.0)[name]
+    space = AtomicMeasureSpace.counting(window)
+    p1 = OrliczFunction.power(1)
+    terms = reference_phi_terms(p1, raw, space.weight_block, offset=offset)
+    same(
+        lambda: modular(p1, raw, space, block=block, offset=offset),
+        lambda: reference_march(terms, window - offset, block, None),
+    )
+    if name == "dip" and (window - offset) // 4 >= _TAIL_BURN_IN:
+        # past the burn-in the dip is read, and it alone makes the verdict
+        assert reference_march(terms, window - offset, block, None).status == "diverged"
+
+
+def test_the_floor_cases_split_chunks_at_the_quarter(monkeypatch):
+    # the premise of the cases above: some chunk holds blocks that end at
+    # or before the quarter beside blocks that end after it, and a block
+    # holds the quarter inside it
+    from bcorlicz import orlicz
+
+    chunks = []
+    block_stats = orlicz._block_stats
+
+    def spy(idx, terms, k, quarter):
+        chunks.append((int(idx[0]), idx.size // k, k, quarter))
+        return block_stats(idx, terms, k, quarter)
+
+    monkeypatch.setattr(orlicz, "_block_stats", spy)
+    split = inside = 0
+    for window, block, offset in FLOOR_CASES:
+        chunks.clear()
+        modular(OrliczFunction.power(1), rules(1.0)["c/n"], AtomicMeasureSpace.counting(window),
+                block=block, offset=offset)
+        for start, size, k, quarter in chunks:
+            ends = [start + (j + 1) * size - 1 for j in range(k)]
+            split += ends[0] <= quarter < ends[-1]
+            inside += any(end - size < quarter < end for end in ends)
+    assert split >= 3 and inside >= 5

@@ -156,16 +156,18 @@ def test_right_shift_on_counting_has_unit_ratios():
     sp = AtomicMeasureSpace.counting(5000)
     dist = distortion_ratios(sp, IndexMap.right_shift(), budget=1000)
     assert dist.truncated
-    np.testing.assert_allclose(dist.ratios, np.ones(1000))
+    # atom 1001, the preimage of the window's last atom, lies outside it
+    np.testing.assert_array_equal(dist.ratios, np.append(np.ones(999), 0.0))
     assert dist.sup == 1.0
+    assert (dist.first_uncovered, dist.dropped) == (1000, 1)
 
 
 def test_right_shift_on_geometric_has_constant_ratio():
     r = 0.5
     sp = AtomicMeasureSpace.geometric(r, 10 ** 6)
     dist = distortion_ratios(sp, IndexMap.right_shift(), budget=500)
-    # b_n = a_{n+1} / a_n = r for every n
-    np.testing.assert_allclose(dist.ratios, np.full(500, r), rtol=1e-12)
+    # b_n = a_{n+1} / a_n = r for every n but the window's last
+    np.testing.assert_allclose(dist.ratios, np.append(np.full(499, r), 0.0), rtol=1e-12)
     assert abs(dist.sup - r) < 1e-12
 
 
@@ -173,8 +175,52 @@ def test_right_shift_on_geometric_above_one_stays_finite():
     # the weights 2^(n-1) overflow past atom 1024; the ratios are still 2
     sp = AtomicMeasureSpace.geometric(2.0, 5000)
     dist = distortion_ratios(sp, IndexMap.right_shift())
-    np.testing.assert_array_equal(dist.ratios, np.full(5000, 2.0))
+    np.testing.assert_array_equal(dist.ratios, np.append(np.full(4999, 2.0), 0.0))
     assert dist.sup == 2.0
+
+
+# the right shift as a rule: the same images but atom 1's, which the
+# shift drops and the rule sends to itself
+SHIFT_RULE = IndexMap.from_rule(lambda idx: np.maximum(idx - 1, 1), name="max(n - 1, 1)")
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        AtomicMeasureSpace.counting(1000),
+        AtomicMeasureSpace.counting(2),
+        AtomicMeasureSpace.geometric(0.5, 1000),
+        AtomicMeasureSpace.geometric(2.0, 5000),
+        AtomicMeasureSpace.geometric(1e-3, 7),
+        AtomicMeasureSpace.finite([3.0, 5.0, 7.0, 11.0]),
+    ],
+    ids=["counting", "counting(2)", "geometric:0.5", "geometric:2.0", "geometric:1e-3", "finite"],
+)
+def test_right_shift_reads_the_window_as_its_rule_form_does(space):
+    # regression: on a lazy space the shift gave b_n = a_{n+1} / a_n at the
+    # window's last atom, from atom n + 1 outside the window, while calling
+    # that atom uncovered; every atom but 1 has the rule form's ratio
+    shift = distortion_ratios(space, IndexMap.right_shift(), budget=space.size)
+    rule = distortion_ratios(space, SHIFT_RULE, budget=space.size)
+    assert shift.ratios[-1] == rule.ratios[-1] == 0.0
+    assert shift.ratios[1:].tobytes() == rule.ratios[1:].tobytes()
+    assert shift.first_uncovered == rule.first_uncovered == space.size
+    assert (shift.dropped, rule.dropped) == (1, 0)
+    if space.is_lazy:
+        # the quarter and half sups are those of scans with those budgets,
+        # each of which leaves its own last atom at 0
+        n = space.size
+        for m, got in ((max(1, n // 4), shift.sup_quarter), (max(1, n // 2), shift.sup_half)):
+            scan = distortion_ratios(space, IndexMap.right_shift(), budget=m)
+            assert scan.ratios[-1] == 0.0 and got == scan.sup
+
+
+def test_right_shift_on_one_atom_has_zero_sup():
+    # the only atom is dropped, and its preimage lies outside the window
+    dist = distortion_ratios(AtomicMeasureSpace.counting(1), IndexMap.right_shift())
+    assert dist.ratios.tolist() == [0.0]
+    assert (dist.sup, dist.sup_quarter, dist.sup_half) == (0.0, 0.0, 0.0)
+    assert (dist.first_uncovered, dist.dropped) == (1, 1)
 
 
 def test_lazy_rule_map_uses_window():

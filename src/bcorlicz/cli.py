@@ -81,7 +81,6 @@ _DEFAULTS = {
     "tol": 1e-12,
     "eps": 1e-12,
     "n_max": None,
-    "block": 1000,
     "trials": 5,
 }
 
@@ -104,7 +103,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--tol", type=float, default=None)
     common.add_argument("--n-max", type=int, default=None, dest="n_max")
-    common.add_argument("--block", type=int, default=None)
 
     parser = _Parser(prog="bcorlicz", description="bicomplex Orlicz sequence-space toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -176,7 +174,6 @@ def _validate_config_value(key: str, value):
         "n_max": lambda v: v is None or (
             is_json_number(v) and isinstance(v, int) and 1 <= v <= _N_MAX_CAP
         ),
-        "block": lambda v: is_json_number(v) and isinstance(v, int) and v >= 1,
         "trials": lambda v: (
             is_json_number(v) and isinstance(v, int) and 0 <= v <= _TRIALS_CAP
         ),
@@ -492,15 +489,13 @@ def _cmd_norm(args, config, report):
     results = report["results"]
     gauges = []
     for which in (1, 2):
-        mv = modular(phi, F.component(which), space, block=config["block"])
+        mv = modular(phi, F.component(which), space)
         results.append(_modular_result(f"modular_component_{which}", mv))
         if mv.status == "inconclusive":
             report["warnings"].append(
                 f"modular probe for component {which} inconclusive after {mv.n_terms} atoms"
             )
-        gauge = luxemburg_norm(
-            phi, F.component(which), space, tol=config["tol"], block=config["block"]
-        )
+        gauge = luxemburg_norm(phi, F.component(which), space, tol=config["tol"])
         gauges.append(gauge)
         results.append(
             _result(
@@ -557,7 +552,6 @@ def _cmd_op_check(args, config, report):
             trials=config["trials"],
             seed=config["seed"],
             tol=config["tol"],
-            block=config["block"],
         )
     else:
         theta = _read(args, report, "theta", BCSequence.from_json_list)
@@ -591,7 +585,7 @@ def _cmd_schauder(args, config, report):
     report["results"].append(
         _result(
             "tail_norm",
-            schauder_tail(F, args.n, args.p, space, block=config["block"]),
+            schauder_tail(F, args.n, args.p, space),
             f"power:p gauge of each component beyond index {args.n}: {_POWER_GAUGE}; "
             "combined as sqrt((n1^2 + n2^2) / 2)",
         )
@@ -604,7 +598,7 @@ def _cmd_pairing(args, config, report):
     y = _read(args, report, "y", BCSequence.from_json_list)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        value = pairing(x, y, space, block=config["block"])
+        value = pairing(x, y, space)
     for w in caught:
         report["warnings"].append(str(w.message))
     report["results"].append(

@@ -371,7 +371,6 @@ def check_composition_bounded(
     trials: int = 0,
     seed: int = 0,
     tol: float = 1e-12,
-    block: int = 1000,
 ) -> BoundednessReport:
     """Certify boundedness of ``F -> F o T`` via the distortion ratios b_n.
 
@@ -434,7 +433,6 @@ def check_composition_bounded(
                     dist.ratios,
                     scale=float(lam),
                     lazy=space.is_lazy,
-                    block=block,
                 )
                 if mv.status in ("exact", "converged") and math.isfinite(mv.value):
                     found = float(lam)
@@ -451,7 +449,7 @@ def check_composition_bounded(
     if trials > 0:
         empirical = empirical_operator_norm(
             BCOperator.composition(imap), phi, space,
-            trials=trials, seed=seed, tol=tol, block=block,
+            trials=trials, seed=seed, tol=tol,
         )
 
     return BoundednessReport(
@@ -541,7 +539,6 @@ def empirical_ratios(
     trials: int = 20,
     seed: int = 0,
     tol: float = 1e-12,
-    block: int = 1000,
 ) -> np.ndarray:
     """Norm ratios ||A F|| / ||F|| over seeded random sequences.
 
@@ -562,11 +559,11 @@ def empirical_ratios(
         f1 = rng.standard_normal(length) + 1j * rng.standard_normal(length)
         f2 = rng.standard_normal(length) + 1j * rng.standard_normal(length)
         F = BCSequence.from_components(f1, f2)
-        norm_f = norm_bc(phi, F, space, tol=tol, block=block)
+        norm_f = norm_bc(phi, F, space, tol=tol)
         if norm_f == 0.0:
             continue
         G = apply_operator(op, F, space)
-        norm_g = norm_bc(phi, G, space, tol=tol, block=block)
+        norm_g = norm_bc(phi, G, space, tol=tol)
         ratios.append(norm_g / norm_f)
     return np.asarray(ratios, dtype=float)
 
@@ -579,8 +576,7 @@ def empirical_operator_norm(
     trials: int = 20,
     seed: int = 0,
     tol: float = 1e-12,
-    block: int = 1000,
 ) -> float:
     """Largest empirical norm ratio; a lower-bound estimate, not a proof."""
-    ratios = empirical_ratios(op, phi, space, trials=trials, seed=seed, tol=tol, block=block)
+    ratios = empirical_ratios(op, phi, space, trials=trials, seed=seed, tol=tol)
     return float(ratios.max()) if ratios.size else 0.0

@@ -7,11 +7,11 @@ idempotents, the modular becomes a hyperbolic (componentwise) value, and
 the norm recombines the component gauges as
 ``(1/sqrt(2)) * sqrt(n1^2 + n2^2)``.
 
-On lazy (rule-defined) spaces every sum is a *probe*: it marches blocks
-of atoms and reports ``converged`` / ``diverged`` / ``inconclusive``
-alongside the partial value, never pretending to more than the budget
-supports.  The Young functions live in ``young`` and are re-exported
-here.
+On lazy (rule-defined) spaces every sum is a *probe*: it marches dyadic
+blocks of atoms and reports ``converged`` (with an extrapolated tail, an
+estimate) / ``diverged`` / ``inconclusive`` (with the plain partial sum),
+never pretending to more than the window supports.  The Young functions
+live in ``young`` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -50,19 +50,23 @@ __all__ = [
     "pairing",
 ]
 
-# lazy-sum probe parameters: a partial sum past this is declared divergent,
-# and a terms-decay comparison fires when n * t_n stays above the floor
-# without decaying from the window's second quarter to its late half
+# lazy-sum probe parameters: a partial sum past the guard is declared
+# divergent; the extrapolated total settles once it moves less than
+# _SETTLE_REL, relative, over two doublings; at the window's end a series
+# whose block sums per doubling fall by less than _DIVERGE_RATIO over each
+# of its last _DIVERGE_DOUBLINGS doublings reads as divergent (the
+# harmonic series, by Cauchy condensation, does not fall at all)
 _DIVERGENCE_GUARD = 1e12
-# a block adding less than this relative to the running total counts
-# towards the three-block convergence rule
 _SETTLE_REL = 1e-12
-_TAIL_BURN_IN = 100
-_TAIL_FLOOR = 1e-8
-_TAIL_DECAY_RATIO = 0.95
-# the probe evaluates runs of blocks in chunks of at most this many atoms:
-# past it the chunk's temporaries fall out of cache and an atom costs more
+_AITKEN_PASSES = 3
+_DIVERGE_RATIO = 0.95
+_DIVERGE_DOUBLINGS = 3
+# the probe evaluates a block in chunks of at most this many atoms: past it
+# the chunk's temporaries fall out of cache and an atom costs more
 _CHUNK_ATOMS = 2**14
+# the blocks through this position end before three estimates exist, so
+# they cannot settle the probe and are evaluated as one chunk
+_FIRST_CHUNK = 2 ** (2 * _AITKEN_PASSES + 3) - 1
 
 
 # ----------------------------------------------------------------------
@@ -241,12 +245,17 @@ class BCSequence:
 
 @dataclass(frozen=True)
 class ModularValue:
-    """Value of a nonnegative sum plus how it was certified.
+    """Value of a nonnegative sum plus how it was reached.
 
     ``status`` is ``exact`` (finite space), ``converged`` (lazy probe
     settled), ``diverged`` (guard or comparison probe fired; value is
-    +inf), or ``inconclusive`` (budget exhausted; value is the partial
-    sum, a lower bound).  ``n_terms`` is how many atoms were consumed.
+    +inf), or ``inconclusive`` (window exhausted; value is the plain
+    partial sum over ``n_terms`` atoms, a lower bound).  ``n_terms`` is how
+    many atoms were read.  A lazy ``converged`` value is exact only for a
+    finitely supported array, summed to its support.  For an index rule it
+    is an estimate: the partial sum over ``n_terms`` atoms plus ``tail``,
+    the remainder that Aitken extrapolation of the dyadic partial sums
+    predicts, which no finite probe of a black-box rule can prove.
     ``guard`` marks a ``diverged`` verdict of the divergence guard: the
     partial sum passed ``_DIVERGENCE_GUARD`` (or overflowed), which shows
     a large sum at this scale rather than a divergent series.
@@ -256,12 +265,13 @@ class ModularValue:
     status: str
     n_terms: int
     guard: bool = False
+    tail: float = 0.0
 
 
-# overflow and 0 * inf are read block by block in _march, not warned about
+# overflow and 0 * inf are read piece by piece in _march, not warned about
 @np.errstate(over="ignore", invalid="ignore")
-def _march(term_chunk, n_total: int, block: int, support: int | None) -> ModularValue:
-    """Sum a series over blocks of atoms with the convergence probe.
+def _march(term_chunk, n_total: int, support: int | None) -> ModularValue:
+    """Sum a series over dyadic blocks of atoms with the convergence probe.
 
     ``term_chunk(idx)`` gives, at the 1-based window positions ``idx``,
     the ``values`` and ``weights`` whose products are the terms, the atoms
@@ -278,117 +288,125 @@ def _march(term_chunk, n_total: int, block: int, support: int | None) -> Modular
     complex for the pairing: every rule reads their moduli, and the
     returned value is their sum.
 
-    Convergence: three consecutive blocks, once the total is above 0, each
-    adding less than ``_SETTLE_REL`` relative to it; a window that sums to
-    0 throughout converges to 0 at its end.  A finitely supported
-    component (``support`` atoms, zero beyond; None for an index rule)
-    converges exactly once its support is summed, and not before.
-    Divergence: the total passes the guard, or n * t_n stays above a floor
-    without decaying from the early to the late half of the window (a
-    sampled comparison with the harmonic series).  The early floor is read
-    over the blocks that end in ``(n_total // 4, n_total // 2]`` only: a
-    series whose n * t_n still rises near the window's start would get a
-    floor far below its late values there, and a convergent series could
-    read ``diverged``.  A zero term in those blocks leaves the rule without
-    a floor; a zero term before them no longer does.
+    Block ``j`` holds the positions ``[2^j, 2^(j+1))``, cut at the
+    window's end (see ``_pieces`` for how blocks are evaluated).  A
+    finitely supported component (``support`` atoms, zero beyond; None for
+    an index rule) is summed to its support, where it converges exactly,
+    or to the window's end.  For an index rule the partial sums at the
+    ends of full blocks, those of the terms and those of their moduli, go
+    through ``_AITKEN_PASSES`` passes of Aitken's Delta^2
+    (``_extrapolated``).  As in Cauchy condensation, a tail like ``n^-s``
+    leaves the dyadic partial sums a sum of geometric modes in ``j``, and
+    each pass removes the slowest.  The probe converges once both
+    estimates move less than ``_SETTLE_REL``, relative to the moduli's,
+    over two doublings, and the moduli's predicts a tail that is not
+    negative beyond that slack.  That condition turns away the antilimit
+    of a divergent series whose block sums grow (Aitken extrapolates it
+    below the partial sums), and the partial sum that a run of zero blocks
+    leaves the estimate at once mass returns after it.  The value is the
+    terms' estimate, a modular's at least its partial sum, and ``tail`` is
+    what it adds to the partial sum.  A window that sums to 0 throughout
+    converges to 0 at its end.
 
-    ``block`` is the unit of these rules, not of evaluation.  The terms of
-    a run of blocks are computed in one chunk: the first chunk is one
-    block, each next one doubles, up to ``_CHUNK_ATOMS`` atoms.  A chunk
-    never splits a block, never passes ``n_total`` or the block that ends
-    the support, and, once blocks count towards the three-block rule,
-    holds no more blocks than the rule still needs, so that a probe that
-    settles early evaluates few blocks past its end.  The chunk's
-    per-block sums are its rows' sums
-    (``terms.reshape(k, block).sum(axis=1)``), which numpy reduces row by
-    row exactly as it sums a block alone, so every block adds the same
-    bits as if it had been evaluated by itself.  The rules then walk the
-    blocks in order, and a chunk's blocks past the one that stops the
-    march are never read.  Only a block whose sum is not finite is
-    scanned, when the walk reaches it: a read value that is nan or inf
-    (arrays are checked when built, so it came from an index rule) is
-    refused, and a zero value on a weight that overflowed to inf (a
-    geometric ratio above 1) adds 0, not nan.  Terms that overflow stay
-    inf for the divergence guard.
+    Divergence: the moduli's partial sum passes the guard after a piece,
+    or at the window's end the moduli's block sums per doubling (a cut
+    last block's sum divided by the doublings it spans) fall by less than
+    ``_DIVERGE_RATIO`` over each of the last ``_DIVERGE_DOUBLINGS``
+    doublings, which the harmonic series, whose block sums tend to
+    ``log 2``, does.  Divergence is judged there only: a convergent series
+    can have block sums that grow over its early doublings.
     """
-    if block < 1:
-        raise InvalidInputError(f"block size must be >= 1, got {block!r}")
-    # small windows could not fit the three-block rule at full block size,
-    # so shrink blocks until at least eight fit
-    block = min(block, max(1, n_total // 8))
-    total = 0.0
-    value = 0.0
-    consec = 0
-    quarter, half = n_total // 4, n_total // 2
-    min_early = math.inf
-    min_late = math.inf
-    start = 1
-    done = 0
-    run = 1
-    while start <= n_total:
-        want = min(run, max(1, _CHUNK_ATOMS // block))
-        if support is not None:
-            want = min(want, -(-(support - start + 1) // block))
-        elif consec:
-            want = min(want, 3 - consec)
-        k = min(want, (n_total - start + 1) // block) or 1
-        idx = np.arange(start, min(start + k * block, n_total + 1), dtype=np.int64)
-        values, weights, atoms, read = term_chunk(idx)
-        terms = values if weights is None else values * weights
-        sums, adds, mins = _block_stats(idx, terms, k, quarter)
-        size = idx.size // k
-        for j in range(k):
-            if not math.isfinite(adds[j]):
-                lo, hi = j * size, (j + 1) * size
-                for comp in read:
-                    _check_rule_values(comp[lo:hi], atoms[lo:hi])
-                fixed = terms[lo:hi]
-                fixed[values[lo:hi] == 0] = 0.0
-                (sums[j],), (adds[j],), (mins[j],) = _block_stats(idx[lo:hi], fixed, 1, quarter)
-            total += adds[j]
-            value += sums[j]
-            done = start + (j + 1) * size - 1
-            if not total <= _DIVERGENCE_GUARD:  # also catches nan/inf
-                return ModularValue(math.inf, "diverged", done, guard=True)
-            if done > half:
-                min_late = min(min_late, mins[j])
-            elif done > quarter:
-                min_early = min(min_early, mins[j])
-            consec = consec + 1 if 0.0 < total and adds[j] < _SETTLE_REL * total else 0
-            settled = consec >= 3 if support is None else done >= support
-            if settled:
-                return ModularValue(value, "converged", done)
-        start = done + 1
-        run *= 2
-    if (
-        0.0 < min_early < math.inf
-        and math.isfinite(min_late)
-        and min_late >= _TAIL_FLOOR
-        and min_late >= _TAIL_DECAY_RATIO * min_early
+    end = n_total if support is None else min(n_total, support)
+    value = total = block = 0.0
+    sums, mags, estimates, per_doubling = [], [], [], []
+    for stop, piece, piece_mag in _pieces(term_chunk, end):
+        value += piece
+        total += piece_mag
+        block += piece_mag
+        if not total <= _DIVERGENCE_GUARD:  # also catches nan/inf
+            return ModularValue(math.inf, "diverged", stop, guard=True)
+        full = not stop & (stop + 1)  # stop + 1 is a power of two
+        if not full and stop < end:
+            continue  # a chunk inside a long block
+        per_doubling.append(block / math.log2((stop + 1) / (1 << (stop.bit_length() - 1))))
+        block = 0.0
+        if support is None and full:
+            sums.append(value)
+            mags.append(total)
+            if len(sums) > 2 * _AITKEN_PASSES:
+                estimates.append((_extrapolated(sums), _extrapolated(mags)))
+            if len(estimates) >= 3:
+                est, est_mag = estimates[-1]
+                slack = _SETTLE_REL * est_mag
+                if est_mag - total >= -slack and all(
+                    abs(est - v) < slack and abs(est_mag - m) < slack for v, m in estimates[-3:-1]
+                ):
+                    est = est if isinstance(est, complex) else max(est, value)
+                    return ModularValue(est, "converged", stop, tail=est - value)
+    if end == support or total == 0.0:
+        return ModularValue(value, "converged", end)
+    late = per_doubling[-_DIVERGE_DOUBLINGS - 1 :]
+    if len(late) > _DIVERGE_DOUBLINGS and all(
+        b >= _DIVERGE_RATIO * a > 0.0 for a, b in zip(late, late[1:])
     ):
-        return ModularValue(math.inf, "diverged", done)
-    return ModularValue(value, "converged" if total == 0.0 else "inconclusive", done)
+        return ModularValue(math.inf, "diverged", end)
+    return ModularValue(value, "inconclusive", end)
 
 
-def _block_stats(idx: np.ndarray, terms: np.ndarray, k: int, quarter: int):
-    """Per-block lists over ``k`` equal blocks of a chunk: the terms' sums,
-    their moduli's sums, and the least ``n |t_n|`` over ``n >= _TAIL_BURN_IN``
-    (+inf in a block wholly below it).  The march reads that least value only
-    in a block that ends past ``quarter``, so it is +inf, uncomputed, in the
-    leading blocks that end at or before it."""
-    mags = np.abs(terms) if np.iscomplexobj(terms) else terms
-    sums = terms.reshape(k, -1).sum(axis=1).tolist()
-    mag_sums = mags.reshape(k, -1).sum(axis=1).tolist() if mags is not terms else sums
-    size = idx.size // k
-    skip = min(max(quarter - int(idx[0]) + 1, 0) // size, k)
-    mins = [math.inf] * skip
-    if skip < k:
-        lo = skip * size
-        probe = idx[lo:] * mags[lo:]
-        if idx[lo] < _TAIL_BURN_IN:
-            probe[: _TAIL_BURN_IN - idx[lo]] = np.inf
-        mins += probe.reshape(k - skip, -1).min(axis=1).tolist()
-    return sums, mag_sums, mins
+def _pieces(term_chunk, end: int):
+    """``(stop, terms' sum, moduli's sum)`` over the march's pieces in order.
+
+    A piece is a block, or a part of at most ``_CHUNK_ATOMS`` atoms of a
+    longer one, and ``stop`` is its last position.  Each chunk holds one
+    piece, except the first, which holds every block through
+    ``_FIRST_CHUNK`` (none of them can settle the probe) and is summed
+    block by block.  Only a piece whose moduli do not sum to a finite
+    value is scanned, and only once the march reaches it: a read value
+    that is nan or inf (arrays are checked when built, so it came from an
+    index rule) is refused, and a zero value on a weight that overflowed
+    to inf (a geometric ratio above 1) adds 0, not nan.  Terms that
+    overflow stay inf for the divergence guard.
+    """
+    lo = 1
+    while lo <= end:
+        hi = min(end, lo + _CHUNK_ATOMS - 1, max((1 << lo.bit_length()) - 1, _FIRST_CHUNK))
+        values, weights, atoms, read = term_chunk(np.arange(lo, hi + 1, dtype=np.int64))
+        terms = values if weights is None else values * weights
+        a = lo
+        while a <= hi:
+            b = min((1 << a.bit_length()) - 1, hi)
+            cut = slice(a - lo, b - lo + 1)
+            sums = _sums(terms[cut])
+            if not math.isfinite(sums[1]):
+                for comp in read:
+                    _check_rule_values(comp[cut], atoms[cut])
+                terms[cut][values[cut] == 0] = 0.0
+                sums = _sums(terms[cut])
+            yield b, *sums
+            a = b + 1
+        lo = hi + 1
+
+
+def _sums(terms: np.ndarray):
+    if np.iscomplexobj(terms):
+        return complex(terms.sum()), float(np.abs(terms).sum())
+    total = float(terms.sum())
+    return total, total
+
+
+def _extrapolated(partial: list):
+    """The limit that ``_AITKEN_PASSES`` passes of Aitken's Delta^2 read
+    from the last ``2 * _AITKEN_PASSES + 1`` partial sums.  A pass maps
+    ``a, b, c`` to ``c - (c - b)^2 / ((c - b) - (b - a))``, and to ``c``
+    where that second difference is 0."""
+    seq = partial[-2 * _AITKEN_PASSES - 1 :]
+    for _ in range(_AITKEN_PASSES):
+        nxt = []
+        for a, b, c in zip(seq, seq[1:], seq[2:]):
+            step, bend = c - b, (c - b) - (b - a)
+            nxt.append(c - step * step / bend if bend != 0 else c)
+        seq = nxt
+    return seq[0]
 
 
 def _phi_terms(phi: OrliczFunction, raw, weight_at, scale: float = 1.0, offset: int = 0):
@@ -432,14 +450,15 @@ def modular(
     space: AtomicMeasureSpace,
     *,
     scale: float = 1.0,
-    block: int = 1000,
     offset: int = 0,
 ) -> ModularValue:
     """Modular ``I_phi(scale * f 1_{>offset}) = sum_{n > offset} phi(scale |f_n|) a_n``.
 
     ``f`` is one complex component (array or index rule); ``offset = n``
     leaves out atoms ``1..n``, so it gives the modular of the tail past
-    ``n``.  Finite spaces sum exactly; lazy spaces run the block probe.
+    ``n``.  Finite spaces sum exactly; lazy spaces run the dyadic probe
+    (``_march``), whose ``converged`` value for an index rule is the
+    partial sum plus an extrapolated tail: an estimate, not a bound.
     """
     if isinstance(f, BCSequence):
         raise InvalidInputError("pass one component here, not a BCSequence")
@@ -450,7 +469,7 @@ def modular(
     if not space.is_lazy:
         return _phi_sum(phi, component_array(raw, space)[offset:], space.weights[offset:], scale)
     terms = _phi_terms(phi, raw, _weight_reader(space), scale, offset)
-    return _march(terms, space.size - offset, block, _support(raw, offset))
+    return _march(terms, space.size - offset, _support(raw, offset))
 
 
 def _tail_start(offset, space: AtomicMeasureSpace) -> int:
@@ -467,7 +486,6 @@ def weighted_phi_sum(
     *,
     scale: float = 1.0,
     lazy: bool = False,
-    block: int = 1000,
 ) -> ModularValue:
     """``sum phi(scale * |f_n|) * weights[n-1]`` over ``n = 1..len(weights)``.
 
@@ -480,7 +498,7 @@ def weighted_phi_sum(
     raw = _as_raw_component(f)
     if lazy:
         terms = _phi_terms(phi, raw, lambda idx: weights[idx - 1], scale)
-        return _march(terms, weights.size, block, _support(raw))
+        return _march(terms, weights.size, _support(raw))
     return _phi_sum(phi, component_head(raw, weights.size), weights, scale)
 
 
@@ -525,7 +543,6 @@ def luxemburg_norm(
     space: AtomicMeasureSpace,
     *,
     tol: float = 1e-12,
-    block: int = 1000,
     offset: int = 0,
 ) -> float:
     """Luxemburg gauge ``inf { lam > 0 : I_phi(f / lam) <= 1 }``.
@@ -550,9 +567,12 @@ def luxemburg_norm(
     UnsupportedInstanceError.  The result is checked with one ``modular``
     call at ``scale = 1/lam``; if rounding left that level above 1, ``lam``
     is stepped up by one convexity step and a few ulps.  The returned gauge
-    thus satisfies ``I_phi(f / lam) <= 1`` and lies within ``tol``, plus
-    the few ulps of that step, above the infimum (phi is evaluated to a
-    few ulps; exp takes a Taylor series at small arguments).  A level of 0
+    thus satisfies ``I_phi(f / lam) <= 1`` in floats and lies within
+    ``tol``, plus the few ulps of that step, above the infimum (phi is
+    evaluated to a few ulps; exp takes a Taylor series at small
+    arguments).  On a lazy space with an index rule that check reads the
+    probe's estimated total, partial sum plus extrapolated tail, so it is
+    not proved there.  A level of 0
     at the normalised scale means ``f`` vanishes (on a lazy space: on the
     probed window), and the gauge is 0.  A gauge outside the float range
     raises UnsupportedInstanceError, and so does an entry whose modulus
@@ -572,7 +592,7 @@ def luxemburg_norm(
         )
     if space.is_lazy:
         del mags  # not held through the solve, nor by a refusal's traceback
-        level = _lazy_level(phi, raw, space, block, offset, sup)
+        level = _lazy_level(phi, raw, space, offset, sup)
     else:
         mags /= sup  # in place: no second array of the moduli is held
         weights = space.weights[offset:]
@@ -592,7 +612,7 @@ def luxemburg_norm(
     else:
         # the level's log-log slope is at least phi's least elasticity
         lam = sup / _unit_scale(level, at_one, classify_phi(phi).alpha, tol)
-    return _certified(phi, raw, space, lam, block, offset)
+    return _certified(phi, raw, space, lam, offset)
 
 
 def _sup_window(raw, space: AtomicMeasureSpace, offset: int) -> np.ndarray:
@@ -607,7 +627,7 @@ def _sup_window(raw, space: AtomicMeasureSpace, offset: int) -> np.ndarray:
     return head
 
 
-def _lazy_level(phi: OrliczFunction, raw, space, block: int, offset: int, sup: float):
+def _lazy_level(phi: OrliczFunction, raw, space, offset: int, sup: float):
     """``t -> I_phi(t f 1_{>offset} / sup)`` as one probe per value.
 
     A level past the divergence guard reads as +inf, and so does a
@@ -619,7 +639,7 @@ def _lazy_level(phi: OrliczFunction, raw, space, block: int, offset: int, sup: f
 
     def level(t: float) -> float:
         nonlocal converged_at
-        mv = modular(phi, raw, space, scale=t / sup, block=block, offset=offset)
+        mv = modular(phi, raw, space, scale=t / sup, offset=offset)
         if mv.status == "diverged" and (mv.guard or t > converged_at):
             return math.inf
         _require_settled(mv, f"the {phi.spec_string()} modular", "no gauge can be certified")
@@ -699,14 +719,14 @@ def _unit_scale(level: Callable[[float], float], g: float, k: float, tol: float)
     )
 
 
-def _certified(phi, raw, space, lam: float, block: int, offset: int) -> float:
+def _certified(phi, raw, space, lam: float, offset: int) -> float:
     """``lam`` once one ``modular`` call shows ``I_phi(f 1_{>offset} / lam) <= 1``."""
     for _ in range(_CERTIFY_TRIES):
         if not (0.0 < lam < math.inf and 1.0 / lam < math.inf):
             raise UnsupportedInstanceError(
                 f"the {phi.spec_string()} gauge {lam!r} has no finite reciprocal in floats"
             )
-        mv = modular(phi, raw, space, scale=1.0 / lam, block=block, offset=offset)
+        mv = modular(phi, raw, space, scale=1.0 / lam, offset=offset)
         _require_settled(mv, f"the {phi.spec_string()} modular", "no gauge can be certified")
         if mv.value <= 1.0:
             return lam
@@ -726,12 +746,11 @@ def norm_bc(
     space: AtomicMeasureSpace,
     *,
     tol: float = 1e-12,
-    block: int = 1000,
 ) -> float:
     """Bicomplex Orlicz norm: ``(1/sqrt(2)) * sqrt(n1^2 + n2^2)`` of the
     component Luxemburg gauges."""
-    n1 = luxemburg_norm(phi, F.comp1, space, tol=tol, block=block)
-    n2 = luxemburg_norm(phi, F.comp2, space, tol=tol, block=block)
+    n1 = luxemburg_norm(phi, F.comp1, space, tol=tol)
+    n2 = luxemburg_norm(phi, F.comp2, space, tol=tol)
     return pair_norm(n1, n2)
 
 
@@ -745,8 +764,6 @@ def schauder_tail(
     n: int,
     p: float,
     space: AtomicMeasureSpace,
-    *,
-    block: int = 1000,
 ) -> float:
     """``power:p`` norm of the tail ``F 1_{>n}`` beyond index ``n``.
 
@@ -757,8 +774,8 @@ def schauder_tail(
     quantitative basis statement for the power family.
     """
     phi = OrliczFunction.power(p)
-    t1 = luxemburg_norm(phi, F.comp1, space, block=block, offset=n)
-    t2 = luxemburg_norm(phi, F.comp2, space, block=block, offset=n)
+    t1 = luxemburg_norm(phi, F.comp1, space, offset=n)
+    t2 = luxemburg_norm(phi, F.comp2, space, offset=n)
     return pair_norm(t1, t2)
 
 
@@ -771,17 +788,17 @@ def pairing(
     x: BCSequence,
     y: BCSequence,
     space: AtomicMeasureSpace,
-    *,
-    block: int = 1000,
 ) -> BiComplex:
     """Bilinear pairing ``sum x_n y_n a_n`` taken componentwise.
 
-    On lazy spaces each complex sum runs on the modular's probe over its
-    absolute series ``|x_n y_n a_n|``, the complex sum carried beside it.
-    Past the shorter of two arrays the product is zero, so an array
-    component bounds the probe as in ``modular``.  Certified divergence
-    raises NotSummableError, and a probe that cannot settle within budget
-    returns the partial value with a RuntimeWarning.  A real rule's values
+    On lazy spaces each complex sum runs on the modular's probe, which
+    judges the absolute series ``|x_n y_n a_n|`` and extrapolates the
+    complex partial sums beside it: a settled component is the estimate of
+    its own complex sum, not its partial sum.  Past the shorter of two
+    arrays the product is zero, so an array component bounds the probe as
+    in ``modular``.  Certified divergence raises NotSummableError, and a
+    probe that cannot settle within the window returns the partial value
+    with a RuntimeWarning.  A real rule's values
     are summed as complex: numpy sums a complex array in another order than
     the same reals, and the last bit can differ.  Two real blocks are
     multiplied as reals into the real part of a zeroed complex array: the
@@ -807,7 +824,7 @@ def pairing(
             return products, weight_at(idx), idx, (xs, ys)
 
         support = min((r.size for r in (xr, yr) if not callable(r)), default=None)
-        mv = _march(term_chunk, space.size, block, support)
+        mv = _march(term_chunk, space.size, support)
         if mv.status == "diverged":
             fired = "the divergence guard" if mv.guard else "the comparison probe"
             raise NotSummableError(

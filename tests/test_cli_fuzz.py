@@ -236,9 +236,8 @@ def _run_child(argv, out_path, err_path, config_path):
     os._exit(code)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the fuzz forks one child per case")
-@pytest.mark.parametrize("name, argv, overrides, config", CASES, ids=[c[0] for c in CASES])
-def test_cli_fuzz_case(tmp_path, name, argv, overrides, config):
+def _run_case(tmp_path, name, argv, overrides, config):
+    """Run one case in a child and check how it ended; its exit code and stderr."""
     args = []
     for i, a in enumerate(argv):
         if i in overrides:
@@ -278,3 +277,34 @@ def test_cli_fuzz_case(tmp_path, name, argv, overrides, config):
     assert len(error_lines) <= 1, (args, err)
     if child.exitcode in (0, 2) and "--help" not in args and "text" not in args:
         json.loads(out_path.read_text())
+    return child.exitcode, err
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the fuzz forks one child per case")
+@pytest.mark.parametrize("name, argv, overrides, config", CASES, ids=[c[0] for c in CASES])
+def test_cli_fuzz_case(tmp_path, name, argv, overrides, config):
+    _run_case(tmp_path, name, argv, overrides, config)
+
+
+# the lazy probe has no block length: the old --block flag and "block"
+# config key are refused, whatever their value
+REFUSED_BLOCK = [
+    (f"{name}--block={value}", BASELINES[name] + ["--block", value], {}, None)
+    for name in ("norm_lazy", "pairing")
+    for value in ("1000", "1", "0")
+] + [
+    (f"{name}-config-block={value}", BASELINES[name], {}, json.dumps({"block": value}))
+    for name in ("norm_lazy", "classify")
+    for value in (1000, 0)
+]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the fuzz forks one child per case")
+@pytest.mark.parametrize(
+    "name, argv, overrides, config", REFUSED_BLOCK, ids=[c[0] for c in REFUSED_BLOCK]
+)
+def test_block_is_a_refused_input(tmp_path, name, argv, overrides, config):
+    code, err = _run_case(tmp_path, name, argv, overrides, config)
+    lines = err.splitlines()
+    assert code == 1 and len(lines) == 1 and lines[0].startswith("error:"), (code, err)
+    assert "block" in lines[0], err

@@ -382,22 +382,6 @@ def test_composition_check_ratio_beyond_floats_is_inconclusive(r):
         assert any("overflows floats" in note for note in rep.notes)
 
 
-def test_composition_check_forwards_block_to_the_empirical_probe(monkeypatch):
-    seen = []
-    real = operators.norm_bc
-
-    def spy(*args, **kwargs):
-        seen.append(kwargs.get("block"))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(operators, "norm_bc", spy)
-    sp = AtomicMeasureSpace.counting(1000)
-    check_composition_bounded(
-        sp, IndexMap.right_shift(), OrliczFunction.power(2), trials=2, block=37
-    )
-    assert seen and set(seen) == {37}
-
-
 def test_composition_check_growing_sup_is_inconclusive():
     # preimage of k under ceil(sqrt(n)) has about 2k-1 atoms, so the sup
     # distortion keeps climbing with the scan budget

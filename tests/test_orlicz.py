@@ -252,8 +252,9 @@ def test_modular_lazy_constant_diverges():
 
 
 def test_modular_lazy_slow_tail_is_inconclusive():
-    # |f_n|^2 = n^{-1.1} converges but far too slowly for the budget, and
-    # decays too clearly for the divergence comparison to fire
+    # |f_n|^2 = n^{-1.1} converges, to zeta(1.1), but its extrapolated sum
+    # still moves by about 4e-11 per doubling at the window's end, and its
+    # block sums fall too clearly (by 2^-0.1 a doubling) to read diverged
     sp = AtomicMeasureSpace.counting(10 ** 5)
     f = lambda idx: np.power(idx, -0.55)  # noqa: E731
     mv = modular(OrliczFunction.power(2), f, sp)
@@ -262,8 +263,10 @@ def test_modular_lazy_slow_tail_is_inconclusive():
 
 
 def test_modular_lazy_zero_head_does_not_settle_the_probe():
-    # the first five blocks add 0; they do not count towards the three-block
-    # rule, which once settled this probe at 0 after 3000 atoms
+    # the blocks below 4096 add 0, so the probe cannot settle at 0 there;
+    # an extrapolation that reads those zero partial sums lands below the
+    # partial sum and is turned away, and the window ends before three
+    # estimates past them agree
     sp = AtomicMeasureSpace.counting(10 ** 6)
     rule = lambda i: (i > 5000) / i  # noqa: E731
     mv = modular(OrliczFunction.power(2), rule, sp)
@@ -282,22 +285,26 @@ def test_modular_lazy_zero_rule_converges_to_zero_over_the_window():
 
 
 def test_modular_lazy_gap_in_the_early_half_is_not_divergence():
-    # 1/n with the terms 100..2000 set to 0 sums, squared, below pi^2/6; the
-    # zero terms once gave the comparison probe an early floor of 0, which
-    # every late floor passes
+    # 1/n with the terms 100..2000 set to 0 sums, squared, to pi^2/6 less
+    # those terms.  The zero blocks [128, 1024) once gave the comparison
+    # probe an early floor of 0; now they leave each Aitken estimate that
+    # reads them at the sum below 100, which is under the partial sum once
+    # 2001..2047 arrive, so no estimate settles before the gap is behind it
     sp = AtomicMeasureSpace.counting(10 ** 6)
     rule = lambda i: np.where((i >= 100) & (i <= 2000), 0.0, 1.0 / i)  # noqa: E731
+    want = math.pi**2 / 6 - math.fsum(1.0 / n**2 for n in range(100, 2001))
     mv = modular(OrliczFunction.power(2), rule, sp)
-    assert mv.status == "inconclusive"
-    assert 0 < mv.value < math.pi ** 2 / 6
-    with pytest.raises(UnsupportedInstanceError, match="inconclusive"):
-        luxemburg_norm(OrliczFunction.power(2), rule, sp)
+    assert mv.status == "converged" and mv.n_terms < 10**6
+    assert mv.value == pytest.approx(want, rel=1e-12)
+    lam = luxemburg_norm(OrliczFunction.power(2), rule, sp)
+    assert lam == pytest.approx(math.sqrt(want), rel=1e-12)
 
 
 def test_modular_lazy_rising_early_terms_are_not_divergence():
-    # n * 3/(n+999)^2 rises up to n = 999, so a floor read over the whole
-    # early half sat near its start, far below the late floor, and this
-    # sum of about 0.0024 once read diverged
+    # the block sums of 3/(n+999)^2 double per doubling up to n ~ 1000 and
+    # then fall (ratios 2, ..., 1.24, 0.99, then 0.8 on the cut last
+    # block), and this sum of about 0.0024 once read diverged; divergence
+    # is judged only over the late doublings, and no estimate settles
     rule = lambda i: 3 / (i + 999.0) ** 2  # noqa: E731
     mv = modular(OrliczFunction.power(1), rule, AtomicMeasureSpace.counting(4001))
     want = math.fsum(3 / (n + 999.0) ** 2 for n in range(1, 4002))
@@ -318,6 +325,85 @@ def test_schauder_tail_of_rising_early_terms_is_inconclusive_not_outside():
 def test_modular_lazy_divergent_series_still_diverge(n_max, rule):
     mv = modular(OrliczFunction.power(1), rule, AtomicMeasureSpace.counting(n_max))
     assert (mv.value, mv.status, mv.n_terms) == (math.inf, "diverged", n_max)
+
+
+@pytest.mark.parametrize("n_max", [10**4, 10**6])
+def test_modular_lazy_c_over_n_at_p1_diverges(n_max):
+    # the benchmark's divergent probe: block sums that tend to c log 2
+    mv = modular(OrliczFunction.power(1), lambda i: 1.37 / i, AtomicMeasureSpace.counting(n_max))
+    assert (mv.value, mv.status, mv.n_terms) == (math.inf, "diverged", n_max)
+
+
+def test_slowly_convergent_log_series_is_never_divergent():
+    # sum 1/((n+1) log^2(n+1)) converges (integral test: its tail past N is
+    # below 1/log(N+1)), with block sums that fall only like (j/(j+1))^2
+    rule = lambda i: 1.0 / ((i + 1.0) * np.log(i + 1.0) ** 2)  # noqa: E731
+    sp = AtomicMeasureSpace.counting(10**6)
+    mv = modular(OrliczFunction.power(1), rule, sp)
+    assert mv.status == "inconclusive"
+    with pytest.raises(UnsupportedInstanceError, match="inconclusive"):
+        luxemburg_norm(OrliczFunction.power(1), rule, sp)
+
+
+# ------------------------------------------------------------ dyadic probe
+
+
+def zeta(s, n=1000):
+    """Riemann zeta at s > 1: the sum below n plus the Euler-Maclaurin tail
+    ``n^(1-s)/(s-1) + n^-s/2 + s n^(-s-1)/12 - s(s+1)(s+2) n^(-s-3)/720``,
+    whose next term is below 1e-18 at n = 1000."""
+    head = math.fsum(k**-s for k in range(1, n))
+    return head + (
+        n ** (1 - s) / (s - 1)
+        + n**-s / 2
+        + s * n ** (-s - 1) / 12
+        - s * (s + 1) * (s + 2) * n ** (-s - 3) / 720
+    )
+
+
+def test_zeta_oracle_matches_closed_forms():
+    assert zeta(2) == pytest.approx(math.pi**2 / 6, rel=1e-15)
+    assert zeta(4) == pytest.approx(math.pi**4 / 90, rel=1e-15)
+
+
+def test_one_over_n_squared_settles_on_a_long_window():
+    # the three-block rule once read converged 4.06e-8 below pi^2/6 after
+    # 24.7M atoms; the dyadic estimate settles within 2^14 atoms
+    mv = modular(OrliczFunction.power(2), lambda i: 1.0 / i, AtomicMeasureSpace.counting(10**8))
+    assert mv.status == "converged" and mv.n_terms < 10**6
+    assert abs(mv.value - math.pi**2 / 6) <= 1e-12 * math.pi**2 / 6
+    assert mv.tail > 0 and mv.value - mv.tail < math.pi**2 / 6
+
+
+def test_one_over_n_gauge_meets_its_tolerance():
+    lam = luxemburg_norm(
+        OrliczFunction.power(2), lambda i: 1.0 / i, AtomicMeasureSpace.counting(10**8)
+    )
+    assert abs(lam - math.pi / math.sqrt(6)) <= 1e-10
+
+
+def test_slow_series_gauge_gives_a_value():
+    # 1/n^0.6 is in l^2, with ||f||^2 = zeta(1.2); its probe once read
+    # inconclusive after 10^6 atoms
+    lam = luxemburg_norm(
+        OrliczFunction.power(2), lambda i: np.power(i, -0.6), AtomicMeasureSpace.counting(10**6)
+    )
+    assert abs(lam - math.sqrt(zeta(1.2))) <= 1e-9
+
+
+@pytest.mark.parametrize("n_max", [10**5, 10**6])
+def test_benchmark_pairing_settles_both_components(n_max):
+    # <x, y> with x = (c/n, c/n) and y = ((-1)^n/n, 1/n^2): componentwise
+    # sum (-1)^n c/n^2 = -c pi^2/12 and sum c/n^3 = c zeta(3).  The first
+    # once returned its partial sum with a RuntimeWarning
+    c = 1.37
+    x = BCSequence.from_rules(lambda i: c / i, lambda i: c / i)
+    y = BCSequence.from_rules(lambda i: (-1.0) ** i / i, lambda i: 1.0 / i**2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pairing(x, y, AtomicMeasureSpace.counting(n_max))
+    assert abs(got.beta1 - (-c * math.pi**2 / 12)) <= 1e-12
+    assert abs(got.beta2 - c * zeta(3)) <= 1e-12
 
 
 # ---------------------------------------------------------------- luxemburg
@@ -527,9 +613,8 @@ def test_schauder_tail_lazy_geometric_closed_form():
 
 
 def test_schauder_tail_past_an_array_settles_at_once(monkeypatch):
-    # an exhausted array tail is summed in one block, not over the window;
-    # the march reads each block's component values once, and on counting
-    # no weights at all
+    # an exhausted array tail has a support of 0 atoms, and the march reads
+    # no block of it
     blocks = []
     component_block = orlicz.component_block
     monkeypatch.setattr(
@@ -539,7 +624,7 @@ def test_schauder_tail_past_an_array_settles_at_once(monkeypatch):
     )
     F = BCSequence.from_components([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
     assert schauder_tail(F, 5, 2.0, AtomicMeasureSpace.counting(10 ** 6)) == 0.0
-    assert blocks == [1000, 1000]
+    assert blocks == []
 
 
 def test_schauder_tail_at_zero_equals_the_p1_norm_near_float_max():
@@ -759,7 +844,8 @@ def test_rule_output_of_the_wrong_shape_is_refused(rule):
 
 
 def test_nan_in_a_pairing_rule_is_refused():
-    X = BCSequence.from_rules(lambda i: np.where(i == 1234, np.nan, 1.0 / i**2), lambda i: 0.0 * i)
+    # the products 1/n^2 settle past 2^14 atoms, so the probe reads atom 1234
+    X = BCSequence.from_rules(lambda i: np.where(i == 1234, np.nan, 1.0 / i), lambda i: 0.0 * i)
     with pytest.raises(InvalidInputError, match="nan at index 1234"):
         pairing(X, X, AtomicMeasureSpace.counting(10 ** 5))
 

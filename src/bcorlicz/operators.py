@@ -19,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bicomplex import is_json_number
-from .errors import DEFAULT_N_MAX, MAX_TRIALS, InvalidInputError, NotInvertibleError
+from .errors import (
+    DEFAULT_N_MAX,
+    MAX_TRIALS,
+    InvalidInputError,
+    NotInvertibleError,
+    UnsupportedInstanceError,
+)
 from .measure import (
     AtomicMeasureSpace,
     IndexMap,
@@ -244,9 +250,19 @@ def decompose(op: BCOperator):
 
 
 def apply_operator(op: BCOperator, F: BCSequence, space: AtomicMeasureSpace) -> BCSequence:
-    """Apply an operator componentwise along the idempotents."""
+    """Apply an operator componentwise along the idempotents.  An array
+    image with an entry past the floats raises UnsupportedInstanceError
+    naming the component and the first such atom."""
     c1, c2 = decompose(op)
-    return BCSequence(c1(F.comp1, space), c2(F.comp2, space))
+    with np.errstate(over="ignore", invalid="ignore"):
+        images = c1(F.comp1, space), c2(F.comp2, space)
+    for which, image in enumerate(images, start=1):
+        if not callable(image) and not np.isfinite(image).all():
+            atom = int(np.argmin(np.isfinite(image))) + 1
+            raise UnsupportedInstanceError(
+                f"component {which} of the image passes the largest float at atom {atom}"
+            )
+    return BCSequence(*images)
 
 
 # ----------------------------------------------------------------------

@@ -7,11 +7,11 @@ idempotents, the modular becomes a hyperbolic (componentwise) value, and
 the norm recombines the component gauges as
 ``(1/sqrt(2)) * sqrt(n1^2 + n2^2)``.
 
-On lazy (rule-defined) spaces every sum is a *probe*: it marches dyadic
-blocks of atoms and reports ``converged`` (with an extrapolated tail, an
-estimate) / ``diverged`` / ``inconclusive`` (with the plain partial sum),
-never pretending to more than the window supports.  The Young functions
-live in ``young`` and are re-exported here.
+A finitely supported sum is exact.  On lazy spaces a sum of index rules
+is a *probe*: it marches dyadic blocks of atoms and reports ``converged``
+(with an extrapolated tail, an estimate) / ``diverged`` / ``inconclusive``
+(with the plain partial sum), never pretending to more than the window
+supports.  The Young functions live in ``young`` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bicomplex import BiComplex, pair_norm
+from .bicomplex import BiComplex, _ring_result, pair_norm
 from .errors import (
     InvalidInputError,
     NotInSpaceError,
@@ -135,11 +135,6 @@ def _check_rule_values(values: np.ndarray, idx: np.ndarray) -> None:
         )
 
 
-def _support(raw, offset: int = 0) -> int | None:
-    """The atoms past ``offset`` an array covers (zero beyond); None for a rule."""
-    return None if callable(raw) else max(raw.size - offset, 0)
-
-
 def _as_raw_component(f):
     if callable(f):
         return f
@@ -247,15 +242,14 @@ class BCSequence:
 class ModularValue:
     """Value of a nonnegative sum plus how it was reached.
 
-    ``status`` is ``exact`` (finite space), ``converged`` (lazy probe
-    settled), ``diverged`` (guard or comparison probe fired; value is
-    +inf), or ``inconclusive`` (window exhausted; value is the plain
-    partial sum over ``n_terms`` atoms, a lower bound).  ``n_terms`` is how
-    many atoms were read.  A lazy ``converged`` value is exact only for a
-    finitely supported array, summed to its support.  For an index rule it
-    is an estimate: the partial sum over ``n_terms`` atoms plus ``tail``,
-    the remainder that Aitken extrapolation of the dyadic partial sums
-    predicts, which no finite probe of a black-box rule can prove.
+    ``status`` is ``exact`` (a finitely supported sum, see
+    ``_exact_part``), ``converged`` (an index rule's probe settled),
+    ``diverged`` (guard or comparison probe fired; value is +inf), or
+    ``inconclusive`` (window exhausted; value is the plain partial sum over
+    ``n_terms`` atoms, a lower bound).  ``n_terms`` is how many atoms were
+    read.  A ``converged`` value is an estimate: the partial sum plus
+    ``tail``, the remainder that Aitken extrapolation of the dyadic partial
+    sums predicts, which no finite probe of a black-box rule can prove.
     ``guard`` marks a ``diverged`` verdict of the divergence guard: the
     partial sum passed ``_DIVERGENCE_GUARD`` (or overflowed), which shows
     a large sum at this scale rather than a divergent series.
@@ -270,16 +264,15 @@ class ModularValue:
 
 # overflow and 0 * inf are read piece by piece in _march, not warned about
 @np.errstate(over="ignore", invalid="ignore")
-def _march(term_chunk, n_total: int, support: int | None) -> ModularValue:
-    """Sum a series over dyadic blocks of atoms with the convergence probe.
+def _march(term_chunk, end: int) -> ModularValue:
+    """Sum a series of index rules over dyadic blocks with the convergence probe.
 
     ``term_chunk(idx)`` gives, at the 1-based window positions ``idx``,
     the ``values`` and ``weights`` whose products are the terms, the atoms
-    that ``idx`` stands for and the component values ``read`` there.
+    that ``idx`` stands for and the rules' values ``read`` there.
     ``weights`` is None on ``counting``, and no array of ones is built:
     the values are the terms.  For a modular's real terms this is exact,
-    since ``x * 1.0`` is ``x`` bit for bit, and for the same reason a
-    modular at scale 1 takes ``|f_n|`` unscaled (see ``_moduli``).  For
+    since ``x * 1.0`` is ``x`` bit for bit (see also ``_scaled``).  For
     the pairing's complex terms, numpy's multiply by ``1 + 0j`` could
     differ only in the sign of a zero part and in the imaginary part of an
     infinite term (``inf + 0j`` becomes ``inf + nanj``); neither reaches
@@ -289,15 +282,12 @@ def _march(term_chunk, n_total: int, support: int | None) -> ModularValue:
     returned value is their sum.
 
     Block ``j`` holds the positions ``[2^j, 2^(j+1))``, cut at the
-    window's end (see ``_pieces`` for how blocks are evaluated).  A
-    finitely supported component (``support`` atoms, zero beyond; None for
-    an index rule) is summed to its support, where it converges exactly,
-    or to the window's end.  For an index rule the partial sums at the
-    ends of full blocks, those of the terms and those of their moduli, go
-    through ``_AITKEN_PASSES`` passes of Aitken's Delta^2
-    (``_extrapolated``).  As in Cauchy condensation, a tail like ``n^-s``
-    leaves the dyadic partial sums a sum of geometric modes in ``j``, and
-    each pass removes the slowest.  The probe converges once both
+    window's ``end`` (see ``_pieces`` for how blocks are evaluated).  The
+    partial sums at the ends of full blocks, those of the terms and those
+    of their moduli, go through ``_AITKEN_PASSES`` passes of Aitken's
+    Delta^2 (``_extrapolated``).  As in Cauchy condensation, a tail like
+    ``n^-s`` leaves the dyadic partial sums a sum of geometric modes in
+    ``j``, and each pass removes the slowest.  The probe converges once both
     estimates move less than ``_SETTLE_REL``, relative to the moduli's,
     over two doublings, and the moduli's predicts a tail that is not
     negative beyond that slack.  That condition turns away the antilimit
@@ -316,7 +306,6 @@ def _march(term_chunk, n_total: int, support: int | None) -> ModularValue:
     ``log 2``, does.  Divergence is judged there only: a convergent series
     can have block sums that grow over its early doublings.
     """
-    end = n_total if support is None else min(n_total, support)
     value = total = block = 0.0
     sums, mags, estimates, per_doubling = [], [], [], []
     for stop, piece, piece_mag in _pieces(term_chunk, end):
@@ -330,7 +319,7 @@ def _march(term_chunk, n_total: int, support: int | None) -> ModularValue:
             continue  # a chunk inside a long block
         per_doubling.append(block / math.log2((stop + 1) / (1 << (stop.bit_length() - 1))))
         block = 0.0
-        if support is None and full:
+        if full:
             sums.append(value)
             mags.append(total)
             if len(sums) > 2 * _AITKEN_PASSES:
@@ -343,7 +332,7 @@ def _march(term_chunk, n_total: int, support: int | None) -> ModularValue:
                 ):
                     est = est if isinstance(est, complex) else max(est, value)
                     return ModularValue(est, "converged", stop, tail=est - value)
-    if end == support or total == 0.0:
+    if total == 0.0:
         return ModularValue(value, "converged", end)
     late = per_doubling[-_DIVERGE_DOUBLINGS - 1 :]
     if len(late) > _DIVERGE_DOUBLINGS and all(
@@ -361,10 +350,9 @@ def _pieces(term_chunk, end: int):
     piece, except the first, which holds every block through
     ``_FIRST_CHUNK`` (none of them can settle the probe) and is summed
     block by block.  Only a piece whose moduli do not sum to a finite
-    value is scanned, and only once the march reaches it: a read value
-    that is nan or inf (arrays are checked when built, so it came from an
-    index rule) is refused, and a zero value on a weight that overflowed
-    to inf (a geometric ratio above 1) adds 0, not nan.  Terms that
+    value is scanned, and only once the march reaches it: a rule's value
+    that is nan or inf is refused, and a zero value on a weight that
+    overflowed to inf (a geometric ratio above 1) adds 0, not nan.  Terms that
     overflow stay inf for the divergence guard.
     """
     lo = 1
@@ -409,8 +397,8 @@ def _extrapolated(partial: list):
     return seq[0]
 
 
-def _phi_terms(phi: OrliczFunction, raw, weight_at, scale: float = 1.0, offset: int = 0):
-    """Terms ``phi(scale |f_n|) w_n`` over the atoms ``n = idx + offset``.
+def _phi_terms(phi: OrliczFunction, rule, weight_at, scale: float = 1.0, offset: int = 0):
+    """Terms ``phi(scale |f_n|) w_n`` of an index rule at the atoms ``idx + offset``.
 
     ``weight_at`` maps atoms to their weights, or to None for unit weights
     (see ``_weight_reader``).  A rule's real values are read as float64
@@ -422,8 +410,8 @@ def _phi_terms(phi: OrliczFunction, raw, weight_at, scale: float = 1.0, offset: 
 
     def term_chunk(idx):
         at = idx + offset if offset else idx
-        vals = component_block(raw, at)
-        return phi._values(_moduli(vals, scale)), weight_at(at), at, (vals,)
+        vals = component_block(rule, at)
+        return phi._values(_scaled(np.abs(vals), scale)), weight_at(at), at, (vals,)
 
     return term_chunk
 
@@ -434,14 +422,26 @@ def _weight_reader(space: AtomicMeasureSpace):
     return (lambda atoms: None) if space.rule == "counting" else space.weight_block
 
 
-def _moduli(values: np.ndarray, scale: float) -> np.ndarray:
-    """``scale * |values|`` as a new array; at ``scale == 1`` the multiply is
-    skipped (``1.0 * x`` is ``x``), at any other scale, 0 too, it is kept
+def _scaled(moduli: np.ndarray, scale: float) -> np.ndarray:
+    """``scale * moduli``; at ``scale == 1`` the multiply is skipped
+    (``1.0 * x`` is ``x``), at any other scale, 0 too, it is kept
     (``0 * inf`` is nan)."""
-    u = np.abs(values)
-    if scale != 1.0:
-        u *= scale
-    return u
+    return moduli if scale == 1.0 else moduli * scale
+
+
+def _exact_part(raws, space: AtomicMeasureSpace, offset: int = 0):
+    """``(values, weights)`` of the components past ``offset`` over the atoms
+    a finitely supported sum reads, or None for index rules on a lazy space:
+    every atom of a finite space (strict length), or the shortest array's
+    support cut at a lazy window, where a weight can be 0 or +inf."""
+    if not space.is_lazy:
+        return [component_array(r, space)[offset:] for r in raws], space.weights[offset:]
+    sizes = [r.size for r in raws if not callable(r)]
+    if not sizes:
+        return None
+    end = min(space.size, *sizes)
+    values = [component_head(r, end)[offset:] if callable(r) else r[offset:end] for r in raws]
+    return values, space.weight_block(np.arange(offset + 1, end + 1, dtype=np.int64))
 
 
 def modular(
@@ -456,9 +456,9 @@ def modular(
 
     ``f`` is one complex component (array or index rule); ``offset = n``
     leaves out atoms ``1..n``, so it gives the modular of the tail past
-    ``n``.  Finite spaces sum exactly; lazy spaces run the dyadic probe
-    (``_march``), whose ``converged`` value for an index rule is the
-    partial sum plus an extrapolated tail: an estimate, not a bound.
+    ``n``.  A finitely supported sum (see ``_exact_part``) is exact; index
+    rules on a lazy space run the dyadic probe (``_march``), whose
+    ``converged`` value, partial sum plus extrapolated tail, is an estimate.
     """
     if isinstance(f, BCSequence):
         raise InvalidInputError("pass one component here, not a BCSequence")
@@ -466,10 +466,12 @@ def modular(
         raise InvalidInputError(f"scale must be finite and >= 0, got {scale!r}")
     offset = _tail_start(offset, space)
     raw = _as_raw_component(f)
-    if not space.is_lazy:
-        return _phi_sum(phi, component_array(raw, space)[offset:], space.weights[offset:], scale)
-    terms = _phi_terms(phi, raw, _weight_reader(space), scale, offset)
-    return _march(terms, space.size - offset, _support(raw, offset))
+    part = _exact_part((raw,), space, offset)
+    if part is None:
+        terms = _phi_terms(phi, raw, _weight_reader(space), scale, offset)
+        return _march(terms, space.size - offset)
+    (values,), weights = part
+    return _phi_sum(phi, np.abs(values), weights, scale)
 
 
 def _tail_start(offset, space: AtomicMeasureSpace) -> int:
@@ -491,33 +493,39 @@ def weighted_phi_sum(
 
     The weight vector may be any nonnegative certificate vector (for
     example distortion ratios), not just atom weights.  With
-    ``lazy=True`` the sum runs through the convergence probe instead of
-    being declared exact.
+    ``lazy=True`` an index rule runs through the convergence probe instead
+    of being declared exact, and an array is summed exactly over its
+    support, cut at ``len(weights)``, as on a lazy space.
     """
     weights = np.asarray(weights, dtype=float)
     raw = _as_raw_component(f)
-    if lazy:
-        terms = _phi_terms(phi, raw, lambda idx: weights[idx - 1], scale)
-        return _march(terms, weights.size, _support(raw))
-    return _phi_sum(phi, component_head(raw, weights.size), weights, scale)
+    if lazy and callable(raw):
+        return _march(_phi_terms(phi, raw, lambda idx: weights[idx - 1], scale), weights.size)
+    values = raw[: weights.size] if lazy else component_head(raw, weights.size)
+    return _phi_sum(phi, np.abs(values), weights[: values.size], scale)
 
 
-def _phi_sum(phi: OrliczFunction, values: np.ndarray, weights: np.ndarray, scale: float):
-    """Exact ``sum phi(scale |f_n|) w_n`` over finite ``values``.
-
-    Only a sum that is not finite has its terms scanned: an overflowed
-    argument reads phi = +inf (exp's ``expm1(inf) - inf`` is nan), and a
-    zero weight, or a zero phi on a weight of +inf, adds 0.
-    """
-    u = _moduli(values, scale)
-    phis = phi._values(u)
-    total = (phis * weights).sum()
-    if not math.isfinite(total):
-        phis[np.isinf(u)] = np.inf
-        terms = phis * weights
-        terms[(phis == 0) | (weights == 0)] = 0.0
-        total = terms.sum()
+# overflow and 0 * inf are read term by term in _exact_sum, not warned about
+@np.errstate(over="ignore", invalid="ignore")
+def _phi_sum(phi: OrliczFunction, moduli: np.ndarray, weights: np.ndarray, scale: float):
+    """Exact ``sum phi(scale u_n) w_n`` over finite ``moduli`` ``u_n = |f_n|``."""
+    total = _exact_sum(phi._values(_scaled(moduli, scale)), weights)
     return ModularValue(float(total), "exact", weights.size)
+
+
+def _exact_sum(values: np.ndarray, weights: np.ndarray):
+    """``sum values_n w_n`` over a finite support, called with numpy's overflow
+    and invalid warnings off.  Only a sum that is not finite has its terms
+    scanned: a zero value or weight adds 0, not ``0 * inf``'s nan, and any
+    other nan term (exp's ``expm1(inf) - inf``, a complex product past the
+    floats) reads +inf."""
+    terms = values * weights
+    total = terms.sum()
+    if not np.isfinite(total):
+        terms[(values == 0) | (weights == 0)] = 0.0
+        terms[np.isnan(terms)] = np.inf
+        total = terms.sum()
+    return total
 
 
 # ----------------------------------------------------------------------
@@ -549,31 +557,32 @@ def luxemburg_norm(
 
     With ``offset = n`` it is the gauge of the tail ``f 1_{>n}``, and all
     below runs over the atoms past ``n``.  ``|f|`` and its sup (1 if ``f``
-    vanishes) are read once (rules over a bounded prefix), and
-    the solve runs on the normalised level ``level(t) = I_phi(t |f| / sup)``,
-    whose root ``t*`` gives the gauge ``sup / t*``, so nothing in it can
-    overflow.  For ``power:p`` the level is ``t^p level(1)``, and one
-    evaluation gives the closed form ``sup * level(1)^(1/p)``, that is
+    vanishes) are read once, over the atoms an exact sum reads (see
+    ``_exact_part``) or an index rule's bounded prefix, and the solve runs
+    on the normalised level ``level(t) = I_phi(t |f| / sup)``, whose root
+    ``t*`` gives the gauge ``sup / t*``, so nothing in it can overflow.
+    For ``power:p`` the level is ``t^p level(1)``, and one evaluation
+    gives the closed form ``sup * level(1)^(1/p)``, that is
     ``(sum |f_n|^p a_n)^(1/p)``.  For ``exp`` and ``entropy``, and for a
     power level past the divergence guard at ``t = 1``, a bracketed regula
     falsi in log scale (``_unit_scale``) stops once the gauge is pinned to
     a relative ``tol``.
 
-    On a finite space a level evaluation is one weighted sum over the
-    arrays already read.  On a lazy space it is one ``modular`` probe: a
-    probe past the divergence guard reads as an infinite level, from which
-    the solve steps down; a ``diverged`` verdict of the comparison probe
-    raises NotInSpaceError and an ``inconclusive`` one raises
-    UnsupportedInstanceError.  The result is checked with one ``modular``
-    call at ``scale = 1/lam``; if rounding left that level above 1, ``lam``
-    is stepped up by one convexity step and a few ulps.  The returned gauge
-    thus satisfies ``I_phi(f / lam) <= 1`` in floats and lies within
-    ``tol``, plus the few ulps of that step, above the infimum (phi is
-    evaluated to a few ulps; exp takes a Taylor series at small
-    arguments).  On a lazy space with an index rule that check reads the
-    probe's estimated total, partial sum plus extrapolated tail, so it is
-    not proved there.  A level of 0
-    at the normalised scale means ``f`` vanishes (on a lazy space: on the
+    For a finitely supported ``f`` a level evaluation is one exact sum
+    (``_phi_sum``) over the arrays already read.  For an index rule on a
+    lazy space it is one ``modular`` probe: a probe past the divergence
+    guard reads as an infinite level, from which the solve steps down; a
+    ``diverged`` verdict of the comparison probe raises NotInSpaceError
+    and an ``inconclusive`` one raises UnsupportedInstanceError.  The
+    result is checked with one ``modular`` call at ``scale = 1/lam``; if
+    rounding left that level above 1, ``lam`` is stepped up by one
+    convexity step and a few ulps.  The returned gauge thus satisfies
+    ``I_phi(f / lam) <= 1`` in floats and lies within ``tol``, plus the
+    few ulps of that step, above the infimum (phi is evaluated to a few
+    ulps; exp takes a Taylor series at small arguments).  For an index
+    rule that check reads the probe's estimated total, partial sum plus
+    extrapolated tail, so it is not proved there.  A level of 0 at the
+    normalised scale means ``f`` vanishes (for an index rule: on the
     probed window), and the gauge is 0.  A gauge outside the float range
     raises UnsupportedInstanceError, and so does an entry whose modulus
     overflows (``|z|`` of a finite ``z`` can).
@@ -582,7 +591,8 @@ def luxemburg_norm(
         raise InvalidInputError(f"tol must be in (0, 1), got {tol!r}")
     offset = _tail_start(offset, space)
     raw = _as_raw_component(f)
-    mags = np.abs(_sup_window(raw, space, offset))
+    part = _exact_part((raw,), space, offset)
+    mags = np.abs(_sup_window(raw, space, offset) if part is None else part[0][0])
     sup = float(mags.max(initial=0.0)) or 1.0
     if sup == math.inf:
         atom = offset + int(np.argmax(np.isinf(mags))) + 1
@@ -590,15 +600,15 @@ def luxemburg_norm(
             f"|f_{atom}| is beyond the float range (its parts are finite), "
             "so the gauge is not computed"
         )
-    if space.is_lazy:
+    if part is None:
         del mags  # not held through the solve, nor by a refusal's traceback
         level = _lazy_level(phi, raw, space, offset, sup)
     else:
         mags /= sup  # in place: no second array of the moduli is held
-        weights = space.weights[offset:]
+        weights = part[1]
 
         def level(t: float) -> float:
-            return float((phi._values(t * mags) * weights).sum())
+            return _phi_sum(phi, mags, weights, t).value
 
     at_one = level(1.0)
     if at_one == 0.0:
@@ -615,14 +625,11 @@ def luxemburg_norm(
     return _certified(phi, raw, space, lam, offset)
 
 
-def _sup_window(raw, space: AtomicMeasureSpace, offset: int) -> np.ndarray:
-    """The values past ``offset`` a gauge takes its sup over; a rule's next ``_SUP_PREFIX``."""
-    if not space.is_lazy:
-        return component_array(raw, space)[offset:]
-    if not callable(raw):
-        return raw[offset:]
+def _sup_window(rule, space: AtomicMeasureSpace, offset: int) -> np.ndarray:
+    """An index rule's values at the next ``_SUP_PREFIX`` atoms past
+    ``offset`` on a lazy space, which a gauge takes its sup over."""
     idx = np.arange(offset + 1, min(space.size, offset + _SUP_PREFIX) + 1, dtype=np.int64)
-    head = component_block(raw, idx)
+    head = component_block(rule, idx)
     _check_rule_values(head, idx)
     return head
 
@@ -791,40 +798,32 @@ def pairing(
 ) -> BiComplex:
     """Bilinear pairing ``sum x_n y_n a_n`` taken componentwise.
 
-    On lazy spaces each complex sum runs on the modular's probe, which
-    judges the absolute series ``|x_n y_n a_n|`` and extrapolates the
-    complex partial sums beside it: a settled component is the estimate of
-    its own complex sum, not its partial sum.  Past the shorter of two
-    arrays the product is zero, so an array component bounds the probe as
-    in ``modular``.  Certified divergence raises NotSummableError, and a
-    probe that cannot settle within the window returns the partial value
-    with a RuntimeWarning.  A real rule's values
-    are summed as complex: numpy sums a complex array in another order than
-    the same reals, and the last bit can differ.  Two real blocks are
-    multiplied as reals into the real part of a zeroed complex array: the
-    real part of ``(x + 0j)(y + 0j)`` is ``x * y``, and its imaginary
-    ``+-0`` cannot reach the sum, which starts at +0.0, while an
-    overflowed product goes to the divergence guard.
+    A component with an array is zero past the shorter array and is
+    summed exactly (see ``_exact_part``).  Two index rules on a lazy space
+    run the modular's probe, which judges ``|x_n y_n a_n|`` and
+    extrapolates the complex partial sums beside it.  Certified divergence
+    raises NotSummableError, a probe that cannot settle within the window
+    returns the partial value with a RuntimeWarning, and a sum past the
+    floats raises UnsupportedInstanceError.  The pairing multiplies and
+    sums as complex, a real rule's values too: numpy sums a complex array
+    in another order than the same reals, and the last bit can differ.
     """
     weight_at = _weight_reader(space)
 
     def summed(which: int) -> complex:
-        xr, yr = x.component(which), y.component(which)
-        if not space.is_lazy:
-            xs, ys = (component_array(r, space).astype(complex, copy=False) for r in (xr, yr))
-            return complex(np.sum(xs * ys * space.weights))
+        raws = (x.component(which), y.component(which))
+        part = _exact_part(raws, space)
+        if part is not None:
+            values, weights = part
+            xs, ys = (v.astype(complex, copy=False) for v in values)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return complex(_exact_sum(xs * ys, weights))
 
         def term_chunk(idx):
-            xs, ys = (component_block(r, idx) for r in (xr, yr))
-            if xs.dtype == ys.dtype == np.float64:
-                products = np.zeros(idx.shape, dtype=complex)
-                np.multiply(xs, ys, out=products.real)
-            else:
-                products = xs.astype(complex, copy=False) * ys.astype(complex, copy=False)
-            return products, weight_at(idx), idx, (xs, ys)
+            xs, ys = (component_block(r, idx) for r in raws)
+            return (xs * ys).astype(complex, copy=False), weight_at(idx), idx, (xs, ys)
 
-        support = min((r.size for r in (xr, yr) if not callable(r)), default=None)
-        mv = _march(term_chunk, space.size, support)
+        mv = _march(term_chunk, space.size)
         if mv.status == "diverged":
             fired = "the divergence guard" if mv.guard else "the comparison probe"
             raise NotSummableError(
@@ -839,4 +838,4 @@ def pairing(
             )
         return mv.value
 
-    return BiComplex(summed(1), summed(2))
+    return _ring_result("pairing", summed(1), summed(2))

@@ -605,6 +605,91 @@ def test_schauder_from_zero_is_the_norm_where_the_p_sum_overflows(capsys, files,
     assert produced_by[0].startswith("power:p gauge of each component beyond index 0")
 
 
+ONE_ATOM_SPACES = {
+    "one_atom": {"weights": [1.0]},
+    "counting": {"weights_rule": "counting", "n_max": 10**6},
+}
+
+
+@pytest.mark.parametrize("space", sorted(ONE_ATOM_SPACES))
+def test_one_atom_pairing_is_exact_on_either_space(capsys, tmp_path, space):
+    # on counting the lazy pairing once read the finitely supported sum
+    # 1e14 as past the divergence guard: "not_summable"
+    seq = write(tmp_path / "seq.json", [bc(1e7 + 0j, 1 + 0j)])
+    sp = write(tmp_path / "space.json", ONE_ATOM_SPACES[space])
+    report = run_json(capsys, ["pairing", "--x", seq, "--y", seq, "--space", sp])
+    assert report["status"] == "ok"
+    assert result_value(report, "pairing")["idempotent"] == {"b1": [1e14, 0.0], "b2": [1.0, 0.0]}
+
+
+def test_norm_on_counting_reports_an_exact_modular(capsys, tmp_path):
+    # the modular once read "diverged" / "inf" beside a gauge of 1e7
+    seq = write(tmp_path / "seq.json", [bc(1e7 + 0j, 1 + 0j)])
+    sp = write(tmp_path / "space.json", ONE_ATOM_SPACES["counting"])
+    report = run_json(capsys, ["norm", "--phi", "power:p=2", "--space", sp, "--seq", seq])
+    assert result_value(report, "modular_component_1") == {
+        "value": 1e14, "status": "exact", "n_terms": 1,
+    }
+    assert result_value(report, "luxemburg_norm_component_1") == 1e7
+
+
+@pytest.mark.parametrize("space", sorted(ONE_ATOM_SPACES))
+def test_pairing_past_the_floats_is_a_certificate(capsys, tmp_path, space):
+    # once exit 1 on a finite space ("beta1 must be finite, got (inf+nanj)")
+    # and "not_summable" on counting
+    seq = write(tmp_path / "seq.json", [bc(1e200 + 0j, 1 + 0j)])
+    sp = write(tmp_path / "space.json", ONE_ATOM_SPACES[space])
+    argv = ["pairing", "--x", seq, "--y", seq, "--space", sp]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["status"] == "error_certificate"
+    cert = result_value(report, "error_certificate")
+    assert cert["error"] == "unsupported_instance"
+    assert cert["detail"].startswith("pairing overflows: idempotent component 1")
+    assert run_cli(capsys, argv + ["--strict"])[0] == 2
+
+
+@pytest.mark.parametrize(
+    "operator",
+    [
+        {"multiplication": {"theta": [bc(1e200 + 0j, 1 + 0j)]}},
+        {"dense": {"m1": [[1e200]], "m2": [[1]]}},
+    ],
+    ids=["multiplication", "dense"],
+)
+def test_op_apply_past_the_floats_is_a_certificate(capsys, tmp_path, operator):
+    # once a numpy RuntimeWarning on stderr, then exit 1 ("beta1 must be
+    # finite, got (inf+0j)")
+    seq = write(tmp_path / "seq.json", [bc(1e200 + 0j, 1 + 0j)])
+    op = write(tmp_path / "op.json", operator)
+    sp = write(tmp_path / "space.json", ONE_ATOM_SPACES["one_atom"])
+    argv = ["op", "apply", "--operator", op, "--space", sp, "--seq", seq]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["status"] == "error_certificate"
+    cert = result_value(report, "error_certificate")
+    assert cert == {
+        "error": "unsupported_instance",
+        "detail": "component 1 of the image passes the largest float at atom 1",
+    }
+    assert run_cli(capsys, argv + ["--strict"])[0] == 2
+
+
+def test_norm_on_a_heavy_atom_warns_nothing(capsys, tmp_path):
+    # phi(1e10) * 1e300 passes the floats: the modular reads inf, and numpy
+    # once printed two overflow RuntimeWarnings beside it
+    seq = write(tmp_path / "seq.json", [bc(1e10 + 0j, 1 + 0j)])
+    sp = write(tmp_path / "space.json", {"weights": [1e300]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_json(capsys, ["norm", "--phi", "power:p=2", "--space", sp, "--seq", seq])
+    assert result_value(report, "modular_component_1")["value"] == "inf"
+
+
 def test_op_apply_refuses_a_table_longer_than_the_space(capsys, tmp_path):
     # apply once used the first three entries and exited 0; op check refused
     space = write(tmp_path / "space.json", {"weights": [1, 1, 1]})

@@ -3,8 +3,8 @@
 Every case runs ``bcorlicz.cli.main`` in a forked child process under a
 time cap, with the child's stdout and stderr sent to files, as
 ``python -m bcorlicz`` would run it.  A case passes when the child ends
-within the cap, with exit code 0, 1 or 2, at most one ``error:`` line on
-stderr and no traceback.  The cases are a fixed table of edge values per
+within the cap, with exit code 0, 1 or 2, and its stderr is empty on exit
+0 or 2 and one ``error:`` line on exit 1: no traceback and no warning.  The cases are a fixed table of edge values per
 argument plus seeded random mutations of well-formed input files, so the
 same cases run every time.
 """
@@ -15,6 +15,7 @@ import os
 import random
 import sys
 import traceback
+import warnings
 
 import pytest
 
@@ -57,6 +58,12 @@ GOOD = {
     "table_11": {"map": [1, 1]},
     "tiny_heavy": {"weights": [1.0, 1e-320]},
     "table_22": {"map": [2, 2]},
+    # phi(1e10) on a weight of 1e300 passes the floats
+    "heavy_1e300": {"weights": [1e300]},
+    "seq_1e10": [bc(1e10, 1.0)],
+    # images past the floats
+    "op_mult_1e200": {"multiplication": {"theta": [bc(1e200, 1.0)]}},
+    "op_dense_1e200": {"dense": {"m1": [[1e200]], "m2": [[1]]}},
 }
 
 SEQ = ["--seq", "@seq3"]
@@ -204,11 +211,31 @@ def _cases():
         ("bc_star-cartesian-beyond-floats", [
             "bc", "eval", "--op", "star", "--lhs", "@cartesian_big", "--strict",
         ], {}, None),
+        # each of these once printed numpy RuntimeWarnings, and the last
+        # three then exited 1
+        ("norm-modular-beyond-floats", [
+            "norm", "--phi", "power:p=2", "--space", "@heavy_1e300", "--seq", "@seq_1e10",
+        ], {}, None),
+        ("apply_mult-beyond-floats", [
+            "op", "apply", "--operator", "@op_mult_1e200", "--space", "@one_atom",
+            "--seq", "@seq_1e200",
+        ], {}, None),
+        ("apply_dense-beyond-floats", [
+            "op", "apply", "--operator", "@op_dense_1e200", "--space", "@one_atom",
+            "--seq", "@seq_1e200",
+        ], {}, None),
+        ("pairing-beyond-floats", [
+            "pairing", "--x", "@seq_1e200", "--y", "@seq_1e200", "--space", "@one_atom",
+        ], {}, None),
     ]
     return cases
 
 
 CASES = _cases()
+
+
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
 
 
 def _run_child(argv, out_path, err_path, config_path):
@@ -217,9 +244,12 @@ def _run_child(argv, out_path, err_path, config_path):
         target = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
         os.dup2(target, fd)
         os.close(target)
-    # a test runner may have swapped the streams for its own capture
+    # a test runner may have swapped the streams for its own capture, and
+    # record warnings where python -m prints them, each once per place
     sys.stdout = open(1, "w", closefd=False)
     sys.stderr = open(2, "w", closefd=False)
+    warnings.simplefilter("default", RuntimeWarning)
+    warnings.showwarning = _print_warning
     if config_path is None:
         os.environ.pop("BCORLICZ_CONFIG", None)
     else:
@@ -272,9 +302,11 @@ def _run_case(tmp_path, name, argv, overrides, config):
         pytest.fail(f"case {name} ran past the {CASE_CAP} s cap: {args}")
     err = err_path.read_text()
     assert child.exitcode in (0, 1, 2), (child.exitcode, args, err)
-    assert "Traceback" not in err, (args, err)
-    error_lines = [line for line in err.splitlines() if line.startswith("error:")]
-    assert len(error_lines) <= 1, (args, err)
+    if child.exitcode == 1:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (args, err)
+    else:
+        assert err == "", (args, err)
     if child.exitcode in (0, 2) and "--help" not in args and "text" not in args:
         json.loads(out_path.read_text())
     return child.exitcode, err

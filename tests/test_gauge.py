@@ -217,8 +217,8 @@ def test_gauge_grows_with_the_weights(case, data):
 LAZY_SPACES = ((None, 10**4), (0.5, 10**4), (0.9, 10**4), (2.0, 10**3), (1e4, 70))
 
 
-# more examples here: few draws put a nonzero entry on an atom heavy enough
-# to pass the divergence guard
+# a finitely supported component is summed exactly on either space, over
+# the same weights, so the gauges agree bit for bit
 @settings(PROPERTY_SETTINGS, max_examples=150)
 @given(instances(), st.sampled_from(LAZY_SPACES))
 def test_finite_support_gives_the_same_gauge_on_a_lazy_space(case, lazy_space):
@@ -233,4 +233,4 @@ def test_finite_support_gives_the_same_gauge_on_a_lazy_space(case, lazy_space):
     phi = OrliczFunction.parse(spec)
     want = luxemburg_norm(phi, f, finite)
     got = luxemburg_norm(phi, f, lazy)
-    assert abs(got - want) <= 1e-10 * want
+    assert got == want

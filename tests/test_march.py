@@ -6,17 +6,23 @@ below walks the same dyadic blocks ``[2^j, 2^(j+1))``, cut at the window's
 end and evaluated in chunks of at most 2^14 atoms, reads every value as
 complex and multiplies every weight in, and re-runs its three passes of
 Aitken's Delta^2 over the whole history of partial sums after each full
-block.  Every lazy sum (the modular, over the whole window or past an
-offset, the lazy weighted sum and the pairing) must answer exactly as it
-does: the same ``ModularValue`` with the value and the tail bit for bit,
-the same exception and message, the same pairing and the same warnings.
-A Schauder tail is the gauge of a modular past an offset, so the offset
-modular's reference covers its sums.  The reference writes its own rule
-constants (three passes, three estimates, three late doublings) rather
-than importing the library's, so that a change to one of them shows.
+block.  Every lazy sum of index rules (the modular, over the whole window
+or past an offset, the lazy weighted sum and the pairing) must answer
+exactly as it does: the same ``ModularValue`` with the value and the tail
+bit for bit, the same exception and message, the same pairing and the
+same warnings.  A sum with an array component is finitely supported and
+exact: it must answer as the restated exact sum over the shortest array's
+support, cut at the window, and as the finite space of that support's
+weights wherever they are finite and positive.  A Schauder tail is the
+gauge of a modular past an offset, so the offset modular's reference
+covers its sums.  The reference writes its own rule constants (three
+passes, three estimates, three late doublings) rather than importing the
+library's, so that a change to one of them shows.
 """
 
+import cmath
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -32,6 +38,7 @@ from bcorlicz import (
     ModularValue,
     NotSummableError,
     OrliczFunction,
+    UnsupportedInstanceError,
     modular,
     pairing,
     weighted_phi_sum,
@@ -63,10 +70,9 @@ def extrapolated(seq):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def reference_march(term_block, n_total, support):
+def reference_march(term_block, end):
     """The probe walked block by block: ``term_block(idx)`` gives the sum of
     the terms at the positions ``idx`` and the sum of their moduli."""
-    end = n_total if support is None else min(n_total, support)
     signed = total = 0.0
     history, densities = [], []
     lo = 1
@@ -82,7 +88,7 @@ def reference_march(term_block, n_total, support):
             if not total <= GUARD:
                 return ModularValue(math.inf, "diverged", last, guard=True)
         densities.append(block / math.log2((hi + 1) / lo))
-        if support is None and hi == 2 * lo - 1:
+        if hi == 2 * lo - 1:
             history.append((signed, total))
             estimates = [
                 (extrapolated([v for v, _ in history[: k + 1]]),
@@ -99,7 +105,7 @@ def reference_march(term_block, n_total, support):
                         value = max(value, signed)
                     return ModularValue(value, "converged", hi, tail=value - signed)
         lo = hi + 1
-    if end == support or total == 0.0:
+    if total == 0.0:
         return ModularValue(signed, "converged", end)
     late = densities[-4:]
     if len(late) == 4 and all(b >= 0.95 * a > 0.0 for a, b in zip(late, late[1:])):
@@ -148,33 +154,86 @@ def reference_phi_terms(phi, raw, weight_at, scale=1.0, offset=0):
     return term_block
 
 
-def support_of(raw):
-    return None if callable(raw) else raw.size
+def support_of(raws, window, weight_at, offset=0):
+    """The components' values and the weights at the atoms past ``offset``
+    of the shortest array's support, cut at the window; None when every
+    component is a rule.  A rule read there must be finite."""
+    sizes = [r.size for r in raws if not callable(r)]
+    if not sizes:
+        return None
+    atoms = np.arange(offset + 1, min(window, *sizes) + 1, dtype=np.int64)
+    values = [reference_block(r, atoms) for r in raws]
+    for raw, vals in zip(raws, values):
+        if callable(raw):
+            _check_rule_values(vals, atoms)
+    return values, weight_at(atoms)
 
 
-def reference_modular(phi, raw, space, scale=1.0):
-    terms = reference_phi_terms(phi, raw, space.weight_block, scale)
-    return reference_march(terms, space.size, support_of(raw))
+@np.errstate(over="ignore", invalid="ignore")
+def reference_exact(phi, vals, weights, scale=1.0):
+    """An exact modular over a finite support, every term read: an argument
+    past the floats reads phi = inf, and a zero phi or weight adds 0."""
+    u = scale * np.abs(vals)
+    phis = phi._values(u)
+    phis[np.isinf(u)] = np.inf
+    terms = phis * weights
+    terms[(phis == 0) | (weights == 0)] = 0.0
+    return ModularValue(float(terms.sum()), "exact", weights.size)
+
+
+def reference_modular(phi, raw, space, scale=1.0, offset=0):
+    part = support_of((raw,), space.size, space.weight_block, offset)
+    if part is not None:
+        return reference_exact(phi, part[0][0], part[1], scale)
+    terms = reference_phi_terms(phi, raw, space.weight_block, scale, offset)
+    return reference_march(terms, max(space.size - offset, 0))
 
 
 def reference_weighted_phi_sum(phi, raw, weights, scale):
+    part = support_of((raw,), weights.size, lambda idx: weights[idx - 1])
+    if part is not None:
+        return reference_exact(phi, part[0][0], part[1], scale)
     terms = reference_phi_terms(phi, raw, lambda idx: weights[idx - 1], scale)
-    return reference_march(terms, weights.size, support_of(raw))
+    return reference_march(terms, weights.size)
+
+
+def finite_of_support(raws, space):
+    """The components cut to the shortest array's support and the finite
+    space of its weights, or None where the support is empty or a weight is
+    0 or +inf (a finite space has neither), a rule's value there is not
+    finite (the reference refuses it) or no array bounds the sum."""
+    try:
+        part = support_of(raws, space.size, space.weight_block)
+    except InvalidInputError:
+        return None
+    if part is None or not part[1].size or not np.all(np.isfinite(part[1]) & (part[1] > 0)):
+        return None
+    return part[0], AtomicMeasureSpace.finite(part[1])
 
 
 def reference_pairing(x, y, space):
-    """Each component's complex sum, extrapolated like the modular's, with
-    the verdicts judged on its moduli."""
+    """Each component's complex sum: exact over the shortest array's
+    support, or for two rules extrapolated like the modular's, with the
+    verdicts judged on its moduli."""
 
     def summed(which):
         xr, yr = x.component(which), y.component(which)
+
+        part = support_of((xr, yr), space.size, space.weight_block)
+        if part is not None:
+            (xs, ys), weights = part
+            with np.errstate(over="ignore", invalid="ignore"):
+                products = xs * ys
+                terms = products * weights
+                # 0 * inf adds 0
+                terms[(products == 0) & np.isinf(weights) | (weights == 0) & np.isinf(products)] = 0
+                return complex(terms.sum())
 
         def term_block(idx):
             xs, ys = reference_block(xr, idx), reference_block(yr, idx)
             return reference_weighted(xs * ys, space.weight_block(idx), idx, xs, ys)
 
-        support = min((r.size for r in (xr, yr) if not callable(r)), default=None)
-        mv = reference_march(term_block, space.size, support)
+        mv = reference_march(term_block, space.size)
         if mv.status == "diverged":
             fired = "the divergence guard" if mv.guard else "the comparison probe"
             raise NotSummableError(
@@ -188,7 +247,14 @@ def reference_pairing(x, y, space):
             )
         return mv.value
 
-    return BiComplex(summed(1), summed(2))
+    b1, b2 = summed(1), summed(2)
+    if not all(map(cmath.isfinite, (b1, b2))):
+        k = 1 if not cmath.isfinite(b1) else 2
+        raise UnsupportedInstanceError(
+            f"pairing overflows: idempotent component {k} of the exact result "
+            f"passes the largest float ({sys.float_info.max:.3e})"
+        )
+    return BiComplex(b1, b2)
 
 
 def reference_finite_pairing(x, y, space):
@@ -332,6 +398,13 @@ def test_modular_matches_the_reference(spec, rule, n_total, c, data):
         lambda: modular(phi, f, space, scale=scale),
         lambda: reference_modular(phi, raw, space, scale),
     )
+    finite = finite_of_support((raw,), space)
+    if finite is not None:
+        (vals,), support = finite
+        same(
+            lambda: modular(phi, f, space, scale=scale),
+            lambda: modular(phi, vals, support, scale=scale),
+        )
 
 
 @PROPERTY
@@ -361,14 +434,17 @@ def test_modular_past_an_offset_matches_the_reference(spec, rule, n_total, c, da
     # offsets inside the window, and past both it and an array's support
     n = data.draw(st.integers(0, n_total + 5))
     raw = f if callable(f) else np.asarray(f, dtype=complex)
-    support = support_of(raw)
-    terms = reference_phi_terms(phi, raw, space.weight_block, scale, offset=n)
     same(
         lambda: modular(phi, f, space, scale=scale, offset=n),
-        lambda: reference_march(
-            terms, max(space.size - n, 0), None if support is None else max(support - n, 0)
-        ),
+        lambda: reference_modular(phi, raw, space, scale, offset=n),
     )
+    finite = finite_of_support((raw,), space)
+    if finite is not None:
+        (vals,), support = finite
+        same(
+            lambda: modular(phi, f, space, scale=scale, offset=n),
+            lambda: modular(phi, vals, support, scale=scale, offset=n),
+        )
 
 
 @PROPERTY
@@ -377,6 +453,16 @@ def test_pairing_matches_the_reference(rule, n_total, c, data):
     space = lazy_space(rule, n_total)
     x, y = data.draw(sequences(c)), data.draw(sequences(c, 1.0))
     same(lambda: pairing(x, y, space), lambda: reference_pairing(x, y, space))
+    finite = [finite_of_support((x.component(k), y.component(k)), space) for k in (1, 2)]
+    if None not in finite and finite[0][1].size == finite[1][1].size:
+        (x1, y1), support = finite[0]
+        (x2, y2), _ = finite[1]
+        same(
+            lambda: pairing(x, y, space),
+            lambda: pairing(
+                BCSequence.from_components(x1, x2), BCSequence.from_components(y1, y2), support
+            ),
+        )
 
 
 # ------------------------------------------------------------ named cases
@@ -582,7 +668,7 @@ def test_the_late_doublings_match_the_reference(window, offset, name):
     space = AtomicMeasureSpace.counting(window)
     p1 = OrliczFunction.power(1)
     terms = reference_phi_terms(p1, raw, space.weight_block, offset=offset)
-    want = reference_march(terms, window - offset, None)
+    want = reference_march(terms, window - offset)
     same(lambda: modular(p1, raw, space, offset=offset), lambda: want)
     if name in DIVERGENT and window - offset >= 16:
         # four blocks at least: every divergent series reads diverged

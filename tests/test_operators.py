@@ -23,6 +23,7 @@ from bcorlicz import (
     InvalidMapError,
     NotInvertibleError,
     OrliczFunction,
+    UnsupportedInstanceError,
     apply_operator,
     check_composition_bounded,
     check_multiplication_bounded,
@@ -134,6 +135,40 @@ def test_multiplication_apply_lazy_pads_supports():
     G = apply_operator(BCOperator.multiplication(theta), F, sp)
     np.testing.assert_array_equal(G.block(1, np.arange(1, 5)), [2, 2, 0, 0])
     np.testing.assert_array_equal(G.block(2, np.arange(1, 5)), [3, 3, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "op, space, atom",
+    [
+        (
+            BCOperator.multiplication(BCSequence.from_components([1.0, 1e200], [1.0, 1.0])),
+            AtomicMeasureSpace.finite(np.ones(2)),
+            2,
+        ),
+        (
+            BCOperator.multiplication(BCSequence.from_components([1.0, 1e200], [1.0, 1.0])),
+            AtomicMeasureSpace.counting(100),
+            2,
+        ),
+        (
+            BCOperator.dense(BCMatrix(np.array([[1e200, 0.0], [0.0, 1.0]]), np.eye(2))),
+            AtomicMeasureSpace.finite(np.ones(2)),
+            1,
+        ),
+    ],
+    ids=["multiplication", "lazy multiplication", "dense"],
+)
+def test_apply_past_the_floats_is_an_unsupported_instance(op, space, atom):
+    # the image once held inf, which numpy warned about and BiComplex
+    # refused as an input error
+    F = BCSequence.from_components([1e200, 1e200], [1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            UnsupportedInstanceError,
+            match=f"component 1 of the image passes the largest float at atom {atom}$",
+        ):
+            apply_operator(op, F, space)
 
 
 def test_dense_apply_matches_matmul():

@@ -236,6 +236,21 @@ def _read_space(args, config, report) -> AtomicMeasureSpace:
     return dataclasses.replace(space, n_max=config["n_max"])
 
 
+def _warn_cut(report, space: AtomicMeasureSpace, **seqs) -> None:
+    """One warning when a sequence has more entries than a lazy window: the
+    sums stop at the window's end, so its later entries are left out."""
+    cut = [
+        f"--{flag} has {F.comp1.size} entries"
+        for flag, F in seqs.items()
+        if space.is_lazy and F.comp1.size > space.size
+    ]
+    if cut:
+        report["warnings"].append(
+            f"{' and '.join(cut)} but the lazy window ends at atom {space.size}; "
+            "the entries past it are left out"
+        )
+
+
 # ----------------------------------------------------------------------
 # report assembly
 # ----------------------------------------------------------------------
@@ -486,6 +501,7 @@ def _cmd_norm(args, config, report):
     report["inputs"]["phi"] = phi.spec_string()
     space = _read_space(args, config, report)
     F = _read(args, report, "seq", BCSequence.from_json_list)
+    _warn_cut(report, space, seq=F)
     results = report["results"]
     gauges = []
     for which in (1, 2):
@@ -581,6 +597,7 @@ def _cmd_phi_classify(args, config, report):
 def _cmd_schauder(args, config, report):
     space = _read_space(args, config, report)
     F = _read(args, report, "seq", BCSequence.from_json_list)
+    _warn_cut(report, space, seq=F)
     report["inputs"].update({"p": args.p, "n": args.n})
     report["results"].append(
         _result(
@@ -596,6 +613,7 @@ def _cmd_pairing(args, config, report):
     space = _read_space(args, config, report)
     x = _read(args, report, "x", BCSequence.from_json_list)
     y = _read(args, report, "y", BCSequence.from_json_list)
+    _warn_cut(report, space, x=x, y=y)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         value = pairing(x, y, space)

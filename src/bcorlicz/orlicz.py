@@ -64,8 +64,9 @@ _DIVERGE_DOUBLINGS = 3
 # the probe evaluates a block in chunks of at most this many atoms: past it
 # the chunk's temporaries fall out of cache and an atom costs more
 _CHUNK_ATOMS = 2**14
-# the blocks through this position end before three estimates exist, so
-# they cannot settle the probe and are evaluated as one chunk
+# the probe first settles at the ninth dyadic end of the atom index, atom
+# 511 (three estimates, each over seven ends); the blocks before it cannot
+# settle it, for a tail too, and are evaluated as one chunk
 _FIRST_CHUNK = 2 ** (2 * _AITKEN_PASSES + 3) - 1
 
 
@@ -247,9 +248,10 @@ class ModularValue:
     ``diverged`` (guard or comparison probe fired; value is +inf), or
     ``inconclusive`` (window exhausted; value is the plain partial sum over
     ``n_terms`` atoms, a lower bound).  ``n_terms`` is how many atoms were
-    read.  A ``converged`` value is an estimate: the partial sum plus
-    ``tail``, the remainder that Aitken extrapolation of the dyadic partial
-    sums predicts, which no finite probe of a black-box rule can prove.
+    read: for a tail past an offset ``n``, the atoms read past ``n``.  A
+    ``converged`` value is an estimate: the partial sum plus ``tail``, the
+    remainder that Aitken extrapolation of the dyadic partial sums
+    predicts, which no finite probe of a black-box rule can prove.
     ``guard`` marks a ``diverged`` verdict of the divergence guard: the
     partial sum passed ``_DIVERGENCE_GUARD`` (or overflowed), which shows
     a large sum at this scale rather than a divergent series.
@@ -264,60 +266,65 @@ class ModularValue:
 
 # overflow and 0 * inf are read piece by piece in _march, not warned about
 @np.errstate(over="ignore", invalid="ignore")
-def _march(term_chunk, end: int) -> ModularValue:
-    """Sum a series of index rules over dyadic blocks with the convergence probe.
+def _march(term_chunk, end: int, start: int = 1) -> ModularValue:
+    """Sum a series of index rules over atoms ``start..end`` with the convergence probe.
 
-    ``term_chunk(idx)`` gives, at the 1-based window positions ``idx``,
-    the ``values`` and ``weights`` whose products are the terms, the atoms
-    that ``idx`` stands for and the rules' values ``read`` there.
-    ``weights`` is None on ``counting``, and no array of ones is built:
-    the values are the terms.  For a modular's real terms this is exact,
-    since ``x * 1.0`` is ``x`` bit for bit (see also ``_scaled``).  For
-    the pairing's complex terms, numpy's multiply by ``1 + 0j`` could
-    differ only in the sign of a zero part and in the imaginary part of an
-    infinite term (``inf + 0j`` becomes ``inf + nanj``); neither reaches
-    the result, since an infinite term goes to the divergence guard and
-    the sum starts at +0.0.  The terms are nonnegative for a modular and
-    complex for the pairing: every rule reads their moduli, and the
-    returned value is their sum.
+    ``term_chunk(idx)`` gives, at the 1-based atoms ``idx``, the ``values``
+    and ``weights`` whose products are the terms and the rules' values
+    ``read`` there.  ``weights`` is None on ``counting``, and no array of
+    ones is built: the values are the terms.  For a modular's real terms
+    this is exact, since ``x * 1.0`` is ``x`` bit for bit (see also
+    ``_scaled``).  For the pairing's complex terms, numpy's multiply by
+    ``1 + 0j`` could differ only in the sign of a zero part and in the
+    imaginary part of an infinite term (``inf + 0j`` becomes
+    ``inf + nanj``); neither reaches the result, since an infinite term
+    goes to the divergence guard and the sum starts at +0.0.  The terms are
+    nonnegative for a modular and complex for the pairing: every rule reads
+    their moduli, and the returned value is their sum.  ``n_terms`` counts
+    the atoms read, from ``start`` on.
 
-    Block ``j`` holds the positions ``[2^j, 2^(j+1))``, cut at the
-    window's ``end`` (see ``_pieces`` for how blocks are evaluated).  The
-    partial sums at the ends of full blocks, those of the terms and those
-    of their moduli, go through ``_AITKEN_PASSES`` passes of Aitken's
+    Block ``j`` holds the atoms ``[2^j, 2^(j+1))``, cut at ``start`` and at
+    ``end`` (see ``_pieces`` for how blocks are evaluated).  The partial
+    sums at the dyadic ends ``2^(j+1) - 1``, those of the terms and those
+    of their moduli, are 0 at every end before ``start``, and those at the
+    ends of full blocks go through ``_AITKEN_PASSES`` passes of Aitken's
     Delta^2 (``_extrapolated``).  As in Cauchy condensation, a tail like
     ``n^-s`` leaves the dyadic partial sums a sum of geometric modes in
-    ``j``, and each pass removes the slowest.  The probe converges once both
-    estimates move less than ``_SETTLE_REL``, relative to the moduli's,
-    over two doublings, and the moduli's predicts a tail that is not
-    negative beyond that slack.  That condition turns away the antilimit
-    of a divergent series whose block sums grow (Aitken extrapolates it
-    below the partial sums), and the partial sum that a run of zero blocks
-    leaves the estimate at once mass returns after it.  The value is the
-    terms' estimate, a modular's at least its partial sum, and ``tail`` is
-    what it adds to the partial sum.  A window that sums to 0 throughout
-    converges to 0 at its end.
+    ``j``, and each pass removes the slowest; a tail past ``start`` keeps
+    the series' own modes, since its blocks are the series' blocks.  The
+    probe converges once both estimates move less than ``_SETTLE_REL``,
+    relative to the moduli's, over two doublings, and the moduli's predicts
+    a tail that is not negative beyond that slack.  That condition turns
+    away the antilimit of a divergent series whose block sums grow (Aitken
+    extrapolates it below the partial sums), and the partial sum that a
+    run of zero blocks leaves the estimate at once mass returns after it.
+    The value is the terms' estimate, a modular's at least its partial sum,
+    and ``tail`` is what it adds to the partial sum.  A window that sums to
+    0 throughout converges to 0 at its end.
 
     Divergence: the moduli's partial sum passes the guard after a piece,
-    or at the window's end the moduli's block sums per doubling (a cut
-    last block's sum divided by the doublings it spans) fall by less than
-    ``_DIVERGE_RATIO`` over each of the last ``_DIVERGE_DOUBLINGS``
+    or at the window's end the moduli's block sums per doubling of the atom
+    index (a block's sum divided by ``log2((stop + 1) / first)`` over its
+    first and last atoms, which a cut block makes less than 1) fall by less
+    than ``_DIVERGE_RATIO`` over each of the last ``_DIVERGE_DOUBLINGS``
     doublings, which the harmonic series, whose block sums tend to
     ``log 2``, does.  Divergence is judged there only: a convergent series
     can have block sums that grow over its early doublings.
     """
     value = total = block = 0.0
-    sums, mags, estimates, per_doubling = [], [], [], []
-    for stop, piece, piece_mag in _pieces(term_chunk, end):
+    sums = [0.0] * (start.bit_length() - 1)  # the dyadic ends before start
+    mags, estimates, per_doubling = sums[:], [], []
+    for stop, piece, piece_mag in _pieces(term_chunk, end, start):
         value += piece
         total += piece_mag
         block += piece_mag
         if not total <= _DIVERGENCE_GUARD:  # also catches nan/inf
-            return ModularValue(math.inf, "diverged", stop, guard=True)
+            return ModularValue(math.inf, "diverged", stop - start + 1, guard=True)
         full = not stop & (stop + 1)  # stop + 1 is a power of two
         if not full and stop < end:
             continue  # a chunk inside a long block
-        per_doubling.append(block / math.log2((stop + 1) / (1 << (stop.bit_length() - 1))))
+        first = max(start, 1 << (stop.bit_length() - 1))
+        per_doubling.append(block / math.log2((stop + 1) / first))
         block = 0.0
         if full:
             sums.append(value)
@@ -331,23 +338,24 @@ def _march(term_chunk, end: int) -> ModularValue:
                     abs(est - v) < slack and abs(est_mag - m) < slack for v, m in estimates[-3:-1]
                 ):
                     est = est if isinstance(est, complex) else max(est, value)
-                    return ModularValue(est, "converged", stop, tail=est - value)
+                    return ModularValue(est, "converged", stop - start + 1, tail=est - value)
+    n_terms = end - start + 1
     if total == 0.0:
-        return ModularValue(value, "converged", end)
+        return ModularValue(value, "converged", n_terms)
     late = per_doubling[-_DIVERGE_DOUBLINGS - 1 :]
     if len(late) > _DIVERGE_DOUBLINGS and all(
         b >= _DIVERGE_RATIO * a > 0.0 for a, b in zip(late, late[1:])
     ):
-        return ModularValue(math.inf, "diverged", end)
-    return ModularValue(value, "inconclusive", end)
+        return ModularValue(math.inf, "diverged", n_terms)
+    return ModularValue(value, "inconclusive", n_terms)
 
 
-def _pieces(term_chunk, end: int):
+def _pieces(term_chunk, end: int, start: int = 1):
     """``(stop, terms' sum, moduli's sum)`` over the march's pieces in order.
 
     A piece is a block, or a part of at most ``_CHUNK_ATOMS`` atoms of a
-    longer one, and ``stop`` is its last position.  Each chunk holds one
-    piece, except the first, which holds every block through
+    longer one, and ``stop`` is its last atom.  Each chunk holds one
+    piece, except the first, which holds every block through atom
     ``_FIRST_CHUNK`` (none of them can settle the probe) and is summed
     block by block.  Only a piece whose moduli do not sum to a finite
     value is scanned, and only once the march reaches it: a rule's value
@@ -355,10 +363,11 @@ def _pieces(term_chunk, end: int):
     overflowed to inf (a geometric ratio above 1) adds 0, not nan.  Terms that
     overflow stay inf for the divergence guard.
     """
-    lo = 1
+    lo = start
     while lo <= end:
         hi = min(end, lo + _CHUNK_ATOMS - 1, max((1 << lo.bit_length()) - 1, _FIRST_CHUNK))
-        values, weights, atoms, read = term_chunk(np.arange(lo, hi + 1, dtype=np.int64))
+        idx = np.arange(lo, hi + 1, dtype=np.int64)
+        values, weights, read = term_chunk(idx)
         terms = values if weights is None else values * weights
         a = lo
         while a <= hi:
@@ -367,7 +376,7 @@ def _pieces(term_chunk, end: int):
             sums = _sums(terms[cut])
             if not math.isfinite(sums[1]):
                 for comp in read:
-                    _check_rule_values(comp[cut], atoms[cut])
+                    _check_rule_values(comp[cut], idx[cut])
                 terms[cut][values[cut] == 0] = 0.0
                 sums = _sums(terms[cut])
             yield b, *sums
@@ -397,21 +406,19 @@ def _extrapolated(partial: list):
     return seq[0]
 
 
-def _phi_terms(phi: OrliczFunction, rule, weight_at, scale: float = 1.0, offset: int = 0):
-    """Terms ``phi(scale |f_n|) w_n`` of an index rule at the atoms ``idx + offset``.
+def _phi_terms(phi: OrliczFunction, rule, weight_at, scale: float = 1.0):
+    """Terms ``phi(scale |f_n|) w_n`` of an index rule at the atoms ``idx``.
 
     ``weight_at`` maps atoms to their weights, or to None for unit weights
     (see ``_weight_reader``).  A rule's real values are read as float64
     and any others as complex (see ``component_block``); the moduli have
     the same bits either way.  This is the term chunk of every lazy
-    modular and weighted sum (see ``_march``); a modular's ``offset``
-    makes it the chunk of the tail past that atom.
+    modular and weighted sum (see ``_march``).
     """
 
     def term_chunk(idx):
-        at = idx + offset if offset else idx
-        vals = component_block(rule, at)
-        return phi._values(_scaled(np.abs(vals), scale)), weight_at(at), at, (vals,)
+        vals = component_block(rule, idx)
+        return phi._values(_scaled(np.abs(vals), scale)), weight_at(idx), (vals,)
 
     return term_chunk
 
@@ -424,9 +431,13 @@ def _weight_reader(space: AtomicMeasureSpace):
 
 def _scaled(moduli: np.ndarray, scale: float) -> np.ndarray:
     """``scale * moduli``; at ``scale == 1`` the multiply is skipped
-    (``1.0 * x`` is ``x``), at any other scale, 0 too, it is kept
-    (``0 * inf`` is nan)."""
-    return moduli if scale == 1.0 else moduli * scale
+    (``1.0 * x`` is ``x``), and at ``scale == 0`` every argument is
+    ``min(u, 0) = 0``, a modulus that overflowed to inf too (``0 * inf``
+    would be nan), while the modulus of a rule's nan stays nan for the
+    march to refuse."""
+    if scale == 1.0:
+        return moduli
+    return moduli * scale if scale else np.minimum(moduli, 0.0)
 
 
 def _exact_part(raws, space: AtomicMeasureSpace, offset: int = 0):
@@ -456,9 +467,14 @@ def modular(
 
     ``f`` is one complex component (array or index rule); ``offset = n``
     leaves out atoms ``1..n``, so it gives the modular of the tail past
-    ``n``.  A finitely supported sum (see ``_exact_part``) is exact; index
-    rules on a lazy space run the dyadic probe (``_march``), whose
-    ``converged`` value, partial sum plus extrapolated tail, is an estimate.
+    ``n``.  A finitely supported sum (see ``_exact_part``) is exact; on a
+    lazy space an array longer than the window is cut at the window's end,
+    and its entries past it are left out.  Index rules on a lazy space run
+    the dyadic probe (``_march``) over the atoms ``n + 1`` to the window's
+    end, in the dyadic blocks of the atom index, so a tail keeps the
+    series' own blocks; its ``converged`` value, partial sum plus
+    extrapolated tail, is an estimate, and ``n_terms`` counts the atoms
+    read past ``n``.
     """
     if isinstance(f, BCSequence):
         raise InvalidInputError("pass one component here, not a BCSequence")
@@ -468,8 +484,8 @@ def modular(
     raw = _as_raw_component(f)
     part = _exact_part((raw,), space, offset)
     if part is None:
-        terms = _phi_terms(phi, raw, _weight_reader(space), scale, offset)
-        return _march(terms, space.size - offset)
+        terms = _phi_terms(phi, raw, _weight_reader(space), scale)
+        return _march(terms, space.size, offset + 1)
     (values,), weights = part
     return _phi_sum(phi, np.abs(values), weights, scale)
 
@@ -569,14 +585,15 @@ def luxemburg_norm(
     a relative ``tol``.
 
     For a finitely supported ``f`` a level evaluation is one exact sum
-    (``_phi_sum``) over the arrays already read.  For an index rule on a
-    lazy space it is one ``modular`` probe: a probe past the divergence
-    guard reads as an infinite level, from which the solve steps down; a
-    ``diverged`` verdict of the comparison probe raises NotInSpaceError
-    and an ``inconclusive`` one raises UnsupportedInstanceError.  The
-    result is checked with one ``modular`` call at ``scale = 1/lam``; if
-    rounding left that level above 1, ``lam`` is stepped up by one
-    convexity step and a few ulps.  The returned gauge thus satisfies
+    (``_phi_sum``) over the arrays already read; on a lazy space an array
+    longer than the window is cut at the window's end, as in ``modular``.
+    For an index rule on a lazy space it is one ``modular`` probe: a probe
+    past the divergence guard reads as an infinite level, from which the
+    solve steps down; a ``diverged`` verdict of the comparison probe
+    raises NotInSpaceError and an ``inconclusive`` one raises
+    UnsupportedInstanceError.  The result is checked with one ``modular``
+    call at ``scale = 1/lam``; if rounding left that level above 1, ``lam``
+    is stepped up by one convexity step and a few ulps.  The returned gauge thus satisfies
     ``I_phi(f / lam) <= 1`` in floats and lies within ``tol``, plus the
     few ulps of that step, above the infimum (phi is evaluated to a few
     ulps; exp takes a Taylor series at small arguments).  For an index
@@ -776,6 +793,10 @@ def schauder_tail(
 
     Each component is the ``power:p`` gauge with ``offset = n``, certified
     by ``I(tail / lam) <= 1``; at ``n = 0`` this is ``norm_bc`` bit for bit.
+    On a lazy space an index rule's tail is probed over the dyadic blocks
+    of the atom index from atom ``n + 1`` on (see ``_march``), so it
+    settles about as early as the whole series, and a window that holds
+    few blocks past ``n`` reads inconclusive rather than divergent.
     The basis-expansion remainder after the first ``n`` coordinate
     sections is exactly this tail, so it decreasing to 0 is the
     quantitative basis statement for the power family.
@@ -799,9 +820,10 @@ def pairing(
     """Bilinear pairing ``sum x_n y_n a_n`` taken componentwise.
 
     A component with an array is zero past the shorter array and is
-    summed exactly (see ``_exact_part``).  Two index rules on a lazy space
-    run the modular's probe, which judges ``|x_n y_n a_n|`` and
-    extrapolates the complex partial sums beside it.  Certified divergence
+    summed exactly (see ``_exact_part``); on a lazy space that sum stops at
+    the window's end, and the entries past it are left out.  Two index
+    rules on a lazy space run the modular's probe, which judges
+    ``|x_n y_n a_n|`` and extrapolates the complex partial sums beside it.  Certified divergence
     raises NotSummableError, a probe that cannot settle within the window
     returns the partial value with a RuntimeWarning, and a sum past the
     floats raises UnsupportedInstanceError.  The pairing multiplies and
@@ -821,7 +843,7 @@ def pairing(
 
         def term_chunk(idx):
             xs, ys = (component_block(r, idx) for r in raws)
-            return (xs * ys).astype(complex, copy=False), weight_at(idx), idx, (xs, ys)
+            return (xs * ys).astype(complex, copy=False), weight_at(idx), (xs, ys)
 
         mv = _march(term_chunk, space.size)
         if mv.status == "diverged":

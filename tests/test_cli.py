@@ -352,6 +352,31 @@ def test_pairing_command_sums_an_array_to_its_last_entry(capsys, tmp_path):
     assert report["warnings"] == []
 
 
+# each command, and which of its sequences are named as cut
+CUT_COMMANDS = {
+    "norm": (["norm", "--phi", "power:p=2", "--seq", "SEQ"], "--seq has 5 entries"),
+    "schauder": (["schauder", "--p", "2", "--n", "1", "--seq", "SEQ"], "--seq has 5 entries"),
+    "pairing": (["pairing", "--x", "SEQ", "--y", "SEQ"],
+                "--x has 5 entries and --y has 5 entries"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CUT_COMMANDS))
+def test_a_sequence_longer_than_the_lazy_window_is_warned(capsys, tmp_path, command):
+    # the sums stop at the window's end: once an "exact" answer over the
+    # first 2 of 5 entries, with no warning
+    seq = write(tmp_path / "seq.json", [bc(1 + 0j, 2 + 0j)] * 5)
+    space = write(tmp_path / "c.json", {"weights_rule": "counting", "n_max": 10**6})
+    argv, named = CUT_COMMANDS[command]
+    argv = [seq if a == "SEQ" else a for a in argv] + ["--space", space]
+    cut = run_json(capsys, argv + ["--n-max", "2"])
+    assert cut["status"] == "ok"
+    assert cut["warnings"] == [
+        f"{named} but the lazy window ends at atom 2; the entries past it are left out"
+    ]
+    assert run_json(capsys, argv + ["--n-max", "5"])["warnings"] == []
+
+
 def test_text_format(capsys, files):
     code, out, _ = run_cli(
         capsys,

@@ -318,6 +318,30 @@ def test_cli_fuzz_case(tmp_path, name, argv, overrides, config):
     _run_case(tmp_path, name, argv, overrides, config)
 
 
+# a sequence longer than the lazy window: its entries past the window are
+# left out of every sum, and the report says so in one warning
+LONGER_THAN_WINDOW = [
+    ("norm_lazy-n-max=2", BASELINES["norm_lazy"] + ["--n-max", "2"], "--seq"),
+    ("schauder-counting-n-max=2", [
+        "schauder", "--seq", "@seq3", "--space", "@counting", "--p", "2", "--n", "1",
+        "--n-max", "2",
+    ], "--seq"),
+    ("pairing-n-max=2", BASELINES["pairing"] + ["--n-max", "2"], "--x"),
+]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the fuzz forks one child per case")
+@pytest.mark.parametrize(
+    "name, argv, flag", LONGER_THAN_WINDOW, ids=[c[0] for c in LONGER_THAN_WINDOW]
+)
+def test_a_cut_sequence_is_warned(tmp_path, name, argv, flag):
+    code, err = _run_case(tmp_path, name, argv, {}, None)
+    assert code == 0, err
+    said = json.loads((tmp_path / "stdout").read_text())["warnings"]
+    assert len(said) == 1 and said[0].startswith(flag), said
+    assert "3 entries but the lazy window ends at atom 2" in said[0], said
+
+
 # the lazy probe has no block length: the old --block flag and "block"
 # config key are refused, whatever their value
 REFUSED_BLOCK = [

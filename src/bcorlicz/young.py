@@ -20,10 +20,20 @@ if TYPE_CHECKING:
 
 __all__ = ["OrliczFunction", "PhiReport", "classify_phi"]
 
-# exp(u) - u - 1 = u^2 (1/2! + u/3! + ... + u^8/10!) to rounding for u below
+# exp(u) - u - 1 = u^2 (1/2! + u/3! + ... + u^8/10!) to rounding for u up to
 # this; above it expm1(u) - u is within 20 eps
 _EXP_SERIES_BELOW = 0.1
 _EXP_SERIES = tuple(1.0 / math.factorial(k) for k in range(10, 1, -1))
+# u log(1 + u) = u^2 (1 - u/2 + u^2/3 - ... + u^14/15) to rounding for u up to
+# this: the series alternates with falling terms, so the remainder is at most
+# the first term left out, u^17/16 <= 6.3e-17 u^2, below half an ulp of
+# u log(1 + u) >= u^2 (1 - u/2)
+_ENTROPY_SERIES_BELOW = 0.1
+_ENTROPY_SERIES = tuple((-1.0) ** k / (k - 1) for k in range(16, 1, -1))
+_SERIES = {
+    "exp": (_EXP_SERIES_BELOW, _EXP_SERIES),
+    "entropy": (_ENTROPY_SERIES_BELOW, _ENTROPY_SERIES),
+}
 
 
 @dataclass(frozen=True)
@@ -75,6 +85,12 @@ class OrliczFunction:
         if self.family == "power":
             return f"power:p={self.p:g}"
         return self.family
+
+    def series(self) -> "tuple[float, tuple[float, ...]] | None":
+        """``(cut, a)`` with ``phi(u) = u^2 (a[0] u^m + ... + a[m])`` to
+        rounding for ``0 <= u <= cut``, the coefficients in Horner order;
+        None for ``power``, whose gauge has a closed form."""
+        return _SERIES.get(self.family)
 
     def eval_array(self, u) -> np.ndarray:
         """Vectorized phi over nonnegative arguments; overflow becomes +inf."""

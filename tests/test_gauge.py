@@ -160,6 +160,107 @@ def test_lazy_root_solve_survives_the_divergence_guard(spec):
     assert level(spec, f, w, lam) <= 1.0 + 1e-12 < level(spec, f, w, lam * (1 - 1e-9))
 
 
+# ------------------------------------------------------- long finite arrays
+
+# On long arrays every argument f_n / lam at the root lies below the
+# family's series cut, where the level is a power series over moments; a
+# spike puts the largest argument just below or just above the cut.
+
+
+def long_instance(n, spike):
+    rng = np.random.default_rng(n)
+    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    w = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    if spike is not None:
+        w[0] = 1.0
+    return f, w
+
+
+@pytest.mark.parametrize("spike", (None, 1 - 1e-3, 1 + 1e-3), ids=("no spike", "below", "above"))
+@pytest.mark.parametrize("n", (2000, 10**4))
+@pytest.mark.parametrize("spec", ("exp", "entropy"))
+def test_long_array_gauge_sits_on_the_level_set(spec, n, spike):
+    phi = OrliczFunction.parse(spec)
+    cut = phi.series()[0]
+    f, w = long_instance(n, spike)
+    space = AtomicMeasureSpace.finite(w)
+    lam = luxemburg_norm(phi, f, space)
+    if spike is not None:
+        # |f_1| / lam -> spike * cut: the gauge barely moves with one atom
+        for _ in range(4):
+            f[0] = spike * cut * lam
+            lam = luxemburg_norm(phi, f, space)
+        assert (np.abs(f).max() / lam < cut) == (spike < 1)
+    else:
+        assert np.abs(f).max() / lam < cut
+    assert level(spec, f, w, lam) <= 1.0 + 1e-12 < level(spec, f, w, lam * (1 - 1e-9))
+
+
+def wave(m):
+    return 1.0 + np.cos(np.arange(1, m + 1))
+
+
+PAST_UNDERFLOW = np.where(np.arange(1, 1301) > 1100, 1.0, 0.0)
+GEOMETRIC_2 = AtomicMeasureSpace.geometric(2.0, 2000)
+GEOMETRIC_HALF = AtomicMeasureSpace.geometric(0.5, 2000)
+HEAVY = AtomicMeasureSpace.finite(np.full(2000, 1e300))
+LIGHT = AtomicMeasureSpace.finite(np.full(2000, 1e-300))
+DENORMAL = AtomicMeasureSpace.finite([5e-324])
+DENORMAL_BESIDE_1 = AtomicMeasureSpace.finite([5e-324, 1.0])
+
+# (phi, f, space, the gauge of the solve on the level at the sup, relative
+# tolerance): weights of +inf past atom 1024 on GEOMETRIC_2 and of 0 past
+# atom 1075 on GEOMETRIC_HALF; phi at the cut times 5e-324 underflows to 0,
+# yet f does not vanish.  On GEOMETRIC_2 the float level is finite only
+# where phi(t u) underflows to 0 on the atoms of weight +inf, so these
+# gauges pin that edge; with the weights 2^(n-1) the exp gauge is about
+# 4.4e165.  The entropy root on LIGHT lies at log t ~ 680, where the
+# solve's width is 16 eps (1 + |log t|) ~ 2.4e-12, not tol (see
+# _unit_scale).
+EDGE_GAUGES = [
+    ("exp", wave(1100), GEOMETRIC_2, 8.997654933183099e161, 1e-12),
+    ("entropy", wave(1100), GEOMETRIC_2, 1.2724605636061818e162, 1e-12),
+    ("exp", wave(1300), GEOMETRIC_HALF, 1.439684931134598, 1e-12),
+    ("entropy", wave(1300), GEOMETRIC_HALF, 1.392666771768028, 1e-12),
+    ("exp", PAST_UNDERFLOW, GEOMETRIC_HALF, 0.0, 0.0),
+    ("entropy", PAST_UNDERFLOW, GEOMETRIC_HALF, 0.0, 0.0),
+    ("exp", wave(2000), HEAVY, 3.872849571968856e151, 1e-12),
+    ("entropy", wave(2000), HEAVY, 5.477036389709216e151, 1e-12),
+    ("exp", wave(2000), LIGHT, 0.002911120854551761, 1e-12),
+    ("entropy", wave(2000), LIGHT, 1.354040669782389e-294, 5e-12),
+    ("exp", [1.0], DENORMAL, 0.0014088818758690531, 1e-12),
+    ("exp", [1.0, 1e-200], DENORMAL_BESIDE_1, 0.0014088818758690531, 1e-12),
+    ("entropy", [1.0, 1e-200], DENORMAL_BESIDE_1, 8.064659942363376e-201, 1e-12),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec, f, space, want, rel", EDGE_GAUGES)
+def test_edge_gauges_keep_their_values(spec, f, space, want, rel):
+    lam = luxemburg_norm(OrliczFunction.parse(spec), f, space)
+    assert abs(lam - want) <= rel * want
+
+
+@pytest.mark.parametrize("spec", ("exp", "entropy"))
+def test_long_gauge_evaluates_phi_over_the_array_once(spec, monkeypatch):
+    # the solve runs on the moments; only the certificate evaluates phi
+    n = 10**5
+    rng = np.random.default_rng(0)
+    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    space = AtomicMeasureSpace.finite(rng.uniform(0.5, 2.0, n))
+    sizes = []
+    values = OrliczFunction._values
+
+    def spy(self, u):
+        sizes.append(u.size)
+        return values(self, u)
+
+    monkeypatch.setattr(OrliczFunction, "_values", spy)
+    lam = luxemburg_norm(OrliczFunction.parse(spec), f, space)
+    assert sizes == [n]
+    assert lam > 0.0
+
+
 # ------------------------------------------------------------- properties
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -3,10 +3,13 @@
 Hypothesis draws ``u`` log-uniformly in ``[1e-6, 1e6]`` for each family
 and checks the table's doubling constant ``K``, convexity and least
 elasticity ``alpha`` against ``phi`` evaluated in doubles; a second test
-checks that ``K`` and ``alpha`` are approached, so neither is loose.
+checks that ``K`` and ``alpha`` are approached, so neither is loose.  The
+series tables of ``OrliczFunction.series`` are checked against ``phi`` in
+50-digit decimals, up to their cut.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -73,3 +76,18 @@ def test_constants_are_approached(spec, u, k_near, alpha_near):
         slope = (math.log(phi(u * (1 + h))) - math.log(phi(u))) / math.log1p(h)
         assert slope == pytest.approx(alpha_near, rel=1e-2)
         assert facts.alpha == alpha_near
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(("exp", "entropy")), st.floats(1e-6, 1.0))
+def test_series_gives_phi_to_rounding_up_to_its_cut(spec, share):
+    cut, coeffs = OrliczFunction.parse(spec).series()
+    with localcontext() as ctx:
+        ctx.prec = 50
+        u = Decimal(share * cut)
+        exact = u.exp() - u - 1 if spec == "exp" else u * (1 + u).ln()
+        inner = Decimal(0)
+        for a in coeffs:
+            inner = inner * u + Decimal(a)
+        # the terms left out, and the coefficients' own rounding
+        assert abs(u * u * inner - exact) <= Decimal(2.0**-52) * exact

@@ -254,10 +254,12 @@ class Distortion:
     ``sup_half`` are the sups that a scan with budget ``m = max(1, window // 4)``
     or ``max(1, window // 2)`` gives: b_n for ``n <= m``, summed over the
     atoms ``k <= m`` only, in the same order, so bit for bit that scan's
-    sup.  They are ``None`` on a finite space.  ``first_uncovered`` is the
-    first atom of the window that no atom maps to (``None`` when the images
-    cover the window), and ``dropped`` counts the atoms with no image (the
-    right shift's atom 1).
+    sup.  They are ``None`` on a finite space.  ``first_uncovered`` is, on a
+    finite space, the first atom that no atom maps to (``None`` when the
+    images cover the space).  On a lazy space the coverage is not read and
+    it is ``None``: atoms past the window can map into it, so the window's
+    coverage says nothing about the map.  ``dropped`` counts the atoms with
+    no image (the right shift's atom 1).
     """
 
     ratios: np.ndarray
@@ -317,8 +319,9 @@ def distortion_ratios(
 
     Each is summed per preimage, ``b_n = sum_{T(k)=n} a_k / a_n``, so it is
     finite wherever the true ratio is, even where the weights overflow.
-    The map's images are read once over the window of ``scan_window``, and
-    every image inside it counts for the window's coverage.  Only the atoms
+    The map's images are read once over the window of ``scan_window``; on a
+    finite space every image also counts for the coverage, which a lazy
+    space does not read (see ``Distortion``).  Only the atoms
     whose share ``a_k / a_n`` can be nonzero are summed (see
     ``_within_reach``): a share of +0.0 leaves its bin's bits as they are,
     since the bins start at +0.0 and every share is at least 0 or +inf.  The
@@ -331,20 +334,24 @@ def distortion_ratios(
     lazy = space.is_lazy
     idx = np.arange(1, n + 1, dtype=np.int64)
     if imap.kind == "right_shift":
-        # atom k + 1 lands on k: atom 1 is dropped, and the last atom is uncovered
+        # atom k + 1 lands on k: atom 1 is dropped, and the last atom of a
+        # finite space is uncovered
         sums = np.empty(n)
         sums[: n - 1] = _weight_ratios(space, idx[1:], idx[:-1])
         sums[n - 1] = 0.0
-        return _distortion(sums, lazy, [sums[: m - 1].max(initial=0.0) for m in prefixes], n, 1)
+        sups = [sums[: m - 1].max(initial=0.0) for m in prefixes]
+        return _distortion(sums, lazy, sups, None if lazy else n, 1)
     images = map_images(space, imap, idx)
     if lazy and images.max() > n:
         inside = images <= n  # images beyond a lazy window leave the truncated view
         idx, images = idx[inside], images[inside]
         del inside
-    covered = np.zeros(n + 1, dtype=bool)
-    covered[images] = True
-    first = None if covered[1:].all() else int(np.argmin(covered[1:])) + 1
-    del covered
+    first = None
+    if not lazy:
+        covered = np.zeros(n + 1, dtype=bool)
+        covered[images] = True
+        first = None if covered[1:].all() else int(np.argmin(covered[1:])) + 1
+        del covered
     d = None
     if space.rule is None or space.rule == "counting":
         shares = _weight_ratios(space, idx, images)

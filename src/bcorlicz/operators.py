@@ -311,6 +311,8 @@ class BoundednessReport:
 
     ``verdict`` is ``bounded``, ``unbounded``, or ``inconclusive``; a
     bounded verdict always carries at least one finite certificate.
+    ``injective`` is judged for a composition on a finite space only, and
+    is None otherwise.
     """
 
     kind: str
@@ -320,7 +322,7 @@ class BoundednessReport:
     ess_sups: tuple[float, float] | None = None
     lambda_pairs: tuple = ()
     phi_facts: PhiReport | None = None
-    surjective_on_window: bool | None = None
+    injective: bool | None = None
     empirical_norm: float | None = None
     notes: tuple[str, ...] = ()
 
@@ -366,7 +368,7 @@ class BoundednessReport:
             "delta2": (
                 self.phi_facts.to_json_dict()["delta2"] if self.phi_facts is not None else None
             ),
-            "surjective_on_window": self.surjective_on_window,
+            "injective": self.injective,
             "empirical_norm": self.empirical_norm,
             "notes": list(self.notes),
         }
@@ -395,9 +397,13 @@ def check_composition_bounded(
     only.  The window is read once, by one ``distortion_ratios`` call: the
     same scan gives the sups a budget of a quarter and of half the window
     would give, and a sup still growing from the quarter to the half to
-    the full window downgrades the verdict to inconclusive.  It also gives
-    the window's coverage, which is recorded as ``surjective_on_window``
-    and never used for the verdict.  For each sample sequence the report
+    the full window downgrades the verdict to inconclusive.  On a finite
+    space the scan also gives the coverage, and ``injective`` records
+    whether ``C_T`` is one-to-one, never used for the verdict: every atom
+    carries mass, so ``F o T`` vanishes exactly when ``F`` vanishes on the
+    range of ``T``, and ``C_T`` is injective exactly when every atom has a
+    preimage.  On a lazy space ``injective`` is None: atoms past the
+    window can map into it.  For each sample sequence the report
     records the largest gauge scales (grid 2^0 .. 2^-20, per component)
     whose ratio-weighted modular is certified finite.
     """
@@ -430,10 +436,15 @@ def check_composition_bounded(
             f"{dist.dropped} atom(s) in the window have no image; their entries are "
             "dropped by the composition convention"
         )
-    if dist.first_uncovered is not None:
+    injective = None if space.is_lazy else dist.first_uncovered is None
+    if space.is_lazy:
+        notes.append("injectivity not judged: atoms past a lazy window can map into it")
+    elif injective:
+        notes.append("C_T is injective: every atom has a preimage and carries mass")
+    else:
         notes.append(
-            "forward images do not cover the window (first uncovered atom: "
-            f"{dist.first_uncovered}); recorded as metadata, not used for the verdict"
+            f"C_T is not injective: atom {dist.first_uncovered} has no preimage, "
+            "so C_T F = 0 for F supported there"
         )
 
     lam_grid = 2.0 ** np.arange(0, -21, -1, dtype=float)
@@ -475,7 +486,7 @@ def check_composition_bounded(
         distortion_truncated=dist.truncated,
         lambda_pairs=tuple(lambda_pairs),
         phi_facts=classify_phi(phi),
-        surjective_on_window=dist.first_uncovered is None,
+        injective=injective,
         empirical_norm=empirical,
         notes=tuple(notes),
     )

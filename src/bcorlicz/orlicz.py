@@ -605,8 +605,9 @@ def luxemburg_norm(
     exact sum of phi per atom however the level was summed; if rounding
     left that level above 1, ``lam`` is stepped up by one convexity step
     and a few ulps.  The returned gauge thus satisfies
-    ``I_phi(f / lam) <= 1`` in floats and lies within ``tol``, plus the
-    few ulps of that step, above the infimum (phi is evaluated to a few
+    ``I_phi(f / lam) <= 1`` in floats and lies within ``tol`` (or the
+    solve's float floor, where that is wider; see ``_unit_scale``), plus
+    the few ulps of that step, above the infimum (phi is evaluated to a few
     ulps; exp takes a Taylor series at small arguments).  For an index
     rule that check reads the probe's estimated total, partial sum plus
     extrapolated tail, so it is not proved there.  A level of 0 at
@@ -784,8 +785,11 @@ def _unit_scale(level: Callable[[float], float], g: float, k: float, tol: float)
             best, L = max(best, t), -math.inf
         else:
             upper, L = min(upper, t), math.inf
-        # below this width the spacing of s, not the level, limits the bracket
-        if best >= (1.0 - max(tol, 16 * _EPS * (1.0 + abs(s)))) * upper:
+        # below this width the floats, not the level, limit the bracket: one
+        # ulp of s moves t = e^s by at most eps |s| relative, and exp rounds
+        # to about eps more, so t resolves steps of eps (1 + |s|); four of
+        # them stay below tol = 1e-12 over all of |s| <= _LOG_T_RANGE
+        if best >= (1.0 - max(tol, 4 * _EPS * (1.0 + abs(s)))) * upper:
             return best
         side = 1 if L > 0 else -1
         if side == last and -side in ends:

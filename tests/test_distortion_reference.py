@@ -6,8 +6,10 @@ reference below computes every share over the whole window, underflowed
 ones included, sums them all, and re-slices the full arrays for each
 prefix, the way the scan was first written.  Its right shift reads the
 window as every other map does: atom ``n + 1`` lies outside it, so the
-last atom gets no mass.  Every field of the two ``Distortion`` values
-must agree bit for bit, or both calls must raise the same error.
+last atom gets no mass.  It reads the coverage on finite spaces only: on a
+lazy one atoms past the window can map into it, so ``first_uncovered`` is
+None there.  Every field of the two ``Distortion`` values must agree bit
+for bit, or both calls must raise the same error.
 """
 
 import math
@@ -45,7 +47,7 @@ def reference_distortion(space, imap, budget):
         sums = np.zeros(n)
         sums[: n - 1] = reference_shares(space, idx[1:], idx[:-1])
         sups = [np.append(sums[: m - 1], 0.0).max() for m in prefixes]
-        return fields(sums, lazy, sups, n, 1)
+        return fields(sums, lazy, sups, None if lazy else n, 1)
     images = map_images(space, imap, idx)
     inside = None
     if lazy and images.max() > n:
@@ -56,9 +58,11 @@ def reference_distortion(space, imap, budget):
     # float64 where every image leaves the window (numpy's bincount of no
     # atoms is integer zeros, which the scan once returned as its ratios)
     sums = np.bincount(pos, weights=shares, minlength=n).astype(float)
-    covered = np.zeros(n, dtype=bool)
-    covered[pos] = True
-    first = None if covered.all() else int(np.argmin(covered)) + 1
+    first = None
+    if not lazy:
+        covered = np.zeros(n, dtype=bool)
+        covered[pos] = True
+        first = None if covered.all() else int(np.argmin(covered)) + 1
     sups = []
     for m in prefixes:
         c = m if inside is None else int(np.count_nonzero(inside[:m]))
@@ -189,7 +193,7 @@ def test_ratios_are_floats_where_every_image_leaves_the_window():
     # k - T(k) = -1100 on geometric:2.0
     space = AtomicMeasureSpace.geometric(2.0, 2000)
     dist = distortion_ratios(space, IndexMap.from_rule(lambda i: i + 1100), 2000)
-    assert dist.ratios.dtype == np.float64 and (dist.sup, dist.first_uncovered) == (0.0, 1)
+    assert dist.ratios.dtype == np.float64 and (dist.sup, dist.first_uncovered) == (0.0, None)
     assert outcome(lambda: dist) == outcome(
         lambda: reference_distortion(space, IndexMap.from_rule(lambda i: i + 1100), 2000)
     )
@@ -197,7 +201,7 @@ def test_ratios_are_floats_where_every_image_leaves_the_window():
 
 def test_the_reference_sees_what_it_should():
     # the cases above reach underflowed shares, overflowed ones, a table
-    # refusal and an uncovered window
+    # refusal and an uncovered finite space
     space = lazy_space("geometric:0.5", 10**5)
     ratios, sup = reference_distortion(space, MAPS["n//2+1"], 10**5)[:2]
     assert 0 < np.count_nonzero(ratios) < 1100 and math.isfinite(sup)
@@ -205,3 +209,5 @@ def test_the_reference_sees_what_it_should():
     assert reference_distortion(wide, MAPS["n//2+1"], 10**5)[1] == math.inf
     assert outcome(lambda: reference_distortion(
         AtomicMeasureSpace.finite(np.ones(7)), MAPS["2n"], 10))[0].__name__ == "InvalidMapError"
+    ones = AtomicMeasureSpace.finite(np.ones(7))
+    assert reference_distortion(ones, MAPS["constant 4"], 10)[5] == 1

@@ -215,8 +215,8 @@ DENORMAL_BESIDE_1 = AtomicMeasureSpace.finite([5e-324, 1.0])
 # where phi(t u) underflows to 0 on the atoms of weight +inf, so these
 # gauges pin that edge; with the weights 2^(n-1) the exp gauge is about
 # 4.4e165.  The entropy root on LIGHT lies at log t ~ 680, where the
-# solve's width is 16 eps (1 + |log t|) ~ 2.4e-12, not tol (see
-# _unit_scale).
+# solve's float floor, 4 eps (1 + |log t|) ~ 6e-13, is still below tol
+# (see _unit_scale).
 EDGE_GAUGES = [
     ("exp", wave(1100), GEOMETRIC_2, 8.997654933183099e161, 1e-12),
     ("entropy", wave(1100), GEOMETRIC_2, 1.2724605636061818e162, 1e-12),
@@ -227,7 +227,7 @@ EDGE_GAUGES = [
     ("exp", wave(2000), HEAVY, 3.872849571968856e151, 1e-12),
     ("entropy", wave(2000), HEAVY, 5.477036389709216e151, 1e-12),
     ("exp", wave(2000), LIGHT, 0.002911120854551761, 1e-12),
-    ("entropy", wave(2000), LIGHT, 1.354040669782389e-294, 5e-12),
+    ("entropy", wave(2000), LIGHT, 1.354040669782389e-294, 1e-12),
     ("exp", [1.0], DENORMAL, 0.0014088818758690531, 1e-12),
     ("exp", [1.0, 1e-200], DENORMAL_BESIDE_1, 0.0014088818758690531, 1e-12),
     ("entropy", [1.0, 1e-200], DENORMAL_BESIDE_1, 8.064659942363376e-201, 1e-12),
@@ -239,6 +239,18 @@ EDGE_GAUGES = [
 def test_edge_gauges_keep_their_values(spec, f, space, want, rel):
     lam = luxemburg_norm(OrliczFunction.parse(spec), f, space)
     assert abs(lam - want) <= rel * want
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gauge_far_from_t_1_lies_within_tol_of_the_infimum(seed):
+    # regression: the solve stopped at the width 16 eps (1 + |log t|), which
+    # passes tol = 1e-12 past |log t| = 281; here log t ~ 680, and a gauge
+    # 1e-12 below the returned one still satisfied I_phi(f / lam) <= 1
+    f = np.random.default_rng(seed).standard_normal(2000)
+    w = LIGHT.weights
+    lam = luxemburg_norm(OrliczFunction.parse("entropy"), f, LIGHT)
+    assert level("entropy", f, w, lam) <= 1.0 + 1e-12
+    assert level("entropy", f, w, lam * (1 - 1e-12)) > 1.0
 
 
 @pytest.mark.parametrize("spec", ("exp", "entropy"))

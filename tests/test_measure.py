@@ -159,7 +159,8 @@ def test_right_shift_on_counting_has_unit_ratios():
     # atom 1001, the preimage of the window's last atom, lies outside it
     np.testing.assert_array_equal(dist.ratios, np.append(np.ones(999), 0.0))
     assert dist.sup == 1.0
-    assert (dist.first_uncovered, dist.dropped) == (1000, 1)
+    # the coverage of a lazy window is not read: atom 1001 maps into it
+    assert (dist.first_uncovered, dist.dropped) == (None, 1)
 
 
 def test_right_shift_on_geometric_has_constant_ratio():
@@ -199,12 +200,14 @@ SHIFT_RULE = IndexMap.from_rule(lambda idx: np.maximum(idx - 1, 1), name="max(n 
 def test_right_shift_reads_the_window_as_its_rule_form_does(space):
     # regression: on a lazy space the shift gave b_n = a_{n+1} / a_n at the
     # window's last atom, from atom n + 1 outside the window, while calling
-    # that atom uncovered; every atom but 1 has the rule form's ratio
+    # that atom uncovered; every atom but 1 has the rule form's ratio, and
+    # only a finite space reads the coverage
     shift = distortion_ratios(space, IndexMap.right_shift(), budget=space.size)
     rule = distortion_ratios(space, SHIFT_RULE, budget=space.size)
     assert shift.ratios[-1] == rule.ratios[-1] == 0.0
     assert shift.ratios[1:].tobytes() == rule.ratios[1:].tobytes()
-    assert shift.first_uncovered == rule.first_uncovered == space.size
+    uncovered = None if space.is_lazy else space.size
+    assert shift.first_uncovered == rule.first_uncovered == uncovered
     assert (shift.dropped, rule.dropped) == (1, 0)
     if space.is_lazy:
         # the quarter and half sups are those of scans with those budgets,
@@ -220,7 +223,7 @@ def test_right_shift_on_one_atom_has_zero_sup():
     dist = distortion_ratios(AtomicMeasureSpace.counting(1), IndexMap.right_shift())
     assert dist.ratios.tolist() == [0.0]
     assert (dist.sup, dist.sup_quarter, dist.sup_half) == (0.0, 0.0, 0.0)
-    assert (dist.first_uncovered, dist.dropped) == (1, 1)
+    assert (dist.first_uncovered, dist.dropped) == (None, 1)
 
 
 def test_lazy_rule_map_uses_window():

@@ -497,8 +497,9 @@ def _one_pass_cases():
     return cases
 
 
-def _brute_coverage(imap, window):
-    """First uncovered atom and number of atoms with no image, atom by atom."""
+def _brute_coverage(space, imap, window):
+    """First uncovered atom of a finite space (None on a lazy one, whose
+    coverage is not read) and number of atoms with no image, atom by atom."""
     k = np.arange(1, window + 1)
     if imap.kind == "right_shift":
         images = k - 1
@@ -507,7 +508,9 @@ def _brute_coverage(imap, window):
     else:
         images = imap.forward(k)
     hit = {int(v) for v in images}
-    first = next((n for n in range(1, window + 1) if n not in hit), None)
+    first = None
+    if not space.is_lazy:
+        first = next((n for n in range(1, window + 1) if n not in hit), None)
     return first, sum(1 for v in images if v < 1)
 
 
@@ -518,7 +521,7 @@ def _reference_distortion(space, imap, budget):
     if space.is_lazy:
         sup_q = distortion_ratios(space, imap, max(1, window // 4)).sup
         sup_h = distortion_ratios(space, imap, max(1, window // 2)).sup
-    first, dropped = _brute_coverage(imap, window)
+    first, dropped = _brute_coverage(space, imap, window)
     return Distortion(full.ratios, full.sup, full.truncated, sup_q, sup_h, first, dropped)
 
 
@@ -836,15 +839,74 @@ def test_report_json_shape():
     assert isinstance(obj["notes"], list)
 
 
-def test_surjectivity_metadata():
+def test_injectivity_metadata():
     sp = AtomicMeasureSpace.finite(np.ones(3))
-    # a permutation covers the whole window
+    # a permutation covers every atom: F o T = 0 only for F = 0
     rep = check_composition_bounded(sp, IndexMap.from_table([2, 3, 1]), OrliczFunction.power(2))
-    assert rep.surjective_on_window is True
-    # a constant map misses most of it but that alone never changes the verdict
+    assert rep.injective is True
+    assert any("C_T is injective" in note for note in rep.notes)
+    # a constant map misses atoms 2 and 3, but that never changes the verdict
     rep = check_composition_bounded(sp, IndexMap.from_table([1, 1, 1]), OrliczFunction.power(2))
-    assert rep.surjective_on_window is False
+    assert rep.injective is False
+    assert any("atom 2 has no preimage" in note for note in rep.notes)
     assert rep.verdict == "bounded"
+    # the right shift leaves the last atom of a finite space without a preimage
+    rep = check_composition_bounded(sp, IndexMap.right_shift(), OrliczFunction.power(2))
+    assert rep.injective is False
+    assert any("atom 3 has no preimage" in note for note in rep.notes)
+    assert rep.to_json_dict()["injective"] is False
+
+
+def _composition_matrix(images, n):
+    """The 0/1 matrix of ``F -> F o T`` on n atoms: row k reads ``F(T(k))``,
+    and a row whose atom has no image (``T(k) < 1``) is zero."""
+    c = np.zeros((n, n))
+    for k, j in enumerate(images):
+        if j >= 1:
+            c[k, j - 1] = 1.0
+    return c
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_injective_is_the_full_rank_of_the_composition_matrix(data):
+    n = data.draw(st.integers(1, 8))
+    weights = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    table = data.draw(st.lists(st.integers(1, n), min_size=n, max_size=n))
+    space = AtomicMeasureSpace.finite(weights)
+    k = np.arange(1, n + 1)
+    maps = {
+        "table": (IndexMap.from_table(table), np.array(table)),
+        "right shift": (IndexMap.right_shift(), k - 1),
+        # one-to-one exactly when 3 and n are coprime
+        "3n mod n": (IndexMap.from_rule(lambda i: 3 * i % n + 1), 3 * k % n + 1),
+    }
+    for name, (imap, images) in maps.items():
+        rank = np.linalg.matrix_rank(_composition_matrix(images, n))
+        rep = check_composition_bounded(space, imap, OrliczFunction.power(2))
+        assert rep.injective is bool(rank == n), name
+
+
+WINDOW_MAPS = {
+    "2n": IndexMap.from_rule(lambda i: 2 * i, name="2n"),
+    "identity": IndexMap.from_rule(lambda i: i, name="identity"),
+    "right shift": IndexMap.right_shift(),
+}
+
+
+@pytest.mark.parametrize(
+    "space", [AtomicMeasureSpace.counting(1000), AtomicMeasureSpace.geometric(0.5, 1000)],
+    ids=["counting", "geometric:0.5"],
+)
+@pytest.mark.parametrize("name", sorted(WINDOW_MAPS))
+def test_injective_is_null_on_a_lazy_window(space, name):
+    # 2n leaves every odd atom of the window uncovered, and the identity
+    # covers it all; the right shift is onto the infinite space, though atom
+    # n + 1 lies past the window: the window says nothing about any of them
+    rep = check_composition_bounded(space, WINDOW_MAPS[name], OrliczFunction.power(2))
+    assert rep.injective is None and rep.to_json_dict()["injective"] is None
+    assert any("atoms past a lazy window" in note for note in rep.notes)
+    assert not any("preimage" in note or "uncovered" in note for note in rep.notes)
 
 
 # ---------------------------------------------------------------- wire forms

@@ -95,11 +95,6 @@ class AtomicMeasureSpace:
     def _log_ratio(self) -> float:
         return math.log(float(self.rule.split(":", 1)[1]))
 
-    def total_mass(self) -> float:
-        if self.is_lazy:
-            raise InvalidInputError("total mass is only defined for finite spaces")
-        return float(self.weights.sum())
-
     def to_json_dict(self) -> dict:
         if self.is_lazy:
             return {"weights_rule": self.rule, "n_max": self.n_max}
@@ -264,7 +259,6 @@ class Distortion:
 
     ratios: np.ndarray
     sup: float
-    truncated: bool
     sup_quarter: float | None
     sup_half: float | None
     first_uncovered: int | None
@@ -340,7 +334,7 @@ def distortion_ratios(
         sums[: n - 1] = _weight_ratios(space, idx[1:], idx[:-1])
         sums[n - 1] = 0.0
         sups = [sums[: m - 1].max(initial=0.0) for m in prefixes]
-        return _distortion(sums, lazy, sups, None if lazy else n, 1)
+        return _distortion(sums, sups, None if lazy else n, 1)
     images = map_images(space, imap, idx)
     if lazy and images.max() > n:
         inside = images <= n  # images beyond a lazy window leave the truncated view
@@ -377,7 +371,7 @@ def distortion_ratios(
             keep = p <= m
             p, w = p[keep], w[keep]
         sups.append(np.bincount(p, weights=w, minlength=m + 1)[1:].max())
-    return _distortion(sums, lazy, sups, first, 0)
+    return _distortion(sums, sups, first, 0)
 
 
 def _within_reach(d: np.ndarray, log_r: float) -> np.ndarray | None:
@@ -395,6 +389,6 @@ def _within_reach(d: np.ndarray, log_r: float) -> np.ndarray | None:
     return None if near.all() else np.flatnonzero(near)
 
 
-def _distortion(sums, truncated, sups, first_uncovered, dropped) -> Distortion:
+def _distortion(sums, sups, first_uncovered, dropped) -> Distortion:
     q, h = (float(s) for s in sups) if sups else (None, None)
-    return Distortion(sums, float(sums.max()), truncated, q, h, first_uncovered, dropped)
+    return Distortion(sums, float(sums.max()), q, h, first_uncovered, dropped)

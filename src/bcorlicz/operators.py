@@ -483,7 +483,7 @@ def check_composition_bounded(
         kind="composition",
         verdict=verdict,
         sup_distortion=dist.sup,
-        distortion_truncated=dist.truncated,
+        distortion_truncated=space.is_lazy,
         lambda_pairs=tuple(lambda_pairs),
         phi_facts=classify_phi(phi),
         injective=injective,
@@ -507,43 +507,50 @@ def check_multiplication_bounded(
     is exact on any space.  An index rule is read over the window like any
     component (a nan or inf value is an ``InvalidInputError`` naming its
     atom), and a sup still growing across it yields an unbounded verdict
-    with the growth trend recorded.
+    with the growth trend recorded.  A component whose modulus passes the
+    floats (its parts are finite) has an infinite sup and leaves the
+    verdict inconclusive, with a note naming the component and the first
+    such atom.
     """
     n, prefixes = scan_window(space, budget)
-    notes = []
-    if not space.is_lazy:
-        return BoundednessReport(
-            kind="multiplication",
-            verdict="bounded",
-            ess_sups=tuple(float(np.abs(theta.array(w, space)).max()) for w in (1, 2)),
-            notes=("finite space: component sups are exact essential sups",),
-        )
-
-    sups = []
+    notes, sups = [], []
     for which in (1, 2):
         raw = theta.component(which)
-        if not callable(raw):
-            sups.append(float(np.abs(raw).max(initial=0.0)))
-            continue
-        mags = np.abs(component_head(raw, n))
-        sup_q, sup_h, sup_f = (float(mags[:m].max()) for m in (*prefixes, n))
-        sups.append(sup_f)
-        if _grows(sup_q, sup_h, sup_f):
+        if not space.is_lazy:
+            values = theta.array(which, space)
+        else:
+            values = component_head(raw, n) if callable(raw) else raw
+        with np.errstate(over="ignore"):
+            mags = np.abs(values)
+        sup = float(mags.max(initial=0.0))
+        sups.append(sup)
+        if sup == math.inf:
+            atom = int(np.argmax(np.isinf(mags))) + 1
             notes.append(
-                f"component {which} sup grows across the window (quarter {sup_q:.6g}, "
-                f"half {sup_h:.6g}, full {sup_f:.6g})"
+                f"component {which} modulus at atom {atom} overflows floats; no bound certified"
             )
-    truncated = theta.is_lazy
-    if notes:  # only a growing sup leaves a note here
+        elif space.is_lazy and callable(raw):
+            sup_q, sup_h = (float(mags[:m].max()) for m in prefixes)
+            if _grows(sup_q, sup_h, sup):
+                notes.append(
+                    f"component {which} sup grows across the window (quarter {sup_q:.6g}, "
+                    f"half {sup_h:.6g}, full {sup:.6g})"
+                )
+        del values, mags  # neither is held while the next component is read
+    truncated = space.is_lazy and theta.is_lazy
+    if math.inf in sups:
+        verdict = "inconclusive"
+    elif notes:  # with every sup finite, only a growing sup leaves a note
         verdict = "unbounded"
         notes.append("an essentially unbounded symbol admits no multiplication bound")
     else:
         verdict = "bounded"
-        notes.append(
-            f"component sups scanned over a truncated window of {n} atoms"
-            if truncated
-            else "array symbol: component sups are exact (it is zero past its length)"
-        )
+        if not space.is_lazy:
+            notes.append("finite space: component sups are exact essential sups")
+        elif truncated:
+            notes.append(f"component sups scanned over a truncated window of {n} atoms")
+        else:
+            notes.append("array symbol: component sups are exact (it is zero past its length)")
     return BoundednessReport(
         kind="multiplication",
         verdict=verdict,

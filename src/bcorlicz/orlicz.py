@@ -100,13 +100,14 @@ def component_block(raw, idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def component_head(raw, n: int) -> np.ndarray:
-    """A component's values at atoms ``1..n``: an array of exactly ``n``
-    entries as it is (no copy), any other zero-extended or cut, and a
-    rule's values read like ``component_block`` and checked finite."""
-    if not callable(raw) and raw.size == n:
+def component_head(raw, n: int, start: int = 1) -> np.ndarray:
+    """A component's values at atoms ``start..n``: an array of exactly ``n``
+    entries read from atom 1 as it is (no copy), any other zero-extended or
+    cut, and a rule's values read like ``component_block`` and checked
+    finite."""
+    if start == 1 and not callable(raw) and raw.size == n:
         return raw
-    idx = np.arange(1, n + 1, dtype=np.int64)
+    idx = np.arange(start, n + 1, dtype=np.int64)
     out = component_block(raw, idx)
     _check_rule_values(out, idx)
     return out
@@ -219,16 +220,6 @@ class BCSequence:
         if self.is_lazy:
             raise InvalidInputError("rule-backed sequences have no finite value list")
         return [BiComplex(b1, b2) for b1, b2 in zip(self.comp1, self.comp2)]
-
-    def scaled(self, factor) -> "BCSequence":
-        factor = complex(factor)
-
-        def _scale(raw):
-            if callable(raw):
-                return lambda idx, _r=raw: factor * np.asarray(_r(idx), dtype=complex)
-            return factor * raw
-
-        return BCSequence(_scale(self.comp1), _scale(self.comp2))
 
     def to_json_list(self) -> list:
         return [v.to_json_dict() for v in self.values()]
@@ -444,15 +435,28 @@ def _exact_part(raws, space: AtomicMeasureSpace, offset: int = 0):
     """``(values, weights)`` of the components past ``offset`` over the atoms
     a finitely supported sum reads, or None for index rules on a lazy space:
     every atom of a finite space (strict length), or the shortest array's
-    support cut at a lazy window, where a weight can be 0 or +inf."""
+    support cut at a lazy window.  There a ``geometric:r`` weight ``r^(n-1)``
+    can read 0 or +inf in floats, and an atom where it does and no factor
+    is 0 is refused with UnsupportedInstanceError naming it: its term
+    would drop out of the sum or swamp it."""
     if not space.is_lazy:
         return [component_array(r, space)[offset:] for r in raws], space.weights[offset:]
     sizes = [r.size for r in raws if not callable(r)]
     if not sizes:
         return None
     end = min(space.size, *sizes)
-    values = [component_head(r, end)[offset:] if callable(r) else r[offset:end] for r in raws]
-    return values, space.weight_block(np.arange(offset + 1, end + 1, dtype=np.int64))
+    values = [component_head(r, end, offset + 1) if callable(r) else r[offset:end] for r in raws]
+    weights = space.weight_block(np.arange(offset + 1, end + 1, dtype=np.int64))
+    lost = (weights == 0.0) | (weights == math.inf)
+    for v in values:
+        lost &= v != 0
+    if lost.any():
+        k = int(np.argmax(lost))
+        raise UnsupportedInstanceError(
+            f"the {space.rule} weight of atom {offset + k + 1} reads {float(weights[k])!r} "
+            "in floats where the sequence is nonzero, so the sum is not computed"
+        )
+    return values, weights
 
 
 def modular(
@@ -623,7 +627,8 @@ def luxemburg_norm(
     offset = _tail_start(offset, space)
     raw = _as_raw_component(f)
     part = _exact_part((raw,), space, offset)
-    mags = np.abs(_sup_window(raw, space, offset) if part is None else part[0][0])
+    prefix = min(space.size, offset + _SUP_PREFIX)  # where a rule's sup is read
+    mags = np.abs(component_head(raw, prefix, offset + 1) if part is None else part[0][0])
     sup = float(mags.max(initial=0.0)) or 1.0
     if sup == math.inf:
         atom = offset + int(np.argmax(np.isinf(mags))) + 1
@@ -705,15 +710,6 @@ def _moment_terms(mags: np.ndarray, weights: np.ndarray, cut: float, coeffs) -> 
         powers *= mags
         moments.append(float(np.einsum("i,i->", powers, weights)))
     return [a * m for a, m in zip(coeffs, reversed(moments))]
-
-
-def _sup_window(rule, space: AtomicMeasureSpace, offset: int) -> np.ndarray:
-    """An index rule's values at the next ``_SUP_PREFIX`` atoms past
-    ``offset`` on a lazy space, which a gauge takes its sup over."""
-    idx = np.arange(offset + 1, min(space.size, offset + _SUP_PREFIX) + 1, dtype=np.int64)
-    head = component_block(rule, idx)
-    _check_rule_values(head, idx)
-    return head
 
 
 def _lazy_level(phi: OrliczFunction, raw, space, offset: int, sup: float):

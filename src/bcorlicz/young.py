@@ -92,16 +92,6 @@ class OrliczFunction:
         None for ``power``, whose gauge has a closed form."""
         return _SERIES.get(self.family)
 
-    def eval_array(self, u) -> np.ndarray:
-        """Vectorized phi over nonnegative arguments; overflow becomes +inf."""
-        import numpy as np
-
-        u = np.asarray(u, dtype=float)
-        if u.size and (np.any(np.isnan(u)) or np.any(u < 0)):
-            raise InvalidInputError("phi arguments must be real and >= 0")
-        # expm1(inf) - inf is nan; every family tends to +inf
-        return np.where(np.isinf(u), np.inf, self._values(u))
-
     def _values(self, u: np.ndarray) -> np.ndarray:
         """phi at finite arguments >= 0, unchecked; overflow becomes +inf."""
         import numpy as np
@@ -127,9 +117,14 @@ class OrliczFunction:
         raise InvalidInputError(f"unknown phi family {self.family!r}")
 
     def __call__(self, u: float) -> float:
+        """phi at one real argument >= 0; overflow becomes +inf."""
         import numpy as np
 
-        return float(self.eval_array(np.array([u]))[0])
+        u = float(u)
+        if not u >= 0.0:  # nan too
+            raise InvalidInputError("phi arguments must be real and >= 0")
+        # expm1(inf) - inf is nan; every family tends to +inf
+        return math.inf if u == math.inf else float(self._values(np.array([u]))[0])
 
 
 @dataclass(frozen=True)

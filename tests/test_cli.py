@@ -715,6 +715,57 @@ def test_norm_on_a_heavy_atom_warns_nothing(capsys, tmp_path):
     assert result_value(report, "modular_component_1")["value"] == "inf"
 
 
+def test_op_check_symbol_modulus_past_the_floats_is_inconclusive(capsys, files, tmp_path):
+    # once exit 1: "a bounded verdict requires at least one finite certificate"
+    theta = write(tmp_path / "theta.json", [bc(1.5e308 + 1.5e308j, 1 + 0j)])
+    argv = ["op", "check", "--kind", "multiplication", "--theta", theta,
+            "--space", files["one_atom"], "--phi", "power:p=2", "--strict"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["verdicts"] == {"boundedness": "inconclusive"}
+    verdict = result_value(report, "boundedness")
+    assert (verdict["bound"], verdict["ess_sups"]) == (None, ["inf", 1.0])
+    assert verdict["notes"] == [
+        "component 1 modulus at atom 1 overflows floats; no bound certified"
+    ]
+
+
+def _sequence_of(values):
+    return [bc(complex(v), complex(v)) for v in values]
+
+
+@pytest.mark.parametrize(
+    "ratio, values, atom, reads",
+    [
+        # the gauge read 0.0 for this nonzero sequence
+        (0.5, [0.0] * 1099 + [1.0], 1100, "0.0"),
+        # the gauge read 1.2725e162, where the weights 2^(n-1) give 6.2e165
+        (2.0, [1.0 + math.cos(n) for n in range(1, 1101)], 1026, "inf"),
+    ],
+    ids=["geometric:0.5", "geometric:2.0"],
+)
+def test_norm_on_a_weight_past_the_floats_is_a_certificate(capsys, tmp_path, ratio, values, atom,
+                                                           reads):
+    seq = write(tmp_path / "seq.json", _sequence_of(values))
+    sp = write(tmp_path / "space.json", {"weights_rule": f"geometric:{ratio}", "n_max": 2000})
+    argv = ["norm", "--phi", "power:p=2", "--space", sp, "--seq", seq]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["status"] == "error_certificate"
+    assert result_value(report, "error_certificate") == {
+        "error": "unsupported_instance",
+        "detail": f"the geometric:{ratio} weight of atom {atom} reads {reads} in floats "
+        "where the sequence is nonzero, so the sum is not computed",
+    }
+    assert run_cli(capsys, argv + ["--strict"])[0] == 2
+
+
 def test_op_apply_refuses_a_table_longer_than_the_space(capsys, tmp_path):
     # apply once used the first three entries and exited 0; op check refused
     space = write(tmp_path / "space.json", {"weights": [1, 1, 1]})

@@ -10,6 +10,7 @@ same cases run every time.
 """
 
 import json
+import math
 import multiprocessing
 import os
 import random
@@ -64,6 +65,14 @@ GOOD = {
     # images past the floats
     "op_mult_1e200": {"multiplication": {"theta": [bc(1e200, 1.0)]}},
     "op_dense_1e200": {"dense": {"m1": [[1e200]], "m2": [[1]]}},
+    # a symbol modulus past the floats
+    "theta_big": [{"idempotent": {"b1": [1.5e308, 1.5e308], "b2": [1.0, 0.0]}}],
+    # weights past the floats where the sequences are nonzero: 0.5^1099
+    # reads 0, and 2^(n-1) reads inf from atom 1026
+    "geometric_half_2000": {"weights_rule": "geometric:0.5", "n_max": 2000},
+    "geometric_2_2000": {"weights_rule": "geometric:2.0", "n_max": 2000},
+    "seq_at_1100": [bc(0.0)] * 1099 + [bc(1.0, 1.0)],
+    "seq_wave_1100": [bc(1.0 + math.cos(n), 1.0 + math.cos(n)) for n in range(1, 1101)],
 }
 
 SEQ = ["--seq", "@seq3"]
@@ -226,6 +235,24 @@ def _cases():
         ], {}, None),
         ("pairing-beyond-floats", [
             "pairing", "--x", "@seq_1e200", "--y", "@seq_1e200", "--space", "@one_atom",
+        ], {}, None),
+        # once exit 1: "a bounded verdict requires at least one finite certificate"
+        ("check_mult-modulus-beyond-floats", [
+            "op", "check", "--kind", "multiplication", "--theta", "@theta_big",
+            "--space", "@one_atom", "--phi", "power:p=2", "--strict",
+        ], {}, None),
+        # these once read the gauges 0.0 and 1.27e162 (true: 3.8e-166, 6.2e165)
+        ("norm-weight-underflows", [
+            "norm", "--phi", "power:p=2", "--space", "@geometric_half_2000",
+            "--seq", "@seq_at_1100",
+        ], {}, None),
+        ("norm-weight-overflows", [
+            "norm", "--phi", "power:p=2", "--space", "@geometric_2_2000",
+            "--seq", "@seq_wave_1100", "--strict",
+        ], {}, None),
+        ("pairing-weight-underflows", [
+            "pairing", "--x", "@seq_at_1100", "--y", "@seq_at_1100",
+            "--space", "@geometric_half_2000",
         ], {}, None),
     ]
     return cases

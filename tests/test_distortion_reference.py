@@ -47,7 +47,7 @@ def reference_distortion(space, imap, budget):
         sums = np.zeros(n)
         sums[: n - 1] = reference_shares(space, idx[1:], idx[:-1])
         sups = [np.append(sums[: m - 1], 0.0).max() for m in prefixes]
-        return fields(sums, lazy, sups, None if lazy else n, 1)
+        return fields(sums, sups, None if lazy else n, 1)
     images = map_images(space, imap, idx)
     inside = None
     if lazy and images.max() > n:
@@ -69,12 +69,12 @@ def reference_distortion(space, imap, budget):
         p, w = pos[:c], shares[:c]
         keep = p < m
         sups.append(np.bincount(p[keep], weights=w[keep], minlength=m).max())
-    return fields(sums, lazy, sups, first, 0)
+    return fields(sums, sups, first, 0)
 
 
-def fields(sums, truncated, sups, first_uncovered, dropped):
+def fields(sums, sups, first_uncovered, dropped):
     q, h = (float(s) for s in sups) if sups else (None, None)
-    return (sums, float(sums.max()), truncated, q, h, first_uncovered, dropped)
+    return (sums, float(sums.max()), q, h, first_uncovered, dropped)
 
 
 # ------------------------------------------------------------ comparison
@@ -96,8 +96,7 @@ def outcome(call):
         return (type(exc), str(exc))
     if not isinstance(out, tuple):
         d = out
-        out = (d.ratios, d.sup, d.truncated, d.sup_quarter, d.sup_half,
-               d.first_uncovered, d.dropped)
+        out = (d.ratios, d.sup, d.sup_quarter, d.sup_half, d.first_uncovered, d.dropped)
     return tuple(bits(v) for v in out)
 
 
@@ -210,4 +209,4 @@ def test_the_reference_sees_what_it_should():
     assert outcome(lambda: reference_distortion(
         AtomicMeasureSpace.finite(np.ones(7)), MAPS["2n"], 10))[0].__name__ == "InvalidMapError"
     ones = AtomicMeasureSpace.finite(np.ones(7))
-    assert reference_distortion(ones, MAPS["constant 4"], 10)[5] == 1
+    assert reference_distortion(ones, MAPS["constant 4"], 10)[4] == 1

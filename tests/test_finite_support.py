@@ -179,6 +179,58 @@ def test_an_array_zero_where_the_weights_overflow_pairs_finitely():
     assert (mv.value, mv.status, mv.n_terms) == (3.0, "exact", 1100)
 
 
+def spike(*entries):
+    """1100 entries, zero but at the given ``(atom, value)`` pairs."""
+    f = np.zeros(1100, dtype=complex)
+    for atom, value in entries:
+        f[atom - 1] = value
+    return f
+
+
+# (f, space, the first atom refused, its weight in floats).  Before the
+# refusal the power:p=2 gauges read 0.0, 0.0 (true 3.8e134), 3.14e138 (4.8 %
+# above the true 3.0000000245e138) and 1.27e162 (true 6.2e165), and the
+# pairings read 0, 1 and 9e276 where the atom past the floats dominates.
+PAST_THE_FLOATS = [
+    (spike((1100, 1.0)), AtomicMeasureSpace.geometric(0.5, 2000), 1100, "0.0"),
+    (spike((1, 1.0), (1100, 1e300)), AtomicMeasureSpace.geometric(0.5, 2000), 1100, "0.0"),
+    (spike((1, 3e138), (1100, 1e300)), AtomicMeasureSpace.geometric(0.5, 2000), 1100, "0.0"),
+    (1.0 + np.cos(np.arange(1, 1101)), AtomicMeasureSpace.geometric(2.0, 2000), 1026, "inf"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("f, space, atom, reads", PAST_THE_FLOATS)
+def test_a_nonzero_entry_on_a_weight_past_the_floats_is_refused(f, space, atom, reads):
+    said = (
+        f"^the {space.rule} weight of atom {atom} reads {reads} in floats where the "
+        "sequence is nonzero, so the sum is not computed$"
+    )
+    for spec in PHIS:
+        phi = OrliczFunction.parse(spec)
+        with pytest.raises(UnsupportedInstanceError, match=said):
+            modular(phi, f, space)
+        with pytest.raises(UnsupportedInstanceError, match=said):
+            luxemburg_norm(phi, f, space)
+    F = BCSequence.from_components(f, f)
+    with pytest.raises(UnsupportedInstanceError, match=said):
+        pairing(F, F, space)
+    # a rule paired with the array is read over the array's support
+    with pytest.raises(UnsupportedInstanceError, match=said):
+        pairing(F, BCSequence.from_rules(lambda i: 1.0 / i, lambda i: 1.0 / i), space)
+    # a tail names the atom by its index in the space, not past the offset
+    with pytest.raises(UnsupportedInstanceError, match=said):
+        luxemburg_norm(OrliczFunction.power(2), f, space, offset=atom - 1)
+
+
+def test_a_zero_factor_on_a_weight_past_the_floats_pairs_finitely():
+    # x is nonzero where the weight reads 0, y is zero there: the term is 0
+    space = AtomicMeasureSpace.geometric(0.5, 2000)
+    x = BCSequence.from_components(spike((1, 2.0), (1100, 1.0)), spike((1100, 1.0)))
+    y = BCSequence.from_components(spike((1, 3.0)), spike((2, 1.0)))
+    assert pairing(x, y, space) == BiComplex(6.0, 0.0)
+
+
 def test_an_array_longer_than_the_window_is_cut_at_it():
     f, p1 = np.ones(50, dtype=complex), OrliczFunction.power(1)
     mv = modular(p1, f, AtomicMeasureSpace.counting(20))

@@ -209,21 +209,11 @@ DENORMAL = AtomicMeasureSpace.finite([5e-324])
 DENORMAL_BESIDE_1 = AtomicMeasureSpace.finite([5e-324, 1.0])
 
 # (phi, f, space, the gauge of the solve on the level at the sup, relative
-# tolerance): weights of +inf past atom 1024 on GEOMETRIC_2 and of 0 past
-# atom 1075 on GEOMETRIC_HALF; phi at the cut times 5e-324 underflows to 0,
-# yet f does not vanish.  On GEOMETRIC_2 the float level is finite only
-# where phi(t u) underflows to 0 on the atoms of weight +inf, so these
-# gauges pin that edge; with the weights 2^(n-1) the exp gauge is about
-# 4.4e165.  The entropy root on LIGHT lies at log t ~ 680, where the
-# solve's float floor, 4 eps (1 + |log t|) ~ 6e-13, is still below tol
-# (see _unit_scale).
+# tolerance): phi at the cut times 5e-324 underflows to 0, yet f does not
+# vanish.  The entropy root on LIGHT lies at log t ~ 680, where the solve's
+# float floor, 4 eps (1 + |log t|) ~ 6e-13, is still below tol (see
+# _unit_scale).
 EDGE_GAUGES = [
-    ("exp", wave(1100), GEOMETRIC_2, 8.997654933183099e161, 1e-12),
-    ("entropy", wave(1100), GEOMETRIC_2, 1.2724605636061818e162, 1e-12),
-    ("exp", wave(1300), GEOMETRIC_HALF, 1.439684931134598, 1e-12),
-    ("entropy", wave(1300), GEOMETRIC_HALF, 1.392666771768028, 1e-12),
-    ("exp", PAST_UNDERFLOW, GEOMETRIC_HALF, 0.0, 0.0),
-    ("entropy", PAST_UNDERFLOW, GEOMETRIC_HALF, 0.0, 0.0),
     ("exp", wave(2000), HEAVY, 3.872849571968856e151, 1e-12),
     ("entropy", wave(2000), HEAVY, 5.477036389709216e151, 1e-12),
     ("exp", wave(2000), LIGHT, 0.002911120854551761, 1e-12),
@@ -239,6 +229,32 @@ EDGE_GAUGES = [
 def test_edge_gauges_keep_their_values(spec, f, space, want, rel):
     lam = luxemburg_norm(OrliczFunction.parse(spec), f, space)
     assert abs(lam - want) <= rel * want
+
+
+# (phi, f, space, the first atom refused, its weight in floats): the weights
+# 2^(n-1) read +inf from atom 1026 on GEOMETRIC_2, and 0.5^(n-1) read 0 from
+# atom 1076 on GEOMETRIC_HALF, where f is nonzero.  These gauges read 9.0e161
+# and 1.27e162 on GEOMETRIC_2, where the true weights give about 4.4e165 for
+# exp; 1.44 and 1.39 on GEOMETRIC_HALF for wave(1300); and 0.0 for the
+# nonzero PAST_UNDERFLOW.
+PAST_THE_FLOATS = [
+    ("exp", wave(1100), GEOMETRIC_2, 1026, "inf"),
+    ("entropy", wave(1100), GEOMETRIC_2, 1026, "inf"),
+    ("exp", wave(1300), GEOMETRIC_HALF, 1076, "0.0"),
+    ("entropy", wave(1300), GEOMETRIC_HALF, 1076, "0.0"),
+    ("exp", PAST_UNDERFLOW, GEOMETRIC_HALF, 1101, "0.0"),
+    ("entropy", PAST_UNDERFLOW, GEOMETRIC_HALF, 1101, "0.0"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec, f, space, atom, reads", PAST_THE_FLOATS)
+def test_edge_gauges_past_the_float_weights_are_refused(spec, f, space, atom, reads):
+    with pytest.raises(
+        UnsupportedInstanceError,
+        match=f"^the {space.rule} weight of atom {atom} reads {reads} in floats where",
+    ):
+        luxemburg_norm(OrliczFunction.parse(spec), f, space)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -15,7 +15,8 @@ exception and message, the same pairing and the same warnings.  A sum with
 an array component is finitely supported and exact: it must answer as the
 restated exact sum over the shortest array's support, cut at the window,
 and as the finite space of that support's weights wherever they are finite
-and positive.  A Schauder tail is the gauge of a modular past an offset,
+and positive.  An atom of that support whose weight reads 0 or +inf in
+floats, where no component is 0, is refused, named.  A Schauder tail is the gauge of a modular past an offset,
 so the offset modular's reference covers its sums.  The reference writes
 its own rule constants (three passes, three estimates, three late
 doublings) rather than importing the library's, so that a change to one of
@@ -187,8 +188,25 @@ def reference_exact(phi, vals, weights, scale=1.0):
     return ModularValue(float(terms.sum()), "exact", weights.size)
 
 
+def space_support(raws, space, offset=0):
+    """``support_of`` over a space's weights, refusing the first atom whose
+    weight reads 0 or +inf where every component is nonzero."""
+    part = support_of(raws, space.size, space.weight_block, offset)
+    if part is not None:
+        values, weights = part
+        nonzero = np.logical_and.reduce([v != 0 for v in values])
+        bad = np.flatnonzero(nonzero & ~(np.isfinite(weights) & (weights > 0)))
+        if bad.size:
+            k = int(bad[0])
+            raise UnsupportedInstanceError(
+                f"the {space.rule} weight of atom {offset + k + 1} reads {float(weights[k])!r} "
+                "in floats where the sequence is nonzero, so the sum is not computed"
+            )
+    return part
+
+
 def reference_modular(phi, raw, space, scale=1.0, offset=0):
-    part = support_of((raw,), space.size, space.weight_block, offset)
+    part = space_support((raw,), space, offset)
     if part is not None:
         return reference_exact(phi, part[0][0], part[1], scale)
     terms = reference_phi_terms(phi, raw, space.weight_block, scale)
@@ -225,7 +243,7 @@ def reference_pairing(x, y, space):
     def summed(which):
         xr, yr = x.component(which), y.component(which)
 
-        part = support_of((xr, yr), space.size, space.weight_block)
+        part = space_support((xr, yr), space)
         if part is not None:
             (xs, ys), weights = part
             with np.errstate(over="ignore", invalid="ignore"):
@@ -585,7 +603,7 @@ def test_pairing_on_counting_matches_the_reference():
 PAIRING_RULES = {
     # real rules with negative and zero values
     "negative, zero every third": lambda i: np.where(i % 3 == 0, 0.0, -1.0 / i),
-    "zero on odd atoms": lambda i: -(i % 2 == 0) / i**2,
+    "zero on odd atoms": lambda i: -(i % 2 == 0).astype(float) / i**2,
     "all zero": lambda i: 0.0 * i,
     "signed harmonic": lambda i: (-1.0) ** i / i,
     # products past the floats: 1e200 * -1e200 is -inf

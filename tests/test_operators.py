@@ -522,7 +522,7 @@ def _reference_distortion(space, imap, budget):
         sup_q = distortion_ratios(space, imap, max(1, window // 4)).sup
         sup_h = distortion_ratios(space, imap, max(1, window // 2)).sup
     first, dropped = _brute_coverage(space, imap, window)
-    return Distortion(full.ratios, full.sup, full.truncated, sup_q, sup_h, first, dropped)
+    return Distortion(full.ratios, full.sup, sup_q, sup_h, first, dropped)
 
 
 @pytest.mark.parametrize("space, imap, budget", _one_pass_cases())
@@ -533,7 +533,7 @@ def test_composition_check_one_pass_matches_independent_scans(monkeypatch, space
         dist = distortion_ratios(space, imap, budget)
         got = check_composition_bounded(space, imap, phi, budget=budget).to_json_dict()
     want_dist = _reference_distortion(space, imap, budget)
-    for field in ("sup", "truncated", "sup_quarter", "sup_half", "first_uncovered", "dropped"):
+    for field in ("sup", "sup_quarter", "sup_half", "first_uncovered", "dropped"):
         assert getattr(dist, field) == getattr(want_dist, field), field
     np.testing.assert_array_equal(dist.ratios, want_dist.ratios)
     monkeypatch.setattr(
@@ -726,6 +726,46 @@ def test_multiplication_check_refuses_a_rule_symbol_that_is_not_finite(bad, whic
         warnings.simplefilter("error")
         with pytest.raises(InvalidInputError, match="at index 500; entries must be finite"):
             check_multiplication_bounded(theta, sp)
+
+
+BIG = complex(1.5e308, 1.5e308)  # finite parts, a modulus past the floats
+
+
+def _big_symbol(i):
+    return np.where(i == 3, BIG, 0.5 + 0j)
+
+
+@pytest.mark.parametrize(
+    "theta, space, overflows",
+    [
+        (BCSequence.from_components([BIG], [1.0]), AtomicMeasureSpace.finite([1.0]), {1: 1}),
+        (BCSequence.from_components([1.0, 2.0, BIG], [1.0, BIG, BIG]),
+         AtomicMeasureSpace.finite([1.0, 1.0, 1.0]), {1: 3, 2: 2}),
+        (BCSequence.from_components([0, 1.0], [0, BIG]), AtomicMeasureSpace.counting(100), {2: 2}),
+        (BCSequence.from_rules(_big_symbol, lambda i: 1.0 / i),
+         AtomicMeasureSpace.counting(100), {1: 3}),
+        (BCSequence.from_rules(lambda i: i.astype(float), _big_symbol),
+         AtomicMeasureSpace.geometric(0.5, 100), {2: 3}),
+    ],
+    ids=["finite one atom", "finite both", "lazy array", "lazy rule", "lazy rule, other grows"],
+)
+def test_multiplication_check_is_inconclusive_where_a_modulus_passes_the_floats(
+    theta, space, overflows
+):
+    # such a symbol once raised "a bounded verdict requires at least one
+    # finite certificate"; a growing other component does not make it unbounded
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_multiplication_bounded(theta, space)
+    assert rep.verdict == "inconclusive"
+    assert rep.bound() is None
+    for which in (1, 2):
+        assert (rep.ess_sups[which - 1] == math.inf) == (which in overflows)
+    said = [
+        f"component {which} modulus at atom {atom} overflows floats; no bound certified"
+        for which, atom in overflows.items()
+    ]
+    assert [note for note in rep.notes if "overflows" in note] == said
 
 
 # ---------------------------------------------------------------- empirical

@@ -365,12 +365,13 @@ def distortion_ratios(
     sums = np.bincount(images, weights=shares, minlength=n + 1)[1:].astype(float, copy=False)
     sups = []
     for m, c in zip(prefixes, leads):
-        # of the atoms k <= m, keep the images n <= m
+        # of the atoms k <= m, keep the images n <= m; no bin is built past
+        # the largest, since it would hold +0.0, and a window of none reads 0
         p, w = images[:c], shares[:c]
         if c and p.max() > m:
             keep = p <= m
             p, w = p[keep], w[keep]
-        sups.append(np.bincount(p, weights=w, minlength=m + 1)[1:].max())
+        sups.append(np.bincount(p, weights=w)[1:].max(initial=0.0))
     return _distortion(sums, sups, first, 0)
 
 

@@ -37,7 +37,7 @@ from .orlicz import (
     BCSequence,
     OrliczFunction,
     PhiReport,
-    _as_raw_component,
+    _as_sequence_component,
     classify_phi,
     component_array,
     component_block,
@@ -244,7 +244,7 @@ def decompose(op: BCOperator):
         action, args = _dense_component, (op.matrix.m1, op.matrix.m2)
 
     def factor(arg):
-        return lambda f, space: action(arg, _as_raw_component(f), space)
+        return lambda f, space: action(arg, _as_sequence_component(f), space)
 
     return factor(args[0]), factor(args[1])
 

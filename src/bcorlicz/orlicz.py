@@ -138,14 +138,25 @@ def _check_rule_values(values: np.ndarray, idx: np.ndarray) -> None:
 
 
 def _as_raw_component(f):
+    """A rule as it is, or ``f`` as a 1-d array of finite entries: float64 for
+    a real dtype (bool, integer or float), like ``component_block``, and
+    complex128 for any other."""
     if callable(f):
         return f
-    arr = np.asarray(f, dtype=complex)
+    arr = np.asarray(f)
+    arr = arr.astype(float if arr.dtype.kind in "biuf" else complex, copy=False)
     if arr.ndim != 1:
         raise InvalidInputError("a sequence component must be 1-d")
     if arr.size and not np.all(np.isfinite(arr)):
         raise InvalidInputError("sequence entries must be finite")
     return arr
+
+
+def _as_sequence_component(f):
+    """``_as_raw_component`` with an array stored as complex128, the dtype a
+    sequence's components and an operator's factors keep."""
+    raw = _as_raw_component(f)
+    return raw if callable(raw) else raw.astype(complex, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,8 +176,8 @@ class BCSequence:
 
     @classmethod
     def from_components(cls, f1, f2) -> "BCSequence":
-        f1 = _as_raw_component(f1)
-        f2 = _as_raw_component(f2)
+        f1 = _as_sequence_component(f1)
+        f2 = _as_sequence_component(f2)
         if not callable(f1) and not callable(f2) and f1.size != f2.size:
             raise InvalidInputError(
                 f"component lengths differ: {f1.size} vs {f2.size}"
@@ -606,9 +617,11 @@ def luxemburg_norm(
     ``diverged`` verdict of the comparison probe raises NotInSpaceError
     and an ``inconclusive`` one raises UnsupportedInstanceError.  The
     result is checked with one ``modular`` call at ``scale = 1/lam``, an
-    exact sum of phi per atom however the level was summed; if rounding
-    left that level above 1, ``lam`` is stepped up by one convexity step
-    and a few ulps.  The returned gauge thus satisfies
+    exact sum of phi per atom however the level was summed (see
+    ``_certified``); for a finitely supported ``f`` that call reads the
+    moduli ``|f|`` already read, not ``f`` again.  If rounding left that
+    level above 1, ``lam`` is stepped up by one convexity step and a few
+    ulps.  The returned gauge thus satisfies
     ``I_phi(f / lam) <= 1`` in floats and lies within ``tol`` (or the
     solve's float floor, where that is wider; see ``_unit_scale``), plus
     the few ulps of that step, above the infimum (phi is evaluated to a few
@@ -627,8 +640,18 @@ def luxemburg_norm(
     offset = _tail_start(offset, space)
     raw = _as_raw_component(f)
     part = _exact_part((raw,), space, offset)
-    prefix = min(space.size, offset + _SUP_PREFIX)  # where a rule's sup is read
-    mags = np.abs(component_head(raw, prefix, offset + 1) if part is None else part[0][0])
+    if part is None:
+        prefix = min(space.size, offset + _SUP_PREFIX)  # where a rule's sup is read
+        mags = np.abs(component_head(raw, prefix, offset + 1))
+    else:
+        (values,), weights = part
+        if not values.size:
+            return 0.0  # an array that ends before the offset: its tail is 0
+        # |f| indexed from atom 1, 0 on the head the offset skips: the
+        # certificate's modular reads it in place of f; the head is no longer
+        # than f, since the offset passes f's end only where values is empty
+        moduli = np.zeros(offset + values.size)
+        mags = np.abs(values, out=moduli[offset:])
     sup = float(mags.max(initial=0.0)) or 1.0
     if sup == math.inf:
         atom = offset + int(np.argmax(np.isinf(mags))) + 1
@@ -640,8 +663,8 @@ def luxemburg_norm(
         del mags  # not held through the solve, nor by a refusal's traceback
         cut, level = 1.0, _lazy_level(phi, raw, space, offset, sup)
     else:
-        mags /= sup  # in place: no second array of the moduli is held
-        cut, level = _finite_level(phi, mags, part[1])
+        cut, level = _finite_level(phi, mags / sup, weights)
+        raw = moduli  # what the certificate reads (see _certified)
     at_one = level(1.0)
     # the level at the cut can underflow where f does not vanish: f vanishes
     # where the exact sum at its sup, t = 1 / cut, reads 0
@@ -656,6 +679,7 @@ def luxemburg_norm(
     else:
         # the level's log-log slope is at least phi's least elasticity
         lam = sup / (cut * _unit_scale(level, at_one, classify_phi(phi).alpha, tol))
+    del level  # the solve's arrays are not held through the certificate
     return _certified(phi, raw, space, lam, offset)
 
 
@@ -808,7 +832,15 @@ def _unit_scale(level: Callable[[float], float], g: float, k: float, tol: float)
 
 
 def _certified(phi, raw, space, lam: float, offset: int) -> float:
-    """``lam`` once one ``modular`` call shows ``I_phi(f 1_{>offset} / lam) <= 1``."""
+    """``lam`` once one ``modular`` call shows ``I_phi(f 1_{>offset} / lam) <= 1``.
+
+    Each try is one ``modular`` call over ``raw``: an index rule on a lazy
+    space, or for a finitely supported ``f`` the float moduli ``|f|`` the
+    gauge read, indexed from atom 1 (0 on the head ``offset`` skips).  Their
+    modular is ``f``'s bit for bit: the modulus of a nonnegative float is
+    itself, and ``|x + 0j|`` is ``|x|``, so phi and the sum are all it
+    computes again.
+    """
     for _ in range(_CERTIFY_TRIES):
         if not (0.0 < lam < math.inf and 1.0 / lam < math.inf):
             raise UnsupportedInstanceError(

@@ -320,6 +320,23 @@ def test_decompose_factors_refuse_non_finite_arrays():
         c1(np.array([1.0, np.nan]), AtomicMeasureSpace.finite(np.ones(2)))
 
 
+@pytest.mark.parametrize("lazy", [False, True], ids=["finite", "counting"])
+def test_decompose_factors_of_real_arrays_are_complex(lazy):
+    sp = AtomicMeasureSpace.counting(10) if lazy else AtomicMeasureSpace.finite(np.ones(3))
+    theta = BCSequence.from_components([2.0, 3.0, 4.0], [1.0, 1.0, 1.0])
+    f = np.array([1.0, -2.0, 0.5])
+    for op in (
+        BCOperator.multiplication(theta),
+        BCOperator.right_shift(),
+        BCOperator.composition(IndexMap.from_table([2, 3, 1])),
+        BCOperator.dense(BCMatrix(np.eye(3), np.eye(3))),
+    ):
+        if lazy and op.kind in ("dense", "composition"):
+            continue  # a table or a matrix needs a finite space
+        image = decompose(op)[0](f, sp)
+        assert image.dtype == np.complex128, op.kind
+
+
 # ---------------------------------------------------------------- inversion
 
 

@@ -162,6 +162,66 @@ def test_sequence_constructors():
         BCSequence.from_rules(lambda i: i, 3)
 
 
+def test_sequence_components_are_stored_as_complex():
+    F = BCSequence.from_components(np.array([1.0, -2.0]), np.array([3, 4], dtype=np.int32))
+    assert F.comp1.dtype == F.comp2.dtype == np.complex128
+    np.testing.assert_array_equal(F.comp1, [1.0 + 0j, -2.0 + 0j])
+    assert F.values() == [BiComplex(1.0, 3.0), BiComplex(-2.0, 4.0)]
+
+
+@pytest.mark.parametrize(
+    "f, message",
+    [
+        ([1.0, float("nan")], "sequence entries must be finite"),
+        ([1.0 + 0j, complex(0.0, float("inf"))], "sequence entries must be finite"),
+        ([[1.0, 2.0]], "a sequence component must be 1-d"),
+        (3.0, "a sequence component must be 1-d"),
+    ],
+    ids=["nan", "complex-inf", "2-d", "0-d"],
+)
+def test_sequence_refusals_keep_their_wording(f, message):
+    sp = AtomicMeasureSpace.finite([1.0] * np.size(f))
+    for call in (
+        lambda: BCSequence.from_components(f, f),
+        lambda: modular(OrliczFunction.power(2), f, sp),
+        lambda: luxemburg_norm(OrliczFunction.power(2), f, sp),
+    ):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "space, offset",
+    [
+        (AtomicMeasureSpace.finite(np.linspace(0.1, 3.0, 200)), 0),
+        (AtomicMeasureSpace.finite(np.linspace(0.1, 3.0, 200)), 50),
+        (AtomicMeasureSpace.counting(500), 0),
+        (AtomicMeasureSpace.geometric(0.5, 500), 9),
+    ],
+    ids=["finite", "finite-tail", "counting", "geometric-tail"],
+)
+@pytest.mark.parametrize("spec", ["power:p=1", "power:p=1.5", "exp", "entropy"])
+def test_a_real_array_gives_the_bits_of_the_same_complex_array(spec, space, offset):
+    phi = OrliczFunction.parse(spec)
+    rng = np.random.default_rng(36)
+    for dtype in (np.float64, np.float32, np.int64):
+        f = (rng.standard_normal(200) * 30.0).astype(dtype)
+        z = f.astype(complex)
+        for scale in (1.0, 0.37):
+            assert modular(phi, f, space, scale=scale, offset=offset) == modular(
+                phi, z, space, scale=scale, offset=offset
+            )
+        assert float.hex(luxemburg_norm(phi, f, space, offset=offset)) == float.hex(
+            luxemburg_norm(phi, z, space, offset=offset)
+        )
+        w = rng.uniform(0.0, 2.0, 150)
+        for lazy in (False, True):
+            g, y = (f[:150], z[:150]) if not lazy else (f, z)
+            assert orlicz.weighted_phi_sum(phi, g, w, lazy=lazy) == orlicz.weighted_phi_sum(
+                phi, y, w, lazy=lazy
+            )
+
+
 def test_sequence_blocks_zero_extend_past_support():
     F = BCSequence.from_components([5, 6], [7, 8])
     np.testing.assert_array_equal(F.block(1, np.array([2, 3, 9])), [6, 0, 0])
@@ -459,6 +519,69 @@ def test_luxemburg_level_certificate():
         assert modular(phi, f, sp, scale=1.0 / lam).value <= 1.0 + 1e-12
         # slightly below the gauge the level must fail
         assert modular(phi, f, sp, scale=1.0 / (lam * (1 - 1e-6))).value > 1.0 - 1e-9
+
+
+@pytest.mark.parametrize("spec", ["power:p=2", "power:p=3", "exp", "entropy"])
+@pytest.mark.parametrize(
+    "space, offset",
+    [
+        (AtomicMeasureSpace.finite(np.linspace(0.5, 2.0, 40)), 0),
+        (AtomicMeasureSpace.finite(np.linspace(0.5, 2.0, 40)), 7),
+        (AtomicMeasureSpace.counting(1000), 0),
+        (AtomicMeasureSpace.geometric(0.5, 1000), 3),
+    ],
+    ids=["finite", "finite-tail", "counting", "geometric-tail"],
+)
+def test_a_finite_certificate_is_one_modular_call_over_the_moduli(monkeypatch, spec, space, offset):
+    # each certificate try is one call through the module attribute, and it
+    # reads |f| as float64 from atom 1, 0 on the head the offset skips
+    calls = []
+    original = orlicz.modular
+
+    def spy(phi, f, sp, **kwargs):
+        mv = original(phi, f, sp, **kwargs)
+        calls.append((f, kwargs, mv))
+        return mv
+
+    monkeypatch.setattr(orlicz, "modular", spy)
+    phi = OrliczFunction.parse(spec)
+    rng = np.random.default_rng(35)
+    for _ in range(10):
+        f = 10.0 ** rng.uniform(-3, 3) * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
+        calls.clear()
+        lam = luxemburg_norm(phi, f, space, offset=offset)
+        assert 1 <= len(calls) <= orlicz._CERTIFY_TRIES
+        for k, (moduli, kwargs, mv) in enumerate(calls):
+            assert moduli.dtype == np.float64
+            np.testing.assert_array_equal(moduli[offset:], np.abs(f)[offset:])
+            assert not moduli[:offset].any()
+            assert kwargs["offset"] == offset
+            # every try but the last read a level above 1 and stepped lam up
+            assert (mv.value <= 1.0) == (k == len(calls) - 1)
+        assert calls[-1][1]["scale"] == 1.0 / lam
+
+
+@pytest.mark.parametrize(
+    "space",
+    [AtomicMeasureSpace.counting(10**12), AtomicMeasureSpace.geometric(0.5, 10**12)],
+    ids=["counting", "geometric"],
+)
+def test_a_tail_past_a_short_array_allocates_nothing(monkeypatch, space):
+    # the moduli's zero head once spanned the offset, not the support: an
+    # offset of 10**11 past a 3-entry array asked numpy for 745 GiB
+    zeros = np.zeros
+
+    def guarded(shape, *args, **kwargs):
+        assert np.prod(shape) <= 10**7, "an array past the cap"
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", guarded)
+    f = np.array([1.0, -2.0, 0.5j])
+    for spec in ("power:p=2", "exp", "entropy"):
+        assert luxemburg_norm(OrliczFunction.parse(spec), f, space, offset=10**11) == 0.0
+    assert schauder_tail(BCSequence.from_components(f, f), 10**11, 2.0, space) == 0.0
+    # a tail that starts inside the array still reads it
+    assert luxemburg_norm(OrliczFunction.power(2), f, space, offset=1) > 0.0
 
 
 def test_luxemburg_homogeneous():

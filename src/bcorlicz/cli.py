@@ -559,6 +559,7 @@ def _cmd_op_check(args, config, report):
             sample_raw = _load_json(path)
             report["inputs"].setdefault("samples", []).append(sample_raw)
             samples.append(BCSequence.from_json_list(sample_raw))
+        _warn_cut(report, space, **{f"samples {p}": S for p, S in zip(args.samples, samples)})
         verdict_report = check_composition_bounded(
             space,
             imap,

@@ -6,9 +6,10 @@ that pair as two callables, and ``apply_operator`` applies them.
 
 Boundedness checks return verdict reports with explicit certificates
 (sup of pushforward mass ratios for composition, essential sups for
-multiplication, gauge-scale pairs for sample sequences) and never claim
-more than the scanned window supports: lazy-space evidence is labeled
-truncated and growing trends downgrade the verdict.
+multiplication) and never claim more than the scanned window supports:
+lazy-space evidence is labeled truncated and growing trends downgrade the
+verdict.  A sample sequence's gauge scales are evidence about it, not a
+certificate for the operator.
 """
 
 from __future__ import annotations
@@ -310,7 +311,8 @@ class BoundednessReport:
     """Verdict plus the certificates that back it.
 
     ``verdict`` is ``bounded``, ``unbounded``, or ``inconclusive``; a
-    bounded verdict always carries at least one finite certificate.
+    bounded verdict always carries a finite ``sup_distortion`` or finite
+    ``ess_sups``, the certificates ``bound()`` reads.
     ``injective`` is judged for a composition on a finite space only, and
     is None otherwise.
     """
@@ -327,19 +329,8 @@ class BoundednessReport:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.verdict == "bounded":
-            certs = []
-            if self.sup_distortion is not None:
-                certs.append(math.isfinite(self.sup_distortion))
-            if self.ess_sups is not None:
-                certs.append(all(math.isfinite(s) for s in self.ess_sups))
-            certs.extend(
-                lam is not None for pair in self.lambda_pairs for lam in pair
-            )
-            if not any(certs):
-                raise InvalidInputError(
-                    "a bounded verdict requires at least one finite certificate"
-                )
+        if self.verdict == "bounded" and self.bound() is None:
+            raise InvalidInputError("a bounded verdict requires at least one finite certificate")
 
     def bound(self) -> float | None:
         """The headline bound certificate; only a bounded verdict has one.
@@ -405,8 +396,13 @@ def check_composition_bounded(
     preimage.  On a lazy space ``injective`` is None: atoms past the
     window can map into it.  For each sample sequence the report
     records the largest gauge scales (grid 2^0 .. 2^-20, per component)
-    whose ratio-weighted modular is certified finite.
+    whose ratio-weighted modular is finite, each sample read once before
+    the scan (``component_array`` on a finite space, as ``norm`` reads it).
     """
+    sample_parts = [
+        [raw if space.is_lazy else component_array(raw, space) for raw in (s.comp1, s.comp2)]
+        for s in samples
+    ]
     dist = distortion_ratios(space, imap, budget)
     notes = []
     window = dist.ratios.size
@@ -449,18 +445,12 @@ def check_composition_bounded(
 
     lam_grid = 2.0 ** np.arange(0, -21, -1, dtype=float)
     lambda_pairs = []
-    for k, sample in enumerate(samples, start=1):
+    for k, parts in enumerate(sample_parts, start=1):
         pair = []
-        for which in (1, 2):
+        for which, f in enumerate(parts, start=1):
             found = None
             for lam in lam_grid:
-                mv = weighted_phi_sum(
-                    phi,
-                    sample.component(which),
-                    dist.ratios,
-                    scale=float(lam),
-                    lazy=space.is_lazy,
-                )
+                mv = weighted_phi_sum(phi, f, dist.ratios, scale=float(lam))
                 if mv.status in ("exact", "converged") and math.isfinite(mv.value):
                     found = float(lam)
                     break

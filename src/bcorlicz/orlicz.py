@@ -518,21 +518,19 @@ def weighted_phi_sum(
     weights: np.ndarray,
     *,
     scale: float = 1.0,
-    lazy: bool = False,
 ) -> ModularValue:
     """``sum phi(scale * |f_n|) * weights[n-1]`` over ``n = 1..len(weights)``.
 
     The weight vector may be any nonnegative certificate vector (for
-    example distortion ratios), not just atom weights.  With
-    ``lazy=True`` an index rule runs through the convergence probe instead
-    of being declared exact, and an array is summed exactly over its
-    support, cut at ``len(weights)``, as on a lazy space.
+    example distortion ratios), not just atom weights.  An index rule runs
+    the convergence probe over those atoms, and an array is summed exactly
+    over its support, cut at ``len(weights)``, as on a lazy space.
     """
     weights = np.asarray(weights, dtype=float)
     raw = _as_raw_component(f)
-    if lazy and callable(raw):
+    if callable(raw):
         return _march(_phi_terms(phi, raw, lambda idx: weights[idx - 1], scale), weights.size)
-    values = raw[: weights.size] if lazy else component_head(raw, weights.size)
+    values = raw[: weights.size]
     return _phi_sum(phi, np.abs(values), weights[: values.size], scale)
 
 
@@ -632,8 +630,9 @@ def luxemburg_norm(
     (for an index rule: on the probed window), and the gauge is 0; the
     level at the cut, which can underflow where that one does not, does
     not decide it.  A gauge outside the float range raises
-    UnsupportedInstanceError, and so does an entry whose modulus
-    overflows (``|z|`` of a finite ``z`` can).
+    UnsupportedInstanceError, and so do an entry whose modulus
+    overflows (``|z|`` of a finite ``z`` can) and a finitely supported
+    level that overflows next to the root or at the gauge.
     """
     if not (isinstance(tol, (int, float)) and 0 < tol < 1):
         raise InvalidInputError(f"tol must be in (0, 1), got {tol!r}")
@@ -678,7 +677,8 @@ def luxemburg_norm(
         lam = sup * root
     else:
         # the level's log-log slope is at least phi's least elasticity
-        lam = sup / (cut * _unit_scale(level, at_one, classify_phi(phi).alpha, tol))
+        alpha = classify_phi(phi).alpha
+        lam = sup / (cut * _unit_scale(level, at_one, alpha, tol, exact=part is not None))
     del level  # the solve's arrays are not held through the certificate
     return _certified(phi, raw, space, lam, offset)
 
@@ -776,7 +776,9 @@ def _require_settled(mv: ModularValue, what: str, unsettled: str) -> None:
         )
 
 
-def _unit_scale(level: Callable[[float], float], g: float, k: float, tol: float) -> float:
+def _unit_scale(
+    level: Callable[[float], float], g: float, k: float, tol: float, exact: bool
+) -> float:
     """The largest ``t`` seen to satisfy ``level(t) <= 1``, within ``tol`` of the root.
 
     ``level`` is convex and increasing with ``level(0) = 0``, and ``g`` is
@@ -790,11 +792,15 @@ def _unit_scale(level: Callable[[float], float], g: float, k: float, tol: float)
     (Anderson & Bjorck, 1973), so neither end stalls.  A level that
     underflows to 0 or overflows has no finite logarithm; the next point is
     then the bracket's midpoint in ``s``, or 32 past the one end known.
+
+    An ``exact`` level (a finitely supported sum) is finite in exact
+    arithmetic, so its +inf is float overflow, and a bracket closed against
+    one raises UnsupportedInstanceError; a probe's +inf is a level above 1.
     """
     s = 0.0
     ends: dict[int, list[float]] = {}  # -1 below the root, +1 above: [s, L]
     last = 0
-    best, upper = 0.0, math.inf
+    best, upper, overflow = 0.0, math.inf, math.inf
     for _ in range(_SOLVE_STEPS):
         t = math.exp(s)
         if 0.0 < g < math.inf:
@@ -804,12 +810,17 @@ def _unit_scale(level: Callable[[float], float], g: float, k: float, tol: float)
         elif g == 0.0:
             best, L = max(best, t), -math.inf
         else:
-            upper, L = min(upper, t), math.inf
+            upper, overflow, L = min(upper, t), min(overflow, t), math.inf
         # below this width the floats, not the level, limit the bracket: one
         # ulp of s moves t = e^s by at most eps |s| relative, and exp rounds
         # to about eps more, so t resolves steps of eps (1 + |s|); four of
         # them stay below tol = 1e-12 over all of |s| <= _LOG_T_RANGE
         if best >= (1.0 - max(tol, 4 * _EPS * (1.0 + abs(s)))) * upper:
+            if exact and upper == overflow:
+                raise UnsupportedInstanceError(
+                    "the level I_phi(f/lam) overflows floats next to its root, "
+                    "so the gauge is not computed"
+                )
             return best
         side = 1 if L > 0 else -1
         if side == last and -side in ends:
@@ -839,7 +850,8 @@ def _certified(phi, raw, space, lam: float, offset: int) -> float:
     gauge read, indexed from atom 1 (0 on the head ``offset`` skips).  Their
     modular is ``f``'s bit for bit: the modulus of a nonnegative float is
     itself, and ``|x + 0j|`` is ``|x|``, so phi and the sum are all it
-    computes again.
+    computes again.  A level that reads +inf there overflowed floats, and
+    no step up can certify it: that raises at once.
     """
     for _ in range(_CERTIFY_TRIES):
         if not (0.0 < lam < math.inf and 1.0 / lam < math.inf):
@@ -848,6 +860,11 @@ def _certified(phi, raw, space, lam: float, offset: int) -> float:
             )
         mv = modular(phi, raw, space, scale=1.0 / lam, offset=offset)
         _require_settled(mv, f"the {phi.spec_string()} modular", "no gauge can be certified")
+        if mv.value == math.inf:
+            raise UnsupportedInstanceError(
+                f"I_phi(f/lam) overflows floats at the solved {phi.spec_string()} gauge "
+                f"{lam!r}, so it is not certified"
+            )
         if mv.value <= 1.0:
             return lam
         # convexity gives I(f / (c lam)) <= I(f / lam) / c for c >= 1, so

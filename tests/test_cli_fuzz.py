@@ -38,6 +38,8 @@ GOOD = {
     "f": [bc(3.0, 4.0)],
     "space3": {"weights": [1.0, 2.0, 3.0]},
     "seq3": [bc(1.0, 2.0), bc(-1.0, 0.5), bc(0.0, 3.0)],
+    "seq2": [bc(1.0, 2.0), bc(-1.0, 0.5)],
+    "seq5": [bc(1.0, 2.0), bc(-1.0, 0.5), bc(0.0, 3.0), bc(4.0), bc(0.5, 0.5)],
     "counting": {"weights_rule": "counting", "n_max": 1000},
     "shift": {"map_rule": "right_shift"},
     "table3": {"map": [2, 3, 3]},
@@ -354,6 +356,7 @@ LONGER_THAN_WINDOW = [
         "--n-max", "2",
     ], "--seq"),
     ("pairing-n-max=2", BASELINES["pairing"] + ["--n-max", "2"], "--x"),
+    ("check_comp-n-max=2", BASELINES["check_comp"] + ["--n-max", "2"], "--samples"),
 ]
 
 
@@ -367,6 +370,23 @@ def test_a_cut_sequence_is_warned(tmp_path, name, argv, flag):
     said = json.loads((tmp_path / "stdout").read_text())["warnings"]
     assert len(said) == 1 and said[0].startswith(flag), said
     assert "3 entries but the lazy window ends at atom 2" in said[0], said
+
+
+# a sample is read as --seq is: on a finite space it needs one entry per atom
+SAMPLE_NOT_ONE_PER_ATOM = [
+    (f"check_table-samples-{n}", BASELINES["check_table"] + ["--samples", f"@seq{n}"], n)
+    for n in (2, 5)
+]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the fuzz forks one child per case")
+@pytest.mark.parametrize(
+    "name, argv, n", SAMPLE_NOT_ONE_PER_ATOM, ids=[c[0] for c in SAMPLE_NOT_ONE_PER_ATOM]
+)
+def test_a_sample_not_one_per_atom_is_refused(tmp_path, name, argv, n):
+    code, err = _run_case(tmp_path, name, argv, {}, None)
+    assert code == 1, err
+    assert err == f"error: sequence has {n} entries but the space has 3 atoms\n", err
 
 
 # the lazy probe has no block length: the old --block flag and "block"

@@ -109,7 +109,7 @@ def test_lazy_weighted_sum_matches_the_finite_one(case, spec, scale):
     space, finite, f, m = case
     phi = OrliczFunction.parse(spec)
     weights = space.weight_block(np.arange(1, space.size + 1))
-    assert outcome(lambda: weighted_phi_sum(phi, f, weights, scale=scale, lazy=True)) == outcome(
+    assert outcome(lambda: weighted_phi_sum(phi, f, weights, scale=scale)) == outcome(
         lambda: weighted_phi_sum(phi, f[:m], finite.weights, scale=scale)
     )
 

@@ -11,7 +11,7 @@ import math
 import subprocess
 import sys
 import time
-from decimal import Decimal, localcontext
+from decimal import Decimal, Overflow, localcontext
 
 import numpy as np
 import pytest
@@ -24,6 +24,8 @@ from bcorlicz import (
     OrliczFunction,
     UnsupportedInstanceError,
     luxemburg_norm,
+    modular,
+    orlicz,
 )
 
 PHIS = ("power:p=1.5", "power:p=2", "power:p=3", "exp", "entropy")
@@ -160,6 +162,24 @@ def test_lazy_root_solve_survives_the_divergence_guard(spec):
     assert level(spec, f, w, lam) <= 1.0 + 1e-12 < level(spec, f, w, lam * (1 - 1e-9))
 
 
+def test_a_lazy_level_that_jumps_to_inf_gives_the_gauge_at_the_jump(monkeypatch):
+    # exp is not Delta2: a probe can converge up to a scale and diverge past
+    # it.  That +inf is a level above 1, not float overflow, so the bracket
+    # closes against it and the gauge is 1/jump, where the level is ~0.85.
+    real, jump = orlicz.modular, 1.05
+
+    def probe(phi, f, space, *, scale=1.0, offset=0):
+        if scale > jump:
+            return orlicz.ModularValue(math.inf, "diverged", space.size)
+        return real(phi, f, space, scale=scale, offset=offset)
+
+    monkeypatch.setattr(orlicz, "modular", probe)
+    lam = luxemburg_norm(
+        OrliczFunction.parse("exp"), lambda i: 1.0 / i**2, AtomicMeasureSpace.counting(10**6)
+    )
+    assert 1.0 / jump <= lam <= (1.0 + 1e-11) / jump
+
+
 # ------------------------------------------------------- long finite arrays
 
 # On long arrays every argument f_n / lam at the root lies below the
@@ -218,8 +238,6 @@ EDGE_GAUGES = [
     ("entropy", wave(2000), HEAVY, 5.477036389709216e151, 1e-12),
     ("exp", wave(2000), LIGHT, 0.002911120854551761, 1e-12),
     ("entropy", wave(2000), LIGHT, 1.354040669782389e-294, 1e-12),
-    ("exp", [1.0], DENORMAL, 0.0014088818758690531, 1e-12),
-    ("exp", [1.0, 1e-200], DENORMAL_BESIDE_1, 0.0014088818758690531, 1e-12),
     ("entropy", [1.0, 1e-200], DENORMAL_BESIDE_1, 8.064659942363376e-201, 1e-12),
 ]
 
@@ -255,6 +273,75 @@ def test_edge_gauges_past_the_float_weights_are_refused(spec, f, space, atom, re
         match=f"^the {space.rule} weight of atom {atom} reads {reads} in floats where",
     ):
         luxemburg_norm(OrliczFunction.parse(spec), f, space)
+
+
+def gauge_exact(spec, f, w):
+    """The root of ``I_phi(f / lam) = 1``: 200 bisections of ``log lam`` over
+    [-800, 800] in 40-digit decimal arithmetic, where phi past the decimal
+    range reads +inf."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ctx.traps[Overflow] = False
+        lo, hi = Decimal(-800), Decimal(800)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lam = mid.exp()
+            total = sum(
+                (phi_exact(spec, Decimal(float(abs(x))) / lam) * Decimal(float(a))
+                 for x, a in zip(f, w)),
+                Decimal(0),
+            )
+            lo, hi = (mid, hi) if total > 1 else (lo, mid)
+        return float(hi.exp())
+
+
+SOLVE_OVERFLOWS = "^the level I_phi\\(f/lam\\) overflows floats next to its root"
+CHECK_OVERFLOWS = "^I_phi\\(f/lam\\) overflows floats at the solved power:p=2 gauge "
+
+# (phi, f, weights, refusal): each true gauge is a float, but phi(|f| / lam)
+# at it passes the floats on a subnormal weight.  A finitely supported level
+# is finite in exact arithmetic, so its +inf is overflow, not a level above
+# 1.  The exp solve closed its bracket against that +inf and returned
+# 1/709.78 = 0.0014088818758682031, 4.9 % above the root 0.0013432914719636531
+# on [1, 5e-324] and 3.8 % above it on [1, 1e-320]; the power:p=2 check read
+# I = inf and stepped the gauge up to inf ("gauge inf has no finite reciprocal").
+OVERFLOWING_LEVELS = [
+    ("exp", [0.0, 1.0], [1.0, 5e-324], SOLVE_OVERFLOWS),
+    ("exp", [0.001, 1.0], [1.0, 1e-320], SOLVE_OVERFLOWS),
+    ("exp", [1.0], [5e-324], SOLVE_OVERFLOWS),
+    ("exp", [1.0, 1e-200], [5e-324, 1.0], SOLVE_OVERFLOWS),
+    ("power:p=2", [0.0, 1.0], [1.0, 5e-324], CHECK_OVERFLOWS),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec, f, w, refusal", OVERFLOWING_LEVELS)
+def test_a_level_that_overflows_floats_is_refused(spec, f, w, refusal):
+    phi, space = OrliczFunction.parse(spec), AtomicMeasureSpace.finite(w)
+    want = gauge_exact(spec, f, w)
+    assert 0.0 < want < math.inf
+    # at the true gauge the float modular has overflowed, so no float
+    # answer near it can be certified
+    assert modular(phi, f, space, scale=1.0 / want).value == math.inf
+    with pytest.raises(UnsupportedInstanceError, match=refusal):
+        luxemburg_norm(phi, f, space)
+
+
+def test_one_atom_on_a_subnormal_geometric_weight_is_refused_for_the_overflow():
+    # 0.5^(m-1) is subnormal for m from 1024 on, and the true gauge
+    # 2^(-(m-1)/2) a float; I(f/lam) = 2^(m-1) 0.5^(m-1) passes the floats
+    # from m = 1026 on, where 0.5^(m-1) is still not 0
+    phi = OrliczFunction.power(2)
+    for m in range(1026, 1076):
+        f = np.zeros(m)
+        f[-1] = 1.0
+        assert 0.0 < GEOMETRIC_HALF.weight_block(np.array([m]))[0]
+        assert 0.0 < 2.0 ** (-(m - 1) / 2)
+        with pytest.raises(UnsupportedInstanceError, match=CHECK_OVERFLOWS):
+            luxemburg_norm(phi, f, GEOMETRIC_HALF)
+    f = np.zeros(1025)
+    f[-1] = 1.0
+    assert math.isclose(luxemburg_norm(phi, f, GEOMETRIC_HALF), 2.0**-512, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(6))

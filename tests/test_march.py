@@ -444,7 +444,7 @@ def test_lazy_weighted_sum_matches_the_reference(spec, n_total, c, data):
     f = data.draw(components(c))
     raw = f if callable(f) else np.asarray(f, dtype=complex)
     same(
-        lambda: weighted_phi_sum(phi, f, weights, lazy=True),
+        lambda: weighted_phi_sum(phi, f, weights),
         lambda: reference_weighted_phi_sum(phi, raw, weights, 1.0),
     )
 

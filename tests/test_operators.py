@@ -460,6 +460,36 @@ def test_composition_check_lambda_pairs():
         assert lam2 is not None and 0 < lam2 <= 1.0
 
 
+@pytest.mark.parametrize("n", [2, 5])
+def test_composition_check_refuses_a_sample_not_one_per_atom(n):
+    # a sample is read as norm reads a sequence: strictly on a finite space
+    sp = AtomicMeasureSpace.finite([1.0, 1.0, 1.0])
+    sample = rand_seq(np.random.default_rng(n), n)
+    with pytest.raises(
+        InvalidInputError, match=f"^sequence has {n} entries but the space has 3 atoms$"
+    ):
+        check_composition_bounded(
+            sp, IndexMap.from_table([1, 1, 2]), OrliczFunction.power(2), (sample,)
+        )
+
+
+def test_composition_check_reads_a_rule_sample_once_per_component():
+    calls = []
+
+    def rule(idx):
+        calls.append(idx.size)
+        return np.full(idx.shape, 1e3)
+
+    sp = AtomicMeasureSpace.finite([1.0, 1.0, 1.0])
+    sample = BCSequence.from_rules(rule, rule)
+    # exp(1e3) passes the floats, so each component's grid takes a second step
+    rep = check_composition_bounded(
+        sp, IndexMap.from_table([1, 1, 2]), OrliczFunction.parse("exp"), (sample,)
+    )
+    assert calls == [3, 3]
+    assert rep.lambda_pairs == ((0.5, 0.5),)
+
+
 def test_composition_check_attaches_delta2_and_empirical():
     sp = AtomicMeasureSpace.finite([1.0, 1.0])
     rep = check_composition_bounded(
@@ -879,6 +909,9 @@ def test_empirical_refuses_trials_past_the_cap_and_bad_seeds(monkeypatch, kwargs
 def test_bounded_verdict_requires_certificate():
     with pytest.raises(InvalidInputError):
         BoundednessReport(kind="composition", verdict="bounded")
+    # a sample's gauge scales are evidence about the sample, not a certificate
+    with pytest.raises(InvalidInputError):
+        BoundednessReport(kind="composition", verdict="bounded", lambda_pairs=((1.0, 1.0),))
     rep = BoundednessReport(kind="composition", verdict="bounded", sup_distortion=2.0)
     assert rep.bound() == 2.0
     rep = BoundednessReport(kind="composition", verdict="inconclusive")

@@ -31,6 +31,9 @@ __all__ = [
 # exp(x) is exactly 0.0 for every x below this (it underflows past the
 # least subnormal near x = -745.13)
 _EXP_UNDERFLOW = -746.0
+# a scan reads its window in chunks of at most this many atoms: past it the
+# chunk's temporaries fall out of cache and an atom costs more
+_CHUNK_ATOMS = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,12 +248,15 @@ def _images(out, idx: np.ndarray) -> np.ndarray:
 class Distortion:
     """Mass ratios b_n = pushforward mass / atom weight, from one read of the window.
 
-    ``sup`` is the sup of ``ratios``.  On a lazy space ``sup_quarter`` and
-    ``sup_half`` are the sups that a scan with budget ``m = max(1, window // 4)``
-    or ``max(1, window // 2)`` gives: b_n for ``n <= m``, summed over the
-    atoms ``k <= m`` only, in the same order, so bit for bit that scan's
-    sup.  They are ``None`` on a finite space.  ``first_uncovered`` is, on a
-    finite space, the first atom that no atom maps to (``None`` when the
+    ``ratios`` is the one array as long as the window that the scan builds;
+    besides it, the scan holds one chunk of the window (see
+    ``distortion_ratios``).  ``sup`` is the sup of ``ratios``.  On a lazy
+    space ``sup_quarter`` and ``sup_half`` are the sups that a scan with
+    budget ``m = max(1, window // 4)`` or ``max(1, window // 2)`` gives: b_n
+    for ``n <= m``, summed over the atoms ``k <= m`` only, in the same
+    order, so bit for bit that scan's sup, read as the scan passes atom
+    ``m``.  They are ``None`` on a finite space.  ``first_uncovered`` is, on
+    a finite space, the first atom that no atom maps to (``None`` when the
     images cover the space).  On a lazy space the coverage is not read and
     it is ``None``: atoms past the window can map into it, so the window's
     coverage says nothing about the map.  ``dropped`` counts the atoms with
@@ -268,13 +274,27 @@ class Distortion:
 def scan_window(space: AtomicMeasureSpace, budget: int) -> tuple[int, tuple[int, ...]]:
     """The atoms ``1..n`` a scan reads, all of a finite space and the first
     ``min(n_max, budget)`` of a lazy one, and on a lazy one the quarter and
-    half window lengths its growth test compares.  A budget that is not an
-    integer from 1 to ``MAX_BUDGET`` is an ``InvalidInputError``."""
+    half window lengths its growth test compares.  A scan reads these atoms
+    in the chunks of ``window_chunks``, which end at those lengths too.  A
+    budget that is not an integer from 1 to ``MAX_BUDGET`` is an
+    ``InvalidInputError``."""
     _check_n_max(budget, "budget")
     if budget > MAX_BUDGET:
         raise InvalidInputError(f"budget must be at most {MAX_BUDGET}, got {budget!r}")
     n = min(space.size, budget) if space.is_lazy else space.size
     return n, (max(1, n // 4), max(1, n // 2)) if space.is_lazy else ()
+
+
+def window_chunks(n: int, prefixes: tuple[int, ...] = ()):
+    """The atom ranges ``(lo, hi)`` that cover ``1..n`` in order, each of at
+    most ``_CHUNK_ATOMS`` atoms, with every prefix length in ``prefixes``
+    among the ends ``hi``."""
+    lo = 1
+    for end in sorted({*prefixes, n}):
+        while lo <= end:
+            hi = min(end, lo + _CHUNK_ATOMS - 1)
+            yield lo, hi
+            lo = hi + 1
 
 
 def map_images(space: AtomicMeasureSpace, imap: IndexMap, idx: np.ndarray) -> np.ndarray:
@@ -313,83 +333,57 @@ def distortion_ratios(
 
     Each is summed per preimage, ``b_n = sum_{T(k)=n} a_k / a_n``, so it is
     finite wherever the true ratio is, even where the weights overflow.
-    The map's images are read once over the window of ``scan_window``; on a
-    finite space every image also counts for the coverage, which a lazy
-    space does not read (see ``Distortion``).  Only the atoms
-    whose share ``a_k / a_n`` can be nonzero are summed (see
-    ``_within_reach``): a share of +0.0 leaves its bin's bits as they are,
-    since the bins start at +0.0 and every share is at least 0 or +inf.  The
-    kept arrays give the sups over the quarter and half windows on a lazy
-    space (see ``Distortion``).  The window ends at its last atom ``n``:
-    the right shift's preimage of ``n``, atom ``n + 1``, lies outside it,
-    so ``b_n`` is 0 there on every space, as for any map.
+    The window of ``scan_window`` is read once, in the chunks of
+    ``window_chunks``, and each chunk's shares ``a_k / a_n`` are added into
+    one array of bins indexed by atom, in atom order, as ``np.bincount``
+    adds them: bin 0 takes the atoms with no image (the right shift's atom
+    1), and bin ``n + 1`` the images past a lazy window.  A quarter or half
+    sup is read from the bins as a chunk ends at its prefix ``m``, when
+    they hold exactly the atoms ``k <= m``.  On a finite space every image
+    also counts for the coverage (see ``Distortion``).  Only the shares
+    that can be nonzero are added (see ``_within_reach``): a share of +0.0
+    leaves its bin's bits as they are, since the bins start at +0.0 and
+    every share is at least 0 or +inf.  The window ends at its last atom
+    ``n``: the right shift's preimage of ``n``, atom ``n + 1``, lies outside
+    it, so ``b_n`` is 0 there on every space, as for any map.
     """
     n, prefixes = scan_window(space, budget)
-    lazy = space.is_lazy
-    idx = np.arange(1, n + 1, dtype=np.int64)
-    if imap.kind == "right_shift":
-        # atom k + 1 lands on k: atom 1 is dropped, and the last atom of a
-        # finite space is uncovered
-        sums = np.empty(n)
-        sums[: n - 1] = _weight_ratios(space, idx[1:], idx[:-1])
-        sums[n - 1] = 0.0
-        sups = [sums[: m - 1].max(initial=0.0) for m in prefixes]
-        return _distortion(sums, sups, None if lazy else n, 1)
-    images = map_images(space, imap, idx)
-    if lazy and images.max() > n:
-        inside = images <= n  # images beyond a lazy window leave the truncated view
-        idx, images = idx[inside], images[inside]
-        del inside
-    first = None
-    if not lazy:
-        covered = np.zeros(n + 1, dtype=bool)
-        covered[images] = True
-        first = None if covered[1:].all() else int(np.argmin(covered[1:])) + 1
-        del covered
-    d = None
-    if space.rule is None or space.rule == "counting":
-        shares = _weight_ratios(space, idx, images)
-    else:
-        d = idx - images
-        near = _within_reach(d, space._log_ratio())
+    bins = np.zeros(n + 2)
+    covered = None if space.is_lazy else np.zeros(n + 1, dtype=bool)
+    sups, dropped = [], 0
+    for lo, hi in window_chunks(n, prefixes):
+        idx = np.arange(lo, hi + 1, dtype=np.int64)
+        images = map_images(space, imap, idx)
+        if covered is not None:
+            covered[images] = True
+        dropped += int(images[0] == 0)  # only atom 1 can be left without an image
+        near = _within_reach(space, idx, images)
         if near is not None:
-            idx, images, d = idx[near], images[near], d[near]
-    # the atoms k <= m lead the arrays
-    leads = [int(np.searchsorted(idx, m, side="right")) for m in prefixes]
-    del idx  # not held while the shares r**(k - n) are computed
-    if d is not None:
-        shares = space._ratio_powers(d)
-        del d
-    # a bin's index is its atom, and bin 0 stays empty; float64 even where
-    # no atom is summed, for which numpy's bincount gives integer zeros
-    sums = np.bincount(images, weights=shares, minlength=n + 1)[1:].astype(float, copy=False)
-    sups = []
-    for m, c in zip(prefixes, leads):
-        # of the atoms k <= m, keep the images n <= m; no bin is built past
-        # the largest, since it would hold +0.0, and a window of none reads 0
-        p, w = images[:c], shares[:c]
-        if c and p.max() > m:
-            keep = p <= m
-            p, w = p[keep], w[keep]
-        sups.append(np.bincount(p, weights=w)[1:].max(initial=0.0))
-    return _distortion(sums, sups, first, 0)
+            idx, images = idx[near], images[near]
+        with np.errstate(over="ignore"):  # a sum past the floats reads +inf
+            np.add.at(bins, np.minimum(images, n + 1), _weight_ratios(space, idx, images))
+        sups += [bins[1 : m + 1].max() for m in prefixes if m == hi]
+    ratios = bins[1 : n + 1]
+    first = None
+    if covered is not None and not covered[1:].all():
+        first = int(np.argmin(covered[1:])) + 1
+    q, h = (float(s) for s in sups) if sups else (None, None)
+    return Distortion(ratios, float(ratios.max()), q, h, first, dropped)
 
 
-def _within_reach(d: np.ndarray, log_r: float) -> np.ndarray | None:
-    """The positions of the exponents ``d`` where ``exp(d log r)`` can be
-    nonzero, or None where that is every one.
+def _within_reach(space: AtomicMeasureSpace, k: np.ndarray, n: np.ndarray) -> np.ndarray | None:
+    """The positions where the share ``a_k / a_n`` can be nonzero, or None
+    where that is every one.
 
-    Past ``|d log r| = -_EXP_UNDERFLOW`` on the decaying side the share is
-    exactly 0; the reach is counted in integers with one atom to spare, so
-    no float rounding of ``d log r`` can put a nonzero share past it.
+    On a geometric space ``r**(k - n)`` is exactly 0 past
+    ``|(k - n) log r| = -_EXP_UNDERFLOW`` on the decaying side; the reach is
+    counted in integers with one atom to spare, so no float rounding of
+    ``(k - n) log r`` can put a nonzero share past it.
     """
+    log_r = 0.0 if space.rule in (None, "counting") else space._log_ratio()
     if log_r == 0.0:
         return None
     reach = math.ceil(-_EXP_UNDERFLOW / abs(log_r)) + 1
+    d = k - n
     near = d < reach if log_r < 0 else d > -reach
     return None if near.all() else np.flatnonzero(near)
-
-
-def _distortion(sums, sups, first_uncovered, dropped) -> Distortion:
-    q, h = (float(s) for s in sups) if sups else (None, None)
-    return Distortion(sums, float(sums.max()), q, h, first_uncovered, dropped)

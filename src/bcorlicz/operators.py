@@ -33,6 +33,7 @@ from .measure import (
     distortion_ratios,
     map_images,
     scan_window,
+    window_chunks,
 )
 from .orlicz import (
     BCSequence,
@@ -496,37 +497,39 @@ def check_multiplication_bounded(
     reports.  An array symbol is zero past its length, so its sup
     is exact on any space.  An index rule is read over the window like any
     component (a nan or inf value is an ``InvalidInputError`` naming its
-    atom), and a sup still growing across it yields an unbounded verdict
-    with the growth trend recorded.  A component whose modulus passes the
-    floats (its parts are finite) has an infinite sup and leaves the
-    verdict inconclusive, with a note naming the component and the first
-    such atom.
+    atom), one chunk of ``window_chunks`` at a time, and a sup still
+    growing across it, read as the scan passes the quarter and half
+    prefixes, yields an unbounded verdict with the growth trend recorded.
+    A component whose modulus passes the floats (its parts are finite) has
+    an infinite sup and leaves the verdict inconclusive, with a note naming
+    the component and the first such atom.
     """
     n, prefixes = scan_window(space, budget)
     notes, sups = [], []
     for which in (1, 2):
         raw = theta.component(which)
-        if not space.is_lazy:
-            values = theta.array(which, space)
-        else:
-            values = component_head(raw, n) if callable(raw) else raw
-        with np.errstate(over="ignore"):
-            mags = np.abs(values)
-        sup = float(mags.max(initial=0.0))
+        if not (callable(raw) or space.is_lazy):
+            raw = component_array(raw, space)  # as long as the space, or refused
+        sup, atom, at_prefixes = 0.0, None, []
+        for lo, hi in window_chunks(n, prefixes) if callable(raw) else [(1, raw.size)]:
+            with np.errstate(over="ignore"):
+                mags = np.abs(component_head(raw, hi, lo))
+            sup = max(sup, float(mags.max(initial=0.0)))
+            if atom is None and sup == math.inf:
+                atom = lo + int(np.argmax(np.isinf(mags)))
+            at_prefixes += [sup for m in prefixes if m == hi]
         sups.append(sup)
-        if sup == math.inf:
-            atom = int(np.argmax(np.isinf(mags))) + 1
+        if atom is not None:
             notes.append(
                 f"component {which} modulus at atom {atom} overflows floats; no bound certified"
             )
         elif space.is_lazy and callable(raw):
-            sup_q, sup_h = (float(mags[:m].max()) for m in prefixes)
+            sup_q, sup_h = at_prefixes
             if _grows(sup_q, sup_h, sup):
                 notes.append(
                     f"component {which} sup grows across the window (quarter {sup_q:.6g}, "
                     f"half {sup_h:.6g}, full {sup:.6g})"
                 )
-        del values, mags  # neither is held while the next component is read
     truncated = space.is_lazy and theta.is_lazy
     if math.inf in sups:
         verdict = "inconclusive"

@@ -30,7 +30,7 @@ from .errors import (
     NotSummableError,
     UnsupportedInstanceError,
 )
-from .measure import AtomicMeasureSpace
+from .measure import _CHUNK_ATOMS, AtomicMeasureSpace
 from .young import OrliczFunction, PhiReport, classify_phi
 
 __all__ = [
@@ -61,9 +61,6 @@ _SETTLE_REL = 1e-12
 _AITKEN_PASSES = 3
 _DIVERGE_RATIO = 0.95
 _DIVERGE_DOUBLINGS = 3
-# the probe evaluates a block in chunks of at most this many atoms: past it
-# the chunk's temporaries fall out of cache and an atom costs more
-_CHUNK_ATOMS = 2**14
 # the probe first settles at the ninth dyadic end of the atom index, atom
 # 511 (three estimates, each over seven ends); the blocks before it cannot
 # settle it, for a tail too, and are evaluated as one chunk
@@ -569,8 +566,8 @@ _SOLVE_STEPS = 100
 # a gauge that rounding leaves just outside the level set is stepped up
 # (see _certified); the level is checked at most this many times
 _CERTIFY_TRIES = 8
-# solver iterates stay within t = e^-700 .. e^700, where exp(s) is finite
-_LOG_T_RANGE = 700.0
+# solver iterates stay within t = e^-709 .. e^709, where exp(s) is finite
+_LOG_T_RANGE = 709.0
 _EPS = float(np.finfo(float).eps)
 
 
@@ -814,7 +811,8 @@ def _unit_scale(
         # below this width the floats, not the level, limit the bracket: one
         # ulp of s moves t = e^s by at most eps |s| relative, and exp rounds
         # to about eps more, so t resolves steps of eps (1 + |s|); four of
-        # them stay below tol = 1e-12 over all of |s| <= _LOG_T_RANGE
+        # them, at most 4 eps (1 + 709) = 6.3e-13 over all of
+        # |s| <= _LOG_T_RANGE, stay below tol = 1e-12
         if best >= (1.0 - max(tol, 4 * _EPS * (1.0 + abs(s)))) * upper:
             if exact and upper == overflow:
                 raise UnsupportedInstanceError(

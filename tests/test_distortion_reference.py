@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from bcorlicz import AtomicMeasureSpace, IndexMap, distortion_ratios
-from bcorlicz.measure import map_images, scan_window
+from bcorlicz.measure import _CHUNK_ATOMS, map_images, scan_window
 
 # ------------------------------------------------------------ the reference
 
@@ -126,7 +126,9 @@ MAPS = {
 
 RATIOS = (1e-3, 0.5, 0.999, 1.0, 2.0)
 LAZY = ["counting"] + [f"geometric:{r}" for r in RATIOS]
-WINDOWS = (1, 2, 7, 5000, 10**5)
+# past the first chunk, and with the quarter and half prefixes inside chunks
+MULTI_CHUNK = 3 * _CHUNK_ATOMS + 5
+WINDOWS = (1, 2, 7, 5000, MULTI_CHUNK, 10**5)
 
 
 def lazy_space(rule, n_max):
@@ -164,6 +166,10 @@ FINITE = {
     # shares that overflow and underflow: a_k / a_n past the floats
     "extreme(2000)": 10.0 ** _RNG.uniform(-300, 300, 2000),
     "one atom": np.array([2.5]),
+    # every map's shares come from four chunks: under the constant table 1
+    # they all land in bin 1, so its bits check the order of addition
+    f"uniform({MULTI_CHUNK})": _RNG.uniform(0.1, 3.0, MULTI_CHUNK),
+    f"extreme({MULTI_CHUNK})": 10.0 ** _RNG.uniform(-300, 300, MULTI_CHUNK),
 }
 
 

@@ -8,6 +8,7 @@ five Young functions the benchmark uses.
 
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -342,6 +343,41 @@ def test_one_atom_on_a_subnormal_geometric_weight_is_refused_for_the_overflow():
     f = np.zeros(1025)
     f[-1] = 1.0
     assert math.isclose(luxemburg_norm(phi, f, GEOMETRIC_HALF), 2.0**-512, rel_tol=1e-12)
+
+
+def entropy_root_on_one_atom(m):
+    """The entropy gauge of ``f_m = 1`` alone under the exact weight
+    ``2^-(m-1)``: ``1/u`` where ``u log(1 + u) = 2^(m-1)``, by Newton's method
+    in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        w = Decimal(2) ** (m - 1)
+        u = w / w.ln()
+        for _ in range(60):
+            u -= (u * (1 + u).ln() - w) / ((1 + u).ln() + u / (1 + u))
+        return float(1 / u)
+
+
+@pytest.mark.filterwarnings("error")
+def test_entropy_gauge_on_one_tiny_weight_solves_or_is_refused_for_the_overflow():
+    # regression: the solve's iterates were clamped to |log t| <= 700, short
+    # of the root, so from m = 1018 on it gave up after 100 steps; each m
+    # now solves, or its level overflows floats next to the root
+    phi = OrliczFunction.parse("entropy")
+    tol = 1e-12
+    solved = []
+    for m in range(1015, 1076):
+        f = np.zeros(m)
+        f[-1] = 1.0
+        try:
+            lam = luxemburg_norm(phi, f, GEOMETRIC_HALF, tol=tol)
+        except UnsupportedInstanceError as exc:
+            assert re.match(SOLVE_OVERFLOWS, str(exc)), (m, str(exc))
+            continue
+        want = entropy_root_on_one_atom(m)
+        assert abs(lam - want) <= tol * want, (m, lam, want)
+        solved.append(m)
+    assert solved == list(range(1015, 1026))
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -243,17 +243,17 @@ class ModularValue:
     """Value of a nonnegative sum plus how it was reached.
 
     ``status`` is ``exact`` (a finitely supported sum, see
-    ``_exact_part``), ``converged`` (an index rule's probe settled),
-    ``diverged`` (guard or comparison probe fired; value is +inf), or
-    ``inconclusive`` (window exhausted; value is the plain partial sum over
-    ``n_terms`` atoms, a lower bound).  ``n_terms`` is how many atoms were
-    read: for a tail past an offset ``n``, the atoms read past ``n``.  A
-    ``converged`` value is an estimate: the partial sum plus ``tail``, the
-    remainder that Aitken extrapolation of the dyadic partial sums
-    predicts, which no finite probe of a black-box rule can prove.
-    ``guard`` marks a ``diverged`` verdict of the divergence guard: the
-    partial sum passed ``_DIVERGENCE_GUARD`` (or overflowed), which shows
-    a large sum at this scale rather than a divergent series.
+    ``_exact_part``), ``converged`` (an index rule's probe settled), ``diverged``
+    (guard or comparison probe fired; value is +inf), or ``inconclusive`` (window
+    exhausted; value is the plain partial sum over ``n_terms`` atoms, a lower
+    bound).  ``n_terms`` is how many atoms were read: for a tail past an offset
+    ``n``, the atoms read past ``n``.  A ``converged`` value is an estimate: the
+    partial sum plus ``tail``, the remainder that Aitken's Delta^2 on the dyadic
+    partial sums predicts (one step per pass at each full end, one table for real
+    sums), which no finite probe of a black-box rule can prove.  ``guard`` marks
+    a ``diverged`` verdict of the divergence guard: the partial sum passed
+    ``_DIVERGENCE_GUARD`` (or overflowed), which shows a large sum at this scale
+    rather than a divergent series.
     """
 
     value: float
@@ -285,9 +285,10 @@ def _march(term_chunk, end: int, start: int = 1) -> ModularValue:
     Block ``j`` holds the atoms ``[2^j, 2^(j+1))``, cut at ``start`` and at
     ``end`` (see ``_pieces`` for how blocks are evaluated).  The partial
     sums at the dyadic ends ``2^(j+1) - 1``, those of the terms and those
-    of their moduli, are 0 at every end before ``start``, and those at the
-    ends of full blocks go through ``_AITKEN_PASSES`` passes of Aitken's
-    Delta^2 (``_extrapolated``).  As in Cauchy condensation, a tail like
+    of their moduli, are 0 at every end before ``start``; at each full
+    block's end they take one step of each of ``_AITKEN_PASSES`` passes of
+    Aitken's Delta^2 (``_aitken_push``), in one table for real terms, whose
+    moduli's sums are their sums.  As in Cauchy condensation, a tail like
     ``n^-s`` leaves the dyadic partial sums a sum of geometric modes in
     ``j``, and each pass removes the slowest; a tail past ``start`` keeps
     the series' own modes, since its blocks are the series' blocks.  The
@@ -311,8 +312,9 @@ def _march(term_chunk, end: int, start: int = 1) -> ModularValue:
     can have block sums that grow over its early doublings.
     """
     value = total = block = 0.0
-    sums = [0.0] * (start.bit_length() - 1)  # the dyadic ends before start
-    mags, estimates, per_doubling = sums[:], [], []
+    head = start.bit_length() - 1  # the dyadic ends before start: 0 in every pass
+    table = [[0.0] * (head - 2 * k) for k in range(_AITKEN_PASSES + 1)]
+    mag_table, estimates, per_doubling = [row[:] for row in table], [], []
     for stop, piece, piece_mag in _pieces(term_chunk, end, start):
         value += piece
         total += piece_mag
@@ -326,12 +328,11 @@ def _march(term_chunk, end: int, start: int = 1) -> ModularValue:
         per_doubling.append(block / math.log2((stop + 1) / first))
         block = 0.0
         if full:
-            sums.append(value)
-            mags.append(total)
-            if len(sums) > 2 * _AITKEN_PASSES:
-                estimates.append((_extrapolated(sums), _extrapolated(mags)))
+            est = _aitken_push(table, value)
+            est_mag = _aitken_push(mag_table, total) if isinstance(value, complex) else est
+            if est is not None:
+                estimates.append((est, est_mag))
             if len(estimates) >= 3:
-                est, est_mag = estimates[-1]
                 slack = _SETTLE_REL * est_mag
                 if est_mag - total >= -slack and all(
                     abs(est - v) < slack and abs(est_mag - m) < slack for v, m in estimates[-3:-1]
@@ -390,19 +391,18 @@ def _sums(terms: np.ndarray):
     return total, total
 
 
-def _extrapolated(partial: list):
-    """The limit that ``_AITKEN_PASSES`` passes of Aitken's Delta^2 read
-    from the last ``2 * _AITKEN_PASSES + 1`` partial sums.  A pass maps
-    ``a, b, c`` to ``c - (c - b)^2 / ((c - b) - (b - a))``, and to ``c``
-    where that second difference is 0."""
-    seq = partial[-2 * _AITKEN_PASSES - 1 :]
-    for _ in range(_AITKEN_PASSES):
-        nxt = []
-        for a, b, c in zip(seq, seq[1:], seq[2:]):
-            step, bend = c - b, (c - b) - (b - a)
-            nxt.append(c - step * step / bend if bend != 0 else c)
-        seq = nxt
-    return seq[0]
+def _aitken_push(table: list, partial):
+    """Append ``partial`` to ``table[0]`` and to each pass ``table[k]`` of Aitken's
+    Delta^2 with three entries ``a, b, c`` below it ``c - (c - b)^2 / ((c - b) - (b - a))``,
+    or ``c`` where that second difference is 0; return the last pass's newest entry."""
+    table[0].append(partial)
+    for below, row in zip(table, table[1:]):
+        if len(below) < 3:
+            return None
+        a, b, c = below[-3:]
+        step, bend = c - b, (c - b) - (b - a)
+        row.append(c - step * step / bend if bend != 0 else c)
+    return table[-1][-1]
 
 
 def _phi_terms(phi: OrliczFunction, rule, weight_at, scale: float = 1.0):

@@ -20,7 +20,10 @@ floats, where no component is 0, is refused, named.  A Schauder tail is the gaug
 so the offset modular's reference covers its sums.  The reference writes
 its own rule constants (three passes, three estimates, three late
 doublings) rather than importing the library's, so that a change to one of
-them shows.
+them shows.  The library keeps its passes as one Aitken table per sum for
+the length of a march, one push per full dyadic end; its estimate after
+every push must be the reference's over the whole history, and a march
+must push one table per end for real terms and two for the pairing's.
 """
 
 import cmath
@@ -44,6 +47,7 @@ from bcorlicz import (
     UnsupportedInstanceError,
     modular,
     pairing,
+    orlicz,
     weighted_phi_sum,
 )
 from bcorlicz.orlicz import _check_rule_values
@@ -714,3 +718,107 @@ def test_the_late_doublings_match_the_reference(window, offset, name):
         # that atom cannot tell the series from a divergent one; a tail of
         # 3/n^2 past any offset has its terms falling from its first atom
         assert want.status != "diverged", want
+
+
+# ------------------------------------------------------------ the Aitken table
+
+scale_of_sums = st.builds(
+    lambda sign, m, e: sign * m * 10.0**e,
+    st.sampled_from((1.0, -1.0)),
+    st.floats(1.0, 10.0),
+    st.integers(-300, 299),
+)
+
+
+@st.composite
+def partial_sums(draw):
+    """Partial sums as the march pushes them: real or complex, of moduli
+    from 1e-300 to 1e300, some accumulated (close together, as a settling
+    series leaves them) and some in runs of equal sums, whose second
+    difference is 0."""
+    if draw(st.booleans()):
+        part = st.builds(complex, scale_of_sums, scale_of_sums | st.just(0.0))
+    else:
+        part = scale_of_sums
+    runs = st.lists(st.tuples(part, st.booleans(), st.integers(1, 4)), min_size=1, max_size=30)
+    sums, total = [], 0.0
+    for value, accumulated, repeat in draw(runs):
+        total = total + value if accumulated else value
+        sums += [total] * repeat
+    return sums
+
+
+@PROPERTY
+@given(st.integers(0, 40), partial_sums())
+def test_the_aitken_table_matches_the_reference_after_every_push(head, sums):
+    # the table as the march seeds it for the head of dyadic ends before a
+    # tail's first atom: each pass of that many zeros is two zeros shorter
+    table = [[0.0] * (head - 2 * k) for k in range(4)]
+    history = [0.0] * head
+    for s in sums:
+        history.append(s)
+        est = orlicz._aitken_push(table, s)
+        if len(history) < 7:
+            assert est is None
+        else:
+            assert bits(est) == bits(extrapolated(history)), history
+
+
+def counted_pushes(monkeypatch):
+    """Every push into an Aitken table, through the module attribute the
+    march calls: the partial sum and the estimate it gave."""
+    pushes, push = [], orlicz._aitken_push
+
+    def spy(table, partial):
+        pushes.append((partial, push(table, partial)))
+        return pushes[-1][1]
+
+    monkeypatch.setattr(orlicz, "_aitken_push", spy)
+    return pushes
+
+
+def full_ends(offset, n_terms):
+    """The dyadic ends ``2^k - 1`` among the atoms ``offset + 1 .. offset + n_terms``."""
+    return (offset + n_terms + 1).bit_length() - (offset + 1).bit_length()
+
+
+@pytest.mark.parametrize(
+    "raw, space, offset",
+    [
+        (lambda i: 0.7 / i, COUNTING, 10),  # the library benchmark's median tail
+        (lambda i: 1.0 / i**2, COUNTING, 0),
+        (lambda i: 1.0 / i, COUNTING, 0),  # diverges at the window's end
+        (lambda i: 1.0 / i, COUNTING, 999),
+        (lambda i: 0.9**i, AtomicMeasureSpace.geometric(0.5, 10**6), 999),
+        (lambda i: 1.0 / i, AtomicMeasureSpace.counting(300_000), 0),  # inconclusive
+        (lambda i: 1.0 / i**2, COUNTING, 2),
+        (lambda i: np.zeros(i.shape), COUNTING, 5),
+    ],
+)
+def test_a_real_march_pushes_one_table_per_full_end(monkeypatch, raw, space, offset):
+    pushes = counted_pushes(monkeypatch)
+    mv = modular(P2, raw, space, offset=offset)
+    assert len(pushes) == full_ends(offset, mv.n_terms) > 0, mv
+    # the table starts from the zeros of the dyadic ends before the first atom
+    history = [0.0] * ((offset + 1).bit_length() - 1)
+    for partial, est in pushes:
+        history.append(partial)
+        assert (est is None) == (len(history) < 7)
+        assert est is None or bits(est) == bits(extrapolated(history))
+
+
+def test_a_lazy_weighted_sum_pushes_one_table_per_full_end(monkeypatch):
+    pushes = counted_pushes(monkeypatch)
+    mv = weighted_phi_sum(P2, lambda i: 1.0 / i, np.full(10**5, 0.5))
+    assert mv.status == "converged" and len(pushes) == full_ends(0, mv.n_terms), mv
+
+
+def test_a_pairing_pushes_two_tables_per_full_end(monkeypatch):
+    pushes = counted_pushes(monkeypatch)
+    marches, march = [], orlicz._march
+    monkeypatch.setattr(orlicz, "_march", lambda *args: marches.append(march(*args)) or marches[-1])
+    x = BCSequence.from_rules(lambda i: 0.7 / i, lambda i: 1.0 / i)
+    y = BCSequence.from_rules(lambda i: (-1.0) ** i / i, lambda i: 1.0 / i**2)
+    pairing(x, y, COUNTING)
+    assert [mv.status for mv in marches] == ["converged", "converged"], marches
+    assert len(pushes) == 2 * sum(full_ends(0, mv.n_terms) for mv in marches)

@@ -392,9 +392,9 @@ def _sums(terms: np.ndarray):
 
 
 def _aitken_push(table: list, partial):
-    """Append ``partial`` to ``table[0]`` and to each pass ``table[k]`` of Aitken's
-    Delta^2 with three entries ``a, b, c`` below it ``c - (c - b)^2 / ((c - b) - (b - a))``,
-    or ``c`` where that second difference is 0; return the last pass's newest entry."""
+    """Append ``partial`` to ``table[0]``, and to each pass ``table[k]`` of Aitken's Delta^2
+    whose pass below ends in ``a, b, c``, ``c - (c - b)^2 / ((c - b) - (b - a))``, or ``c``
+    where that second difference is 0; return the last pass's newest entry, or None."""
     table[0].append(partial)
     for below, row in zip(table, table[1:]):
         if len(below) < 3:

@@ -816,7 +816,12 @@ def test_a_lazy_weighted_sum_pushes_one_table_per_full_end(monkeypatch):
 def test_a_pairing_pushes_two_tables_per_full_end(monkeypatch):
     pushes = counted_pushes(monkeypatch)
     marches, march = [], orlicz._march
-    monkeypatch.setattr(orlicz, "_march", lambda *args: marches.append(march(*args)) or marches[-1])
+
+    def spy(*args):
+        marches.append(march(*args))
+        return marches[-1]
+
+    monkeypatch.setattr(orlicz, "_march", spy)
     x = BCSequence.from_rules(lambda i: 0.7 / i, lambda i: 1.0 / i)
     y = BCSequence.from_rules(lambda i: (-1.0) ** i / i, lambda i: 1.0 / i**2)
     pairing(x, y, COUNTING)

@@ -285,12 +285,12 @@ def scan_window(space: AtomicMeasureSpace, budget: int) -> tuple[int, tuple[int,
     return n, (max(1, n // 4), max(1, n // 2)) if space.is_lazy else ()
 
 
-def window_chunks(n: int, prefixes: tuple[int, ...] = ()):
-    """The atom ranges ``(lo, hi)`` that cover ``1..n`` in order, each of at
-    most ``_CHUNK_ATOMS`` atoms, with every prefix length in ``prefixes``
-    among the ends ``hi``."""
-    lo = 1
-    for end in sorted({*prefixes, n}):
+def window_chunks(n: int, ends, start: int):
+    """The atom ranges ``(lo, hi)`` that cover ``start..n`` in order, each of
+    at most ``_CHUNK_ATOMS`` atoms, with every atom of ``ends`` from ``start``
+    on among the ends ``hi``."""
+    lo = start
+    for end in sorted({*ends, n}):
         while lo <= end:
             hi = min(end, lo + _CHUNK_ATOMS - 1)
             yield lo, hi
@@ -351,7 +351,7 @@ def distortion_ratios(
     bins = np.zeros(n + 2)
     covered = None if space.is_lazy else np.zeros(n + 1, dtype=bool)
     sups, dropped = [], 0
-    for lo, hi in window_chunks(n, prefixes):
+    for lo, hi in window_chunks(n, prefixes, 1):
         idx = np.arange(lo, hi + 1, dtype=np.int64)
         images = map_images(space, imap, idx)
         if covered is not None:

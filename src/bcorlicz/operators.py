@@ -37,16 +37,14 @@ from .measure import (
 )
 from .orlicz import (
     BCSequence,
-    OrliczFunction,
-    PhiReport,
     _as_sequence_component,
-    classify_phi,
     component_array,
     component_block,
     component_head,
     norm_bc,
     weighted_phi_sum,
 )
+from .young import OrliczFunction, PhiReport, classify_phi
 
 __all__ = [
     "BCMatrix",
@@ -511,7 +509,7 @@ def check_multiplication_bounded(
         if not (callable(raw) or space.is_lazy):
             raw = component_array(raw, space)  # as long as the space, or refused
         sup, atom, at_prefixes = 0.0, None, []
-        for lo, hi in window_chunks(n, prefixes) if callable(raw) else [(1, raw.size)]:
+        for lo, hi in window_chunks(n, prefixes, 1) if callable(raw) else [(1, raw.size)]:
             with np.errstate(over="ignore"):
                 mags = np.abs(component_head(raw, hi, lo))
             sup = max(sup, float(mags.max(initial=0.0)))

@@ -11,7 +11,7 @@ A finitely supported sum is exact.  On lazy spaces a sum of index rules
 is a *probe*: it marches dyadic blocks of atoms and reports ``converged``
 (with an extrapolated tail, an estimate) / ``diverged`` / ``inconclusive``
 (with the plain partial sum), never pretending to more than the window
-supports.  The Young functions live in ``young`` and are re-exported here.
+supports.  The Young functions live in ``young``.
 """
 
 from __future__ import annotations
@@ -30,13 +30,10 @@ from .errors import (
     NotSummableError,
     UnsupportedInstanceError,
 )
-from .measure import _CHUNK_ATOMS, AtomicMeasureSpace
-from .young import OrliczFunction, PhiReport, classify_phi
+from .measure import AtomicMeasureSpace, window_chunks
+from .young import OrliczFunction, classify_phi
 
 __all__ = [
-    "OrliczFunction",
-    "PhiReport",
-    "classify_phi",
     "BCSequence",
     "component_block",
     "component_array",
@@ -138,6 +135,8 @@ def _as_raw_component(f):
     """A rule as it is, or ``f`` as a 1-d array of finite entries: float64 for
     a real dtype (bool, integer or float), like ``component_block``, and
     complex128 for any other."""
+    if isinstance(f, BCSequence):
+        raise InvalidInputError("pass one component here, not a BCSequence")
     if callable(f):
         return f
     arr = np.asarray(f)
@@ -350,22 +349,21 @@ def _march(term_chunk, end: int, start: int = 1) -> ModularValue:
     return ModularValue(value, "inconclusive", n_terms)
 
 
-def _pieces(term_chunk, end: int, start: int = 1):
+def _pieces(term_chunk, end: int, start: int):
     """``(stop, terms' sum, moduli's sum)`` over the march's pieces in order.
 
-    A piece is a block, or a part of at most ``_CHUNK_ATOMS`` atoms of a
-    longer one, and ``stop`` is its last atom.  Each chunk holds one
-    piece, except the first, which holds every block through atom
-    ``_FIRST_CHUNK`` (none of them can settle the probe) and is summed
-    block by block.  Only a piece whose moduli do not sum to a finite
-    value is scanned, and only once the march reaches it: a rule's value
-    that is nan or inf is refused, and a zero value on a weight that
-    overflowed to inf (a geometric ratio above 1) adds 0, not nan.  Terms that
-    overflow stay inf for the divergence guard.
+    A chunk of ``window_chunks`` over ``start..end`` ends at each dyadic end
+    ``2^j - 1`` from ``_FIRST_CHUNK`` on, so the first holds every block
+    through that atom (none can settle the probe) and is summed block by
+    block, and each later one is a piece: a block, or a part of a longer
+    one.  ``stop`` is a piece's last atom.  Only a piece whose moduli do not
+    sum to a finite value is scanned, and only once the march reaches it: a
+    rule's value that is nan or inf is refused, and a zero value on a weight
+    that overflowed to inf (a geometric ratio above 1) adds 0, not nan.
+    Terms that overflow stay inf for the divergence guard.
     """
-    lo = start
-    while lo <= end:
-        hi = min(end, lo + _CHUNK_ATOMS - 1, max((1 << lo.bit_length()) - 1, _FIRST_CHUNK))
+    ends = [(1 << j) - 1 for j in range(_FIRST_CHUNK.bit_length(), end.bit_length())]
+    for lo, hi in window_chunks(end, ends, start):
         idx = np.arange(lo, hi + 1, dtype=np.int64)
         values, weights, read = term_chunk(idx)
         terms = values if weights is None else values * weights
@@ -381,7 +379,6 @@ def _pieces(term_chunk, end: int, start: int = 1):
                 sums = _sums(terms[cut])
             yield b, *sums
             a = b + 1
-        lo = hi + 1
 
 
 def _sums(terms: np.ndarray):
@@ -488,10 +485,7 @@ def modular(
     extrapolated tail, is an estimate, and ``n_terms`` counts the atoms
     read past ``n``.
     """
-    if isinstance(f, BCSequence):
-        raise InvalidInputError("pass one component here, not a BCSequence")
-    if not (isinstance(scale, (int, float)) and scale >= 0 and math.isfinite(scale)):
-        raise InvalidInputError(f"scale must be finite and >= 0, got {scale!r}")
+    _check_scale(scale)
     offset = _tail_start(offset, space)
     raw = _as_raw_component(f)
     part = _exact_part((raw,), space, offset)
@@ -502,9 +496,14 @@ def modular(
     return _phi_sum(phi, np.abs(values), weights, scale)
 
 
+def _check_scale(scale) -> None:
+    if not (isinstance(scale, (int, float)) and scale >= 0 and math.isfinite(scale)):
+        raise InvalidInputError(f"scale must be finite and >= 0, got {scale!r}")
+
+
 def _tail_start(offset, space: AtomicMeasureSpace) -> int:
-    """``offset`` checked to be an integer >= 0, and cut at the space's size."""
-    if not (isinstance(offset, int) and offset >= 0):
+    """``offset`` checked to be an integer >= 0, not a bool, and cut at the space's size."""
+    if not (isinstance(offset, int) and not isinstance(offset, bool) and offset >= 0):
         raise InvalidInputError(f"the tail offset must be an integer >= 0, got {offset!r}")
     return min(offset, space.size)
 
@@ -523,6 +522,7 @@ def weighted_phi_sum(
     the convergence probe over those atoms, and an array is summed exactly
     over its support, cut at ``len(weights)``, as on a lazy space.
     """
+    _check_scale(scale)
     weights = np.asarray(weights, dtype=float)
     raw = _as_raw_component(f)
     if callable(raw):
@@ -582,9 +582,9 @@ def luxemburg_norm(
     """Luxemburg gauge ``inf { lam > 0 : I_phi(f / lam) <= 1 }``.
 
     With ``offset = n`` it is the gauge of the tail ``f 1_{>n}``, and all
-    below runs over the atoms past ``n``.  ``|f|`` and its sup (1 if ``f``
-    vanishes) are read once, over the atoms an exact sum reads (see
-    ``_exact_part``) or an index rule's bounded prefix, and the solve runs
+    below runs over the atoms past ``n``.  ``|f|`` and its sup (1 if a
+    rule's prefix vanishes) are read once, over the atoms an exact sum reads
+    (see ``_exact_part``) or an index rule's bounded prefix, and the solve runs
     on the normalised level ``level(t) = I_phi(t cut |f| / sup)``, whose
     root ``t*`` gives the gauge ``sup / (cut t*)``, so nothing in it can
     overflow.  ``cut`` is 1, except for a finitely supported ``f`` under
@@ -622,14 +622,14 @@ def luxemburg_norm(
     the few ulps of that step, above the infimum (phi is evaluated to a few
     ulps; exp takes a Taylor series at small arguments).  For an index
     rule that check reads the probe's estimated total, partial sum plus
-    extrapolated tail, so it is not proved there.  A level of 0 at
-    ``t = 1 / cut``, where the largest argument is 1, means ``f`` vanishes
-    (for an index rule: on the probed window), and the gauge is 0; the
-    level at the cut, which can underflow where that one does not, does
-    not decide it.  A gauge outside the float range raises
-    UnsupportedInstanceError, and so do an entry whose modulus
-    overflows (``|z|`` of a finite ``z`` can) and a finitely supported
-    level that overflows next to the root or at the gauge.
+    extrapolated tail, so it is not proved there.  The gauge is 0 where the
+    moduli read vanish, and for a rule whose prefix does, where its level at
+    ``t = 1`` is 0; a nonzero prefix with that level lost every term to
+    underflow, and raises UnsupportedInstanceError, as ``_exact_part`` does
+    for an array.  So do a gauge outside the float range, an entry whose
+    modulus overflows (``|z|`` of a finite ``z`` can), a solve's scale past
+    the floats (``_lazy_level``) and a finitely supported level that
+    overflows next to the root or at the gauge.
     """
     if not (isinstance(tol, (int, float)) and 0 < tol < 1):
         raise InvalidInputError(f"tol must be in (0, 1), got {tol!r}")
@@ -642,13 +642,13 @@ def luxemburg_norm(
     else:
         (values,), weights = part
         if not values.size:
-            return 0.0  # an array that ends before the offset: its tail is 0
+            return 0.0  # an array that ends before the offset: no head is built
         # |f| indexed from atom 1, 0 on the head the offset skips: the
         # certificate's modular reads it in place of f; the head is no longer
         # than f, since the offset passes f's end only where values is empty
         moduli = np.zeros(offset + values.size)
         mags = np.abs(values, out=moduli[offset:])
-    sup = float(mags.max(initial=0.0)) or 1.0
+    sup = float(mags.max(initial=0.0))
     if sup == math.inf:
         atom = offset + int(np.argmax(np.isinf(mags))) + 1
         raise UnsupportedInstanceError(
@@ -657,15 +657,21 @@ def luxemburg_norm(
         )
     if part is None:
         del mags  # not held through the solve, nor by a refusal's traceback
-        cut, level = 1.0, _lazy_level(phi, raw, space, offset, sup)
+        cut, level = 1.0, _lazy_level(phi, raw, space, offset, sup or 1.0)
+    elif sup == 0.0:
+        return 0.0  # f vanishes past the offset
     else:
         cut, level = _finite_level(phi, mags / sup, weights)
         raw = moduli  # what the certificate reads (see _certified)
     at_one = level(1.0)
-    # the level at the cut can underflow where f does not vanish: f vanishes
-    # where the exact sum at its sup, t = 1 / cut, reads 0
-    if at_one == 0.0 and (cut == 1.0 or level(1.0 / cut) == 0.0):
+    if at_one == 0.0 and part is None:
+        if sup:
+            raise UnsupportedInstanceError(
+                f"every term of the {phi.spec_string()} level of a nonzero sequence "
+                f"reads 0.0 in floats on {space.rule}, so the gauge is not computed"
+            )
         return 0.0
+    sup = sup or 1.0
     if phi.family == "power" and at_one < math.inf:
         root = at_one ** (1.0 / phi.p)
         # 1/p rounds down for p = 3, 1.5, ..., which biases the root low
@@ -740,36 +746,42 @@ def _lazy_level(phi: OrliczFunction, raw, space, offset: int, sup: float):
     ``diverged`` probe at a scale above one that converged (``exp`` is not
     Delta2, so a modular finite at small scales may diverge at large ones);
     neither is evidence against membership, and the solver steps down from it.
+    A scale ``t / sup`` past the floats is refused: +inf there certifies a far upper bound.
     """
     converged_at = math.inf
 
     def level(t: float) -> float:
         nonlocal converged_at
-        mv = modular(phi, raw, space, scale=t / sup, offset=offset)
+        scale = t / sup
+        if scale == math.inf:
+            raise UnsupportedInstanceError(
+                f"the {phi.spec_string()} gauge solve's scale {t!r} / {sup!r} passes the floats"
+            )
+        mv = modular(phi, raw, space, scale=scale, offset=offset)
         if mv.status == "diverged" and (mv.guard or t > converged_at):
             return math.inf
-        _require_settled(mv, f"the {phi.spec_string()} modular", "no gauge can be certified")
+        _require_settled(mv, phi)
         converged_at = min(converged_at, t)
         return mv.value
 
     return level
 
 
-def _require_settled(mv: ModularValue, what: str, unsettled: str) -> None:
-    """Raise unless the probe of ``what`` converged (or was exact).
+def _require_settled(mv: ModularValue, phi: OrliczFunction) -> None:
+    """Raise unless the probe of the ``phi`` modular converged (or was exact).
 
     A ``diverged`` probe raises NotInSpaceError; an ``inconclusive`` one
-    raises UnsupportedInstanceError, saying that ``unsettled``.
+    raises UnsupportedInstanceError.
     """
     if mv.status == "diverged":
         raise NotInSpaceError(
-            f"{what} diverges (probe over {mv.n_terms} atoms); "
+            f"the {phi.spec_string()} modular diverges (probe over {mv.n_terms} atoms); "
             "the sequence is outside the space"
         )
     if mv.status == "inconclusive":
         raise UnsupportedInstanceError(
-            f"the probe of {what} is inconclusive after {mv.n_terms} atoms, "
-            f"so {unsettled}; raise n_max"
+            f"the probe of the {phi.spec_string()} modular is inconclusive after {mv.n_terms} "
+            "atoms, so no gauge can be certified; raise n_max"
         )
 
 
@@ -857,7 +869,7 @@ def _certified(phi, raw, space, lam: float, offset: int) -> float:
                 f"the {phi.spec_string()} gauge {lam!r} has no finite reciprocal in floats"
             )
         mv = modular(phi, raw, space, scale=1.0 / lam, offset=offset)
-        _require_settled(mv, f"the {phi.spec_string()} modular", "no gauge can be certified")
+        _require_settled(mv, phi)
         if mv.value == math.inf:
             raise UnsupportedInstanceError(
                 f"I_phi(f/lam) overflows floats at the solved {phi.spec_string()} gauge "

@@ -276,6 +276,60 @@ def test_edge_gauges_past_the_float_weights_are_refused(spec, f, space, atom, re
         luxemburg_norm(OrliczFunction.parse(spec), f, space)
 
 
+# (phi, rule, space): index rules whose every term of the level at t = 1
+# underflows on geometric:0.5, though the rule is nonzero.  Both gauges read
+# 0.0; the first is sqrt(2000) = 44.7 (every term |f_n|^2 a_n is 1), and the
+# array form of the second is refused by the weight check at atom 1101.
+UNDERFLOWING_RULES = [
+    ("power:p=2", lambda i: 2.0 ** ((i - 1) / 2), AtomicMeasureSpace.geometric(0.5, 2000)),
+    ("exp", lambda i: (i > 1100).astype(float), AtomicMeasureSpace.geometric(0.5, 10**4)),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec, rule, space", UNDERFLOWING_RULES, ids=["2^((n-1)/2)", "1_{n>1100}"])
+def test_a_rule_whose_every_term_underflows_is_refused(spec, rule, space):
+    phi = OrliczFunction.parse(spec)
+    with pytest.raises(
+        UnsupportedInstanceError,
+        match=f"^every term of the {spec} level of a nonzero sequence reads 0.0 in floats on ",
+    ):
+        luxemburg_norm(phi, rule, space)
+    array = rule(np.arange(1, space.size + 1))
+    with pytest.raises(UnsupportedInstanceError, match="^the geometric:0.5 weight of atom "):
+        luxemburg_norm(phi, array, space)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec", PHIS)
+@pytest.mark.parametrize(
+    "space",
+    [AtomicMeasureSpace.counting(10**4), AtomicMeasureSpace.geometric(0.5, 10**4)],
+    ids=["counting", "geometric:0.5"],
+)
+def test_a_rule_that_vanishes_reads_zero(spec, space):
+    assert luxemburg_norm(OrliczFunction.parse(spec), lambda i: 0.0 * i, space) == 0.0
+
+
+@pytest.mark.parametrize(
+    "space",
+    [AtomicMeasureSpace.finite(np.ones(4)), AtomicMeasureSpace.counting(10)],
+    ids=["finite", "counting"],
+)
+def test_a_zero_array_reads_zero_before_any_level(monkeypatch, space):
+    calls = []
+    values = OrliczFunction._values
+
+    def spy(self, u):
+        calls.append(u.size)
+        return values(self, u)
+
+    monkeypatch.setattr(OrliczFunction, "_values", spy)
+    for spec in PHIS:
+        assert luxemburg_norm(OrliczFunction.parse(spec), np.zeros(4), space) == 0.0
+    assert calls == []
+
+
 def gauge_exact(spec, f, w):
     """The root of ``I_phi(f / lam) = 1``: 200 bisections of ``log lam`` over
     [-800, 800] in 40-digit decimal arithmetic, where phi past the decimal

@@ -144,7 +144,8 @@ REFERENCE = {
     'luxemburg_norm entropy c*0.9^n geometric:0.5 offset=0': '0x1.63feeac905096p-1',
     'luxemburg_norm entropy c*0.9^n geometric:0.5 offset=10': '0x1.e1501d455ca76p-10',
     'luxemburg_norm entropy c*0.9^n geometric:0.5 offset=999': (
-        'InvalidInputError: scale must be finite and >= 0, got inf'
+        "UnsupportedInstanceError: the entropy gauge solve's scale 4.5123889863808894e+300 "
+        '/ 1.2235098762058863e-46 passes the floats'
     ),
     'luxemburg_norm entropy c/n counting offset=0': '0x1.9705abb13ae7ap-1',
     'luxemburg_norm entropy c/n counting offset=10': '0x1.aa6e00afbe09bp-3',

@@ -827,3 +827,38 @@ def test_a_pairing_pushes_two_tables_per_full_end(monkeypatch):
     pairing(x, y, COUNTING)
     assert [mv.status for mv in marches] == ["converged", "converged"], marches
     assert len(pushes) == 2 * sum(full_ends(0, mv.n_terms) for mv in marches)
+
+
+# The rule's calls, as (first atom, last atom): one call through atom 511, then
+# one per dyadic block [2^j, 2^(j+1)), cut at the tail's first atom and at the
+# window's end, and split every 2^14 atoms, up to the atom the probe stops at.
+SPLIT = [(lo, lo + CHUNK - 1) for lo in range(2**15, 999_424, CHUNK)]  # 2^15 .. 999_423
+HEAD = [(512, 1023), (1024, 2047), (2048, 4095), (4096, 8191), (8192, 16383)]
+RULE_CALLS = {
+    "past 0": (P2, COUNTING, 0, [(1, 511)] + HEAD),
+    "past 10": (P2, COUNTING, 10, [(11, 511)] + HEAD + [(16384, 32767)]),
+    "past 600": (P2, COUNTING, 600, [(601, 1023)] + HEAD[1:] + [(16384, 32767)] + SPLIT[:14]),
+    # the tail past 20000 reads the whole window (inconclusive)
+    "past 20000": (P2, COUNTING, 20000, [(20001, 32767)] + SPLIT + [(999_424, 10**6)]),
+    # under power:p=1 the series diverges, so the march reads the whole window
+    "3*2^14+5 atoms": (
+        OrliczFunction.power(1),
+        AtomicMeasureSpace.counting(3 * CHUNK + 5),
+        0,
+        [(1, 511)] + HEAD + [(16384, 32767), (32768, 49151), (49152, 49157)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RULE_CALLS)
+def test_the_march_calls_the_rule_on_its_chunks(name):
+    phi, space, offset, calls = RULE_CALLS[name]
+    seen = []
+
+    def rule(i):
+        seen.append((int(i[0]), int(i[-1])))
+        return 0.7 / i
+
+    mv = modular(phi, rule, space, offset=offset)
+    assert seen == calls
+    assert mv.n_terms == calls[-1][1] - offset

@@ -23,6 +23,7 @@ from bcorlicz import (
     norm_bc,
     pairing,
     schauder_tail,
+    weighted_phi_sum,
 )
 from bcorlicz import orlicz
 
@@ -293,8 +294,22 @@ def test_a_zero_scale_reads_zero_over_an_overflowing_modulus(spec, space):
 def test_modular_rejects_whole_sequences():
     sp = AtomicMeasureSpace.finite([1.0])
     F = BCSequence.from_values([3])
-    with pytest.raises(InvalidInputError):
-        modular(OrliczFunction.power(2), F, sp)
+    for call in (modular, luxemburg_norm, lambda phi, f, sp: weighted_phi_sum(phi, f, sp.weights)):
+        with pytest.raises(InvalidInputError, match="^pass one component here, not a BCSequence$"):
+            call(OrliczFunction.power(2), F, sp)
+
+
+@pytest.mark.parametrize("spec", ["power:p=2", "power:p=1.5"])
+@pytest.mark.parametrize("scale", [-1.0, math.nan, math.inf])
+def test_a_scale_below_zero_or_past_the_floats_is_refused(spec, scale):
+    phi, sp = OrliczFunction.parse(spec), AtomicMeasureSpace.finite([1.0, 1.0])
+    for call in (
+        lambda: modular(phi, [1.0, 2.0], sp, scale=scale),
+        lambda: weighted_phi_sum(phi, [1.0, 2.0], np.ones(2), scale=scale),
+        lambda: weighted_phi_sum(phi, lambda i: 1.0 / i, np.ones(2), scale=scale),
+    ):
+        with pytest.raises(InvalidInputError, match="^scale must be finite and >= 0, got "):
+            call()
 
 
 def test_modular_lazy_geometric_converges():
@@ -640,7 +655,7 @@ def test_a_tail_names_the_overflowed_atom_by_its_index(f, space):
     assert luxemburg_norm(OrliczFunction.power(2), f, space, offset=3) < 1.0
 
 
-@pytest.mark.parametrize("offset", [-1, 1.5, "2", None])
+@pytest.mark.parametrize("offset", [-1, 1.5, "2", None, True, np.int64(1)])
 def test_offset_must_be_an_integer_at_least_zero(offset):
     sp = AtomicMeasureSpace.finite([1.0, 1.0])
     for call in (modular, luxemburg_norm):

@@ -292,6 +292,20 @@ def is_json_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
+def json_kind(obj, kinds: tuple[str, ...], what: str) -> str:
+    """The one key of ``kinds`` that the JSON object ``obj`` holds; refuses a
+    non-object, or an object with none or several, naming its keys."""
+    if not isinstance(obj, dict):
+        raise InvalidInputError(f"{what} must be a JSON object, got {obj!r}")
+    found = [k for k in kinds if k in obj]
+    if len(found) != 1:
+        raise InvalidInputError(
+            f"{what} object needs exactly one of {', '.join(map(repr, kinds))}; "
+            f"got keys {sorted(map(str, obj))}"
+        )
+    return found[0]
+
+
 def _pair_to_complex(section, key: str, where: str) -> complex:
     if not isinstance(section, dict) or key not in section:
         raise InvalidInputError(f"'{where}' object must contain key '{key}'")

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bicomplex import is_json_number
+from .bicomplex import is_json_number, json_kind
 from .errors import DEFAULT_N_MAX, MAX_BUDGET, InvalidInputError, InvalidMapError
 
 __all__ = [
@@ -105,25 +105,21 @@ class AtomicMeasureSpace:
 
     @classmethod
     def from_json_dict(cls, obj) -> "AtomicMeasureSpace":
-        if not isinstance(obj, dict):
-            raise InvalidInputError(f"space must be a JSON object, got {obj!r}")
-        if "weights" in obj:
+        if json_kind(obj, ("weights", "weights_rule"), "space") == "weights":
             return cls.finite(_json_numbers(obj["weights"], "weights"))
-        if "weights_rule" in obj:
-            rule = obj["weights_rule"]
-            n_max = obj.get("n_max", DEFAULT_N_MAX)
-            if rule == "counting":
-                return cls.counting(n_max)
-            if isinstance(rule, str) and rule.startswith("geometric:"):
-                try:
-                    ratio = float(rule.split(":", 1)[1])
-                except ValueError:
-                    raise InvalidInputError(f"bad geometric rule {rule!r}") from None
-                return cls.geometric(ratio, n_max)
-            raise InvalidInputError(
-                f"unknown weights_rule {rule!r}; expected 'counting' or 'geometric:<ratio>'"
-            )
-        raise InvalidInputError("space object needs 'weights' or 'weights_rule'")
+        rule = obj["weights_rule"]
+        n_max = obj.get("n_max", DEFAULT_N_MAX)
+        if rule == "counting":
+            return cls.counting(n_max)
+        if isinstance(rule, str) and rule.startswith("geometric:"):
+            try:
+                ratio = float(rule.split(":", 1)[1])
+            except ValueError:
+                raise InvalidInputError(f"bad geometric rule {rule!r}") from None
+            return cls.geometric(ratio, n_max)
+        raise InvalidInputError(
+            f"unknown weights_rule {rule!r}; expected 'counting' or 'geometric:<ratio>'"
+        )
 
 
 def _json_numbers(values, what: str) -> list:
@@ -202,15 +198,11 @@ class IndexMap:
 
     @classmethod
     def from_json_dict(cls, obj) -> "IndexMap":
-        if not isinstance(obj, dict):
-            raise InvalidInputError(f"map must be a JSON object, got {obj!r}")
-        if "map" in obj:
+        if json_kind(obj, ("map", "map_rule"), "map") == "map":
             return cls.from_table(_json_numbers(obj["map"], "map"))
-        if "map_rule" in obj:
-            if obj["map_rule"] == "right_shift":
-                return cls.right_shift()
-            raise InvalidInputError(f"unknown map_rule {obj['map_rule']!r}")
-        raise InvalidInputError("map object needs 'map' or 'map_rule'")
+        if obj["map_rule"] == "right_shift":
+            return cls.right_shift()
+        raise InvalidInputError(f"unknown map_rule {obj['map_rule']!r}")
 
 
 def _images(out, idx: np.ndarray) -> np.ndarray:

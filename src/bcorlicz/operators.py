@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bicomplex import is_json_number
+from .bicomplex import is_json_number, json_kind
 from .errors import (
     DEFAULT_N_MAX,
     MAX_TRIALS,
@@ -153,15 +153,7 @@ class BCOperator:
 
     @classmethod
     def from_json_dict(cls, obj) -> "BCOperator":
-        if not isinstance(obj, dict):
-            raise InvalidInputError(f"operator must be a JSON object, got {obj!r}")
-        kinds = {"composition", "multiplication", "right_shift", "dense"} & obj.keys()
-        if len(kinds) != 1:
-            raise InvalidInputError(
-                "operator object needs exactly one of 'composition', "
-                f"'multiplication', 'right_shift', 'dense'; got keys {sorted(obj)}"
-            )
-        kind = kinds.pop()
+        kind = json_kind(obj, ("composition", "multiplication", "right_shift", "dense"), "operator")
         payload = obj[kind]
         if kind == "composition":
             return cls.composition(IndexMap.from_json_dict(payload))
@@ -170,6 +162,8 @@ class BCOperator:
                 raise InvalidInputError("multiplication operator needs a 'theta' list")
             return cls.multiplication(BCSequence.from_json_list(payload["theta"]))
         if kind == "right_shift":
+            if payload != {}:
+                raise InvalidInputError(f"right_shift operator takes {{}}, got {payload!r}")
             return cls.right_shift()
         return cls.dense(BCMatrix.from_json_dict(payload))
 
@@ -179,47 +173,45 @@ class BCOperator:
 # ----------------------------------------------------------------------
 
 
-def _compose_component(imap: IndexMap, raw, space: AtomicMeasureSpace):
-    """(C_T f)_n = f_{T(n)}; indices with no image contribute 0."""
-    if not space.is_lazy:
-        images = map_images(space, imap, np.arange(1, space.size + 1, dtype=np.int64))
-        arr = component_array(raw, space)
-        out = np.zeros(space.size, dtype=complex)
-        valid = images >= 1
-        out[valid] = arr[images[valid] - 1]
-        return out
-    if imap.kind == "right_shift" and not callable(raw):
-        return np.concatenate([np.zeros(1, dtype=complex), np.asarray(raw, dtype=complex)])
+def _operand(raw, space: AtomicMeasureSpace):
+    """An operand as an action reads it: as it is on a lazy space, and on a
+    finite one through ``component_array`` (its length checked, a rule's
+    values checked finite)."""
+    return raw if space.is_lazy else component_array(raw, space)
 
-    def rule(idx, _raw=raw, _imap=imap):
-        images = map_images(space, _imap, np.asarray(idx, dtype=np.int64))
+
+def _compose_component(imap: IndexMap, raw, space: AtomicMeasureSpace):
+    """(C_T f)_n = f_{T(n)}; indices with no image contribute 0.  An array
+    where the image is finitely supported: on a finite space, and for the
+    right shift of an array, one atom longer; a rule otherwise."""
+
+    def rule(idx):
+        images = map_images(space, imap, np.asarray(idx, dtype=np.int64))
         out = np.zeros(images.shape, dtype=complex)
         valid = images >= 1
-        out[valid] = component_block(_raw, images[valid])
+        out[valid] = component_block(raw, images[valid])
         return out
 
+    if not space.is_lazy:
+        return rule(np.arange(1, space.size + 1))
+    if imap.kind == "right_shift" and not callable(raw):
+        return rule(np.arange(1, raw.size + 2))
     return rule
-
-
-def _complex(values: np.ndarray) -> np.ndarray:
-    """A factor as complex: a rule with real output reads as float64 (see
-    ``component_block``), and an operator's output keeps the bits and the
-    complex dtype of the complex product."""
-    return values.astype(complex, copy=False)
 
 
 def _multiply_component(theta_raw, raw, space: AtomicMeasureSpace):
-    if not space.is_lazy:
-        return _complex(component_array(theta_raw, space)) * _complex(component_array(raw, space))
-    if not callable(theta_raw) and not callable(raw):
-        n = max(theta_raw.size, raw.size)
-        return component_head(theta_raw, n) * component_head(raw, n)
+    """(M_theta f)_n = theta_n f_n as complex, whatever dtype a rule's values
+    read as; an array as long as the longer factor where both are arrays,
+    and a rule otherwise."""
+    theta = _operand(theta_raw, space)
 
-    def rule(idx, _t=theta_raw, _f=raw):
+    def rule(idx):
         idx = np.asarray(idx, dtype=np.int64)
-        return _complex(component_block(_t, idx)) * _complex(component_block(_f, idx))
+        return np.multiply(component_block(theta, idx), component_block(raw, idx), dtype=complex)
 
-    return rule
+    if callable(theta) or callable(raw):
+        return rule
+    return rule(np.arange(1, max(theta.size, raw.size) + 1))
 
 
 def _dense_component(m: np.ndarray, raw, space: AtomicMeasureSpace):
@@ -230,7 +222,7 @@ def _dense_component(m: np.ndarray, raw, space: AtomicMeasureSpace):
             f"dense operator must be {space.size}x{space.size} on this space, "
             f"got {m.shape[0]}x{m.shape[1]}"
         )
-    return m @ _complex(component_array(raw, space))
+    return m @ raw
 
 
 def decompose(op: BCOperator):
@@ -244,7 +236,7 @@ def decompose(op: BCOperator):
         action, args = _dense_component, (op.matrix.m1, op.matrix.m2)
 
     def factor(arg):
-        return lambda f, space: action(arg, _as_sequence_component(f), space)
+        return lambda f, space: action(arg, _operand(_as_sequence_component(f), space), space)
 
     return factor(args[0]), factor(args[1])
 
@@ -398,10 +390,7 @@ def check_composition_bounded(
     whose ratio-weighted modular is finite, each sample read once before
     the scan (``component_array`` on a finite space, as ``norm`` reads it).
     """
-    sample_parts = [
-        [raw if space.is_lazy else component_array(raw, space) for raw in (s.comp1, s.comp2)]
-        for s in samples
-    ]
+    sample_parts = [[_operand(raw, space) for raw in (s.comp1, s.comp2)] for s in samples]
     dist = distortion_ratios(space, imap, budget)
     notes = []
     window = dist.ratios.size

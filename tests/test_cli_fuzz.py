@@ -389,6 +389,51 @@ def test_a_sample_not_one_per_atom_is_refused(tmp_path, name, argv, n):
     assert err == f"error: sequence has {n} entries but the space has 3 atoms\n", err
 
 
+TWO_KIND_SPACE = {"weights": [1, 2], "weights_rule": "counting", "n_max": 5}
+TWO_KIND_MAP = {"map": [1], "map_rule": "right_shift"}
+# a space, map or operator object names exactly one kind, and the right
+# shift takes {}; a sequence of the wrong length is refused before the
+# table or matrix it meets, with the sequence's message
+ONE_KIND_OR_REFUSED = [
+    ("apply-two-kind-space", BASELINES["apply_shift"], {5: json.dumps(TWO_KIND_SPACE)}, "got keys"),
+    ("check-two-kind-space", BASELINES["check_table"], {7: json.dumps(TWO_KIND_SPACE)}, "got keys"),
+    ("apply-two-kind-map", BASELINES["apply_shift"],
+     {3: json.dumps({"composition": TWO_KIND_MAP})}, "got keys"),
+    ("check-two-kind-map", BASELINES["check_table"], {5: json.dumps(TWO_KIND_MAP)}, "got keys"),
+    ("apply-two-kind-operator", BASELINES["apply_shift"],
+     {3: json.dumps({"right_shift": {}, "composition": {"map_rule": "right_shift"}})},
+     "got keys"),
+    ("apply-right-shift-list", BASELINES["apply_shift"],
+     {3: json.dumps({"right_shift": [1, 2]})}, "takes {}"),
+    ("apply-right-shift-string", BASELINES["apply_shift"],
+     {3: json.dumps({"right_shift": "no"})}, "takes {}"),
+    ("apply-short-seq-short-table", BASELINES["apply_shift"],
+     {3: json.dumps({"composition": {"map": [1, 2]}}), 7: json.dumps(GOOD["seq2"])},
+     "sequence has 2 entries but the space has 3 atoms"),
+    ("apply-short-seq-escaping-table", BASELINES["apply_shift"],
+     {3: json.dumps({"composition": {"map": [1, 2, 5]}}), 7: json.dumps(GOOD["seq2"])},
+     "sequence has 2 entries but the space has 3 atoms"),
+    ("apply-short-seq-small-matrix", BASELINES["apply_dense"],
+     {3: json.dumps({"dense": {"m1": [[1]], "m2": [[1]]}}), 7: json.dumps(GOOD["seq2"])},
+     "sequence has 2 entries but the space has 3 atoms"),
+]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the fuzz forks one child per case")
+@pytest.mark.parametrize(
+    "name, argv, overrides, said",
+    ONE_KIND_OR_REFUSED,
+    ids=[c[0] for c in ONE_KIND_OR_REFUSED],
+)
+def test_an_object_of_two_kinds_or_a_wrong_sequence_is_refused(
+    tmp_path, name, argv, overrides, said
+):
+    code, err = _run_case(tmp_path, name, argv, overrides, None)
+    lines = err.splitlines()
+    assert code == 1 and len(lines) == 1 and lines[0].startswith("error:"), (code, err)
+    assert said in lines[0], err
+
+
 # the lazy probe has no block length: the old --block flag and "block"
 # config key are refused, whatever their value
 REFUSED_BLOCK = [

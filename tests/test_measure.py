@@ -1,6 +1,7 @@
 """Unit tests for atomic measure spaces, index maps, and distortion."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,27 @@ def test_index_map_json():
     assert shift.kind == "right_shift"
     with pytest.raises(InvalidInputError):
         IndexMap.from_json_dict({"map_rule": "left_shift"})
+
+
+@pytest.mark.parametrize(
+    "read, obj, keys",
+    [
+        (
+            AtomicMeasureSpace.from_json_dict,
+            {"weights": [1, 2], "weights_rule": "counting", "n_max": 5},
+            "['n_max', 'weights', 'weights_rule']",
+        ),
+        (AtomicMeasureSpace.from_json_dict, {"n_max": 5}, "['n_max']"),
+        (IndexMap.from_json_dict, {"map": [1], "map_rule": "right_shift"}, "['map', 'map_rule']"),
+        (IndexMap.from_json_dict, {}, "[]"),
+    ],
+    ids=["space-two-kinds", "space-no-kind", "map-two-kinds", "map-no-kind"],
+)
+def test_a_json_object_names_one_kind(read, obj, keys):
+    # a space or map object holding two kinds once read as the first one
+    with pytest.raises(InvalidInputError, match=re.escape(f"; got keys {keys}")) as info:
+        read(obj)
+    assert info.type is InvalidInputError
 
 
 def test_pushforward_worked_example():

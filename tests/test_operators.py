@@ -310,9 +310,22 @@ def test_decompose_reassembles_the_action(data, kind, where):
         return
     G = apply_operator(op, F, sp)
     for which, factor in ((1, c1), (2, c2)):
-        part = factor(F.component(which), sp)
-        np.testing.assert_array_equal(_values(part, idx), G.block(which, idx))
-        np.testing.assert_allclose(G.block(which, idx), want(which), rtol=1e-12, atol=1e-9)
+        f = F.component(which)
+        part = factor(f, sp)
+        read, block = _values(part, idx), G.block(which, idx)
+        # bit for bit: assert_array_equal alone reads -0.0 as 0.0
+        assert read.dtype == block.dtype == np.complex128
+        assert read.tobytes() == block.tobytes()
+        np.testing.assert_allclose(block, want(which), rtol=1e-12, atol=1e-9)
+        # an image is an array exactly where it is finitely supported
+        if where == "finite":
+            assert part.shape == (n,)
+        elif kind == "right_shift" and not callable(f):
+            assert part.shape == (f.size + 1,)
+        elif kind == "multiplication" and not (callable(f) or callable(theta.component(which))):
+            assert part.shape == (max(f.size, theta.component(which).size),)
+        else:
+            assert callable(part)
 
 
 def test_decompose_factors_refuse_non_finite_arrays():
@@ -1124,6 +1137,52 @@ def test_operator_json_rejects_ambiguity():
         BCOperator.from_json_dict({})
     with pytest.raises(InvalidInputError):
         BCOperator.from_json_dict({"multiplication": {}})
+
+
+@pytest.mark.parametrize(
+    "obj, keys",
+    [
+        ({"right_shift": {}, "composition": {"map_rule": "right_shift"}},
+         "['composition', 'right_shift']"),
+        ({"composition": {"map": [1], "map_rule": "right_shift"}}, "['map', 'map_rule']"),
+        ({"shift": {}}, "['shift']"),
+    ],
+    ids=["operator-two-kinds", "map-two-kinds", "no-kind"],
+)
+def test_operator_json_names_the_keys_of_an_object_without_one_kind(obj, keys):
+    with pytest.raises(InvalidInputError, match=re.escape(f"; got keys {keys}")):
+        BCOperator.from_json_dict(obj)
+
+
+@pytest.mark.parametrize(
+    "payload", [[1, 2], "no", None, 0, {"n": 1}], ids=["list", "string", "null", "zero", "object"]
+)
+def test_right_shift_takes_an_empty_object(payload):
+    # any payload once read as the right shift
+    with pytest.raises(InvalidInputError, match=re.escape(f"takes {{}}, got {payload!r}")):
+        BCOperator.from_json_dict({"right_shift": payload})
+    assert BCOperator.from_json_dict({"right_shift": {}}).imap.kind == "right_shift"
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        BCOperator.composition(IndexMap.from_table([1, 2])),
+        BCOperator.composition(IndexMap.from_table([1, 2, 5])),
+        BCOperator.dense(BCMatrix(np.eye(2), np.eye(2))),
+        BCOperator.multiplication(BCSequence.from_components(np.ones(4), np.ones(4))),
+    ],
+    ids=["short-table", "escaping-table", "small-matrix", "long-symbol"],
+)
+def test_a_sequence_of_the_wrong_length_is_refused_before_the_operator(op):
+    # the operand is read once, before the action judges the table, the
+    # matrix or the symbol
+    sp = AtomicMeasureSpace.finite(np.ones(3))
+    F = BCSequence.from_components([1, 2], [3, 4])
+    message = "sequence has 2 entries but the space has 3 atoms"
+    with pytest.raises(InvalidInputError, match=re.escape(message)) as info:
+        apply_operator(op, F, sp)
+    assert info.type is InvalidInputError
 
 
 def test_right_shift_norm_is_exactly_one_on_counting():

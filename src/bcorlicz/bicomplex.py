@@ -208,9 +208,6 @@ class BiComplex:
         """
         return pair_norm(self.beta1, self.beta2)
 
-    def classify(self, eps: float = 1e-12) -> "Classification":
-        return classify(self, eps)
-
     def invert(self, eps: float = 1e-12) -> "BiComplex":
         """Componentwise reciprocal; defined only for invertible elements."""
         diagnosis = classify(self, eps)

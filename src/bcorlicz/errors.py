@@ -20,7 +20,8 @@ __all__ = [
 # lazy-space distortion scan materializes
 DEFAULT_N_MAX = 10**6
 # a scan holds whole-window arrays, so its budget is capped at ten default
-# windows (a space's n_max is not: a march holds no window array)
+# windows; a space's n_max is not, but every lazy read is bounded by this
+# cap too: a march reads at most this many atoms past its first
 MAX_BUDGET = 10 * DEFAULT_N_MAX
 # each empirical trial applies the operator to a fresh sample, so their
 # number is capped

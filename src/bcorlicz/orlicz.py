@@ -25,6 +25,7 @@ import numpy as np
 
 from .bicomplex import BiComplex, _ring_result, pair_norm
 from .errors import (
+    MAX_BUDGET,
     InvalidInputError,
     NotInSpaceError,
     NotSummableError,
@@ -47,13 +48,11 @@ __all__ = [
     "pairing",
 ]
 
-# lazy-sum probe parameters: a partial sum past the guard is declared
-# divergent; the extrapolated total settles once it moves less than
-# _SETTLE_REL, relative, over two doublings; at the window's end a series
-# whose block sums per doubling fall by less than _DIVERGE_RATIO over each
-# of its last _DIVERGE_DOUBLINGS doublings reads as divergent (the
-# harmonic series, by Cauchy condensation, does not fall at all)
-_DIVERGENCE_GUARD = 1e12
+# lazy-sum probe parameters: the extrapolated total settles once it moves
+# less than _SETTLE_REL, relative, over two doublings; at the window's end
+# a series whose block sums per doubling fall by less than _DIVERGE_RATIO
+# over each of its last _DIVERGE_DOUBLINGS doublings reads as divergent
+# (the harmonic series, by Cauchy condensation, does not fall at all)
 _SETTLE_REL = 1e-12
 _AITKEN_PASSES = 3
 _DIVERGE_RATIO = 0.95
@@ -243,22 +242,19 @@ class ModularValue:
 
     ``status`` is ``exact`` (a finitely supported sum, see
     ``_exact_part``), ``converged`` (an index rule's probe settled), ``diverged``
-    (guard or comparison probe fired; value is +inf), or ``inconclusive`` (window
-    exhausted; value is the plain partial sum over ``n_terms`` atoms, a lower
-    bound).  ``n_terms`` is how many atoms were read: for a tail past an offset
-    ``n``, the atoms read past ``n``.  A ``converged`` value is an estimate: the
-    partial sum plus ``tail``, the remainder that Aitken's Delta^2 on the dyadic
-    partial sums predicts (one step per pass at each full end, one table for real
-    sums), which no finite probe of a black-box rule can prove.  ``guard`` marks
-    a ``diverged`` verdict of the divergence guard: the partial sum passed
-    ``_DIVERGENCE_GUARD`` (or overflowed), which shows a large sum at this scale
-    rather than a divergent series.
+    (the block sums did not fall at the window's end; value is +inf), or
+    ``inconclusive`` (value is the plain partial sum over ``n_terms`` atoms, a
+    lower bound, and +inf where it passed the floats).  ``n_terms`` is how many
+    atoms were read: for a tail past an offset ``n``, the atoms read past ``n``.
+    A ``converged`` value is an estimate: the partial sum plus ``tail``, the
+    remainder that Aitken's Delta^2 on the dyadic partial sums predicts (one
+    step per pass at each full end, one table for real sums), which no finite
+    probe of a black-box rule can prove.
     """
 
     value: float
     status: str
     n_terms: int
-    guard: bool = False
     tail: float = 0.0
 
 
@@ -267,6 +263,8 @@ class ModularValue:
 def _march(term_chunk, end: int, start: int = 1) -> ModularValue:
     """Sum a series of index rules over atoms ``start..end`` with the convergence probe.
 
+    The window ends at ``end`` or at ``MAX_BUDGET`` atoms past ``start``,
+    whichever comes first, so no march reads more than that many atoms.
     ``term_chunk(idx)`` gives, at the 1-based atoms ``idx``, the ``values``
     and ``weights`` whose products are the terms and the rules' values
     ``read`` there.  ``weights`` is None on ``counting``, and no array of
@@ -276,7 +274,7 @@ def _march(term_chunk, end: int, start: int = 1) -> ModularValue:
     ``1 + 0j`` could differ only in the sign of a zero part and in the
     imaginary part of an infinite term (``inf + 0j`` becomes
     ``inf + nanj``); neither reaches the result, since an infinite term
-    goes to the divergence guard and the sum starts at +0.0.  The terms are
+    stops the march and the sum starts at +0.0.  The terms are
     nonnegative for a modular and complex for the pairing: every rule reads
     their moduli, and the returned value is their sum.  ``n_terms`` counts
     the atoms read, from ``start`` on.
@@ -299,17 +297,20 @@ def _march(term_chunk, end: int, start: int = 1) -> ModularValue:
     run of zero blocks leaves the estimate at once mass returns after it.
     The value is the terms' estimate, a modular's at least its partial sum,
     and ``tail`` is what it adds to the partial sum.  A window that sums to
-    0 throughout converges to 0 at its end.
+    0 throughout converges to 0 at its end.  A partial sum of the moduli
+    past the floats stops the march as ``inconclusive`` at +inf, a lower
+    bound: passing a threshold shows a large sum, not a divergent series.
 
-    Divergence: the moduli's partial sum passes the guard after a piece,
-    or at the window's end the moduli's block sums per doubling of the atom
-    index (a block's sum divided by ``log2((stop + 1) / first)`` over its
-    first and last atoms, which a cut block makes less than 1) fall by less
-    than ``_DIVERGE_RATIO`` over each of the last ``_DIVERGE_DOUBLINGS``
-    doublings, which the harmonic series, whose block sums tend to
-    ``log 2``, does.  Divergence is judged there only: a convergent series
-    can have block sums that grow over its early doublings.
+    Divergence is judged only at the window's end, where the moduli's block
+    sums per doubling of the atom index (a block's sum divided by
+    ``log2((stop + 1) / first)`` over its first and last atoms, which a cut
+    block makes less than 1) fall by less than ``_DIVERGE_RATIO`` over each
+    of the last ``_DIVERGE_DOUBLINGS`` doublings, as the harmonic series'
+    block sums, which tend to ``log 2``, do.  That test reads the same for
+    ``c f`` as for ``f``, and a convergent series can have block sums that
+    grow over its early doublings.
     """
+    end = min(end, start - 1 + MAX_BUDGET)
     value = total = block = 0.0
     head = start.bit_length() - 1  # the dyadic ends before start: 0 in every pass
     table = [[0.0] * (head - 2 * k) for k in range(_AITKEN_PASSES + 1)]
@@ -318,8 +319,8 @@ def _march(term_chunk, end: int, start: int = 1) -> ModularValue:
         value += piece
         total += piece_mag
         block += piece_mag
-        if not total <= _DIVERGENCE_GUARD:  # also catches nan/inf
-            return ModularValue(math.inf, "diverged", stop - start + 1, guard=True)
+        if not total < math.inf:  # also catches nan
+            return ModularValue(math.inf, "inconclusive", stop - start + 1)
         full = not stop & (stop + 1)  # stop + 1 is a power of two
         if not full and stop < end:
             continue  # a chunk inside a long block
@@ -360,7 +361,7 @@ def _pieces(term_chunk, end: int, start: int):
     sum to a finite value is scanned, and only once the march reaches it: a
     rule's value that is nan or inf is refused, and a zero value on a weight
     that overflowed to inf (a geometric ratio above 1) adds 0, not nan.
-    Terms that overflow stay inf for the divergence guard.
+    Terms that overflow stay inf, and stop the march.
     """
     ends = [(1 << j) - 1 for j in range(_FIRST_CHUNK.bit_length(), end.bit_length())]
     for lo, hi in window_chunks(end, ends, start):
@@ -593,7 +594,7 @@ def luxemburg_norm(
     ``t <= 1``.  For ``power:p`` the level is ``t^p level(1)``, and one
     evaluation gives the closed form ``sup * level(1)^(1/p)``, that is
     ``(sum |f_n|^p a_n)^(1/p)``.  For ``exp`` and ``entropy``, and for a
-    power level past the divergence guard at ``t = 1``, a bracketed regula
+    power level that reads +inf at ``t = 1``, a bracketed regula
     falsi in log scale (``_unit_scale``) stops once the gauge is pinned to
     a relative ``tol``.
 
@@ -607,11 +608,10 @@ def luxemburg_norm(
     finitely supported ``f`` is one exact sum (``_phi_sum``) over the
     arrays already read; on a lazy space an array longer than the window
     is cut at the window's end, as in ``modular``.  For an index rule on
-    a lazy space it is one ``modular`` probe: a probe past the divergence
-    guard reads as an infinite level, from which the solve steps down; a
-    ``diverged`` verdict of the comparison probe raises NotInSpaceError
-    and an ``inconclusive`` one raises UnsupportedInstanceError.  The
-    result is checked with one ``modular`` call at ``scale = 1/lam``, an
+    a lazy space it is one ``modular`` probe, read as ``_lazy_level``
+    says: a sum past the floats is an infinite level, from which the solve
+    steps down, and a probe that does not settle raises.  The result is
+    checked with one ``modular`` call at ``scale = 1/lam``, an
     exact sum of phi per atom however the level was summed (see
     ``_certified``); for a finitely supported ``f`` that call reads the
     moduli ``|f|`` already read, not ``f`` again.  If rounding left that
@@ -742,10 +742,11 @@ def _moment_terms(mags: np.ndarray, weights: np.ndarray, cut: float, coeffs) -> 
 def _lazy_level(phi: OrliczFunction, raw, space, offset: int, sup: float):
     """``t -> I_phi(t f 1_{>offset} / sup)`` as one probe per value.
 
-    A level past the divergence guard reads as +inf, and so does a
-    ``diverged`` probe at a scale above one that converged (``exp`` is not
-    Delta2, so a modular finite at small scales may diverge at large ones);
-    neither is evidence against membership, and the solver steps down from it.
+    A probe ``inconclusive`` at +inf (its sum passed the floats, so the level
+    is above 1) reads as +inf, and so does a ``diverged`` probe at a scale
+    above one that converged (``exp`` is not Delta2, so a modular finite at
+    small scales may diverge at large ones); neither is evidence against
+    membership, and the solver steps down from it.  Any other unsettled probe raises.
     A scale ``t / sup`` past the floats is refused: +inf there certifies a far upper bound.
     """
     converged_at = math.inf
@@ -758,7 +759,7 @@ def _lazy_level(phi: OrliczFunction, raw, space, offset: int, sup: float):
                 f"the {phi.spec_string()} gauge solve's scale {t!r} / {sup!r} passes the floats"
             )
         mv = modular(phi, raw, space, scale=scale, offset=offset)
-        if mv.status == "diverged" and (mv.guard or t > converged_at):
+        if mv.value == math.inf and (mv.status == "inconclusive" or t > converged_at):
             return math.inf
         _require_settled(mv, phi)
         converged_at = min(converged_at, t)
@@ -869,12 +870,12 @@ def _certified(phi, raw, space, lam: float, offset: int) -> float:
                 f"the {phi.spec_string()} gauge {lam!r} has no finite reciprocal in floats"
             )
         mv = modular(phi, raw, space, scale=1.0 / lam, offset=offset)
-        _require_settled(mv, phi)
-        if mv.value == math.inf:
+        if mv.value == math.inf and mv.status != "diverged":
             raise UnsupportedInstanceError(
                 f"I_phi(f/lam) overflows floats at the solved {phi.spec_string()} gauge "
                 f"{lam!r}, so it is not certified"
             )
+        _require_settled(mv, phi)
         if mv.value <= 1.0:
             return lam
         # convexity gives I(f / (c lam)) <= I(f / lam) / c for c >= 1, so
@@ -949,9 +950,10 @@ def pairing(
     ``|x_n y_n a_n|`` and extrapolates the complex partial sums beside it.  Certified divergence
     raises NotSummableError, a probe that cannot settle within the window
     returns the partial value with a RuntimeWarning, and a sum past the
-    floats raises UnsupportedInstanceError.  The pairing multiplies and
-    sums as complex, a real rule's values too: numpy sums a complex array
-    in another order than the same reals, and the last bit can differ.
+    floats (of the terms, or of their moduli in a probe) raises
+    UnsupportedInstanceError.  The pairing multiplies and sums as complex,
+    a real rule's values too: numpy sums a complex array in another order
+    than the same reals, and the last bit can differ.
     """
     weight_at = _weight_reader(space)
 
@@ -970,11 +972,10 @@ def pairing(
 
         mv = _march(term_chunk, space.size)
         if mv.status == "diverged":
-            fired = "the divergence guard" if mv.guard else "the comparison probe"
             raise NotSummableError(
-                f"pairing component {which} diverges ({fired} fired after {mv.n_terms} atoms)"
+                f"pairing component {which} diverges (probe over {mv.n_terms} atoms)"
             )
-        if mv.status == "inconclusive":
+        if mv.status == "inconclusive" and mv.value != math.inf:
             warnings.warn(
                 f"pairing component {which} probe inconclusive after {mv.n_terms} atoms; "
                 "returning the partial sum",

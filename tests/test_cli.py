@@ -639,7 +639,7 @@ ONE_ATOM_SPACES = {
 @pytest.mark.parametrize("space", sorted(ONE_ATOM_SPACES))
 def test_one_atom_pairing_is_exact_on_either_space(capsys, tmp_path, space):
     # on counting the lazy pairing once read the finitely supported sum
-    # 1e14 as past the divergence guard: "not_summable"
+    # 1e14 as divergent: "not_summable"
     seq = write(tmp_path / "seq.json", [bc(1e7 + 0j, 1 + 0j)])
     sp = write(tmp_path / "space.json", ONE_ATOM_SPACES[space])
     report = run_json(capsys, ["pairing", "--x", seq, "--y", seq, "--space", sp])

@@ -130,8 +130,8 @@ def test_gauge_beyond_float_range_is_unsupported():
 
 @pytest.mark.parametrize("spec", PHIS)
 def test_level_past_the_divergence_guard_is_not_outside(spec):
-    # atom 5 weighs 1e16, so the level at the first scale passes the
-    # divergence guard although the sequence is finitely supported
+    # atom 5 weighs 1e16, so the level at the first scale is huge; the
+    # sequence is finitely supported, and its sums are exact
     space = AtomicMeasureSpace.geometric(1e4, 100)
     f = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
     phi = OrliczFunction.parse(spec)
@@ -154,7 +154,7 @@ def test_array_is_summed_to_its_last_entry():
 @pytest.mark.parametrize("spec", ("exp", "entropy"))
 def test_lazy_root_solve_survives_the_divergence_guard(spec):
     # one atom of weight 1e-6 puts the root far above the first scale, and
-    # the first step overshoots into probes the divergence guard rejects
+    # the first step overshoots to levels far above 1, summed exactly
     space = AtomicMeasureSpace.geometric(1e-3, 100)
     f = np.array([0.0, 0.0, 1.0])
     phi = OrliczFunction.parse(spec)

@@ -19,11 +19,14 @@ and positive.  An atom of that support whose weight reads 0 or +inf in
 floats, where no component is 0, is refused, named.  A Schauder tail is the gauge of a modular past an offset,
 so the offset modular's reference covers its sums.  The reference writes
 its own rule constants (three passes, three estimates, three late
-doublings) rather than importing the library's, so that a change to one of
-them shows.  The library keeps its passes as one Aitken table per sum for
-the length of a march, one push per full dyadic end; its estimate after
-every push must be the reference's over the whole history, and a march
-must push one table per end for real terms and two for the pairing's.
+doublings, a window of at most 10**7 atoms past the first) rather than
+importing the library's, so that a change to one of them shows.  A partial
+sum of the moduli past the floats stops a march as inconclusive at +inf:
+no threshold on the sum's size is read as divergence.  The library keeps
+its passes as one Aitken table per sum for the length of a march, one push
+per full dyadic end; its estimate after every push must be the reference's
+over the whole history, and a march must push one table per end for real
+terms and two for the pairing's.
 """
 
 import cmath
@@ -54,7 +57,6 @@ from bcorlicz.orlicz import _check_rule_values
 
 # ------------------------------------------------------------ the reference
 
-GUARD = 1e12
 SETTLE_REL = 1e-12
 CHUNK = 2**14
 
@@ -78,10 +80,11 @@ def extrapolated(seq):
 
 @np.errstate(over="ignore", invalid="ignore")
 def reference_march(term_block, end, start=1):
-    """The probe over atoms ``start..end`` walked block by block:
-    ``term_block(idx)`` gives the sum of the terms at the atoms ``idx`` and
-    the sum of their moduli.  A block's density is its sum per doubling of
-    the atom index that it spans."""
+    """The probe over atoms ``start..end``, cut at 10**7 atoms past
+    ``start``, walked block by block: ``term_block(idx)`` gives the sum of
+    the terms at the atoms ``idx`` and the sum of their moduli.  A block's
+    density is its sum per doubling of the atom index that it spans."""
+    end = min(end, start - 1 + 10**7)
     signed = total = 0.0
     history = [(0.0, 0.0)] * (start.bit_length() - 1)
     densities = []
@@ -96,8 +99,8 @@ def reference_march(term_block, end, start=1):
             signed += add
             total += mag
             block += mag
-            if not total <= GUARD:
-                return ModularValue(math.inf, "diverged", last - start + 1, guard=True)
+            if not total < math.inf:
+                return ModularValue(math.inf, "inconclusive", last - start + 1)
         densities.append(block / math.log2((hi + 1) / lo))
         if hi == block_end:
             history.append((signed, total))
@@ -263,11 +266,10 @@ def reference_pairing(x, y, space):
 
         mv = reference_march(term_block, space.size)
         if mv.status == "diverged":
-            fired = "the divergence guard" if mv.guard else "the comparison probe"
             raise NotSummableError(
-                f"pairing component {which} diverges ({fired} fired after {mv.n_terms} atoms)"
+                f"pairing component {which} diverges (probe over {mv.n_terms} atoms)"
             )
-        if mv.status == "inconclusive":
+        if mv.status == "inconclusive" and mv.value != math.inf:
             warnings.warn(
                 f"pairing component {which} probe inconclusive after {mv.n_terms} atoms; "
                 "returning the partial sum",
@@ -317,7 +319,7 @@ def outcome(call):
             out = (type(exc), str(exc))
     said = [(w.category, str(w.message)) for w in caught]
     if isinstance(out, ModularValue):
-        out = (bits(out.value), out.status, out.n_terms, out.guard, bits(out.tail))
+        out = (bits(out.value), out.status, out.n_terms, bits(out.tail))
     elif isinstance(out, BiComplex):
         out = (bits(out.beta1), bits(out.beta2))
     elif isinstance(out, float):
@@ -548,11 +550,13 @@ def test_named_probes_keep_their_verdicts():
     assert reference_modular(P2, r["zero head"], COUNTING).status == "inconclusive"
     doubling = AtomicMeasureSpace.geometric(2.0, 1200)
     assert reference_modular(P2, r["flat then zero"], doubling).status == "inconclusive"
-    assert reference_modular(P2, r["spike"], COUNTING).guard
     with pytest.raises(InvalidInputError, match="at index 7"):
         modular(P2, r["nan early"], COUNTING)
-    with pytest.raises(InvalidInputError, match=f"nan at index {NAN_AT}"):
-        modular(p1, r["spike"], COUNTING)
+    # under p = 2 the spike's terms of 1e14 make a large sum, not a
+    # divergent one: the march reads on to the nan, as under p = 1
+    for phi in (P2, p1):
+        with pytest.raises(InvalidInputError, match=f"nan at index {NAN_AT}"):
+            modular(phi, r["spike"], COUNTING)
 
 
 REAL_PAIRS = {
@@ -655,12 +659,55 @@ def test_real_pairing_matches_the_reference(pair, space):
 
 
 def test_an_overflowed_real_product_is_refused_as_before():
-    # the guard reads the block [2048, 4096) that holds atom 2501
+    # the moduli of the block [2048, 4096) that holds atom 2501 pass the
+    # floats: the probe stops there, and the sum is refused, with no warning
     x = BCSequence.from_rules(PAIRING_RULES["huge late"], PAIRING_RULES["all zero"])
     space = AtomicMeasureSpace.counting(10**4)
-    with pytest.raises(NotSummableError, match=r"component 1 diverges \(the divergence guard "
-                       r"fired after 4095 atoms\)"):
-        pairing(x, x, space)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnsupportedInstanceError, match="pairing overflows: idempotent "
+                           "component 1 of the exact result passes the largest float"):
+            pairing(x, x, space)
+
+
+# ------------------------------------------------------------ scale and budget
+
+SCALE_RULES = {
+    "1/n^2": lambda i: 1.0 / i**2,
+    "1/n": lambda i: 1.0 / i,
+    "0.9^n": lambda i: 0.9**i,
+    "n^-0.6": lambda i: np.power(i, -0.6),
+    "(-1)^n/n^1.5": lambda i: (-1.0) ** i / i**1.5,
+    "n": lambda i: i.astype(float),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALE_RULES))
+@pytest.mark.parametrize("phi", [P2, OrliczFunction.power(1)], ids=["p=2", "p=1"])
+def test_a_constant_factor_keeps_the_status(name, phi):
+    # F lies in the space when I(F / lam) < inf for some lam > 0, so a
+    # constant factor c = 10^k, k = -60, -55, ..., 60, moves no verdict
+    rule = SCALE_RULES[name]
+    want = modular(phi, rule, COUNTING).status
+    for k in range(-60, 61, 5):
+        got = modular(phi, lambda i: 10.0**k * rule(i), COUNTING)
+        assert got.status == want, (k, got)
+
+
+def test_a_sum_past_the_floats_is_inconclusive_not_divergent():
+    # the block [512, 1024) of 2^n passes the floats: a lower bound of +inf
+    mv = modular(OrliczFunction.power(1), lambda i: 2.0**i, COUNTING)
+    assert (mv.value, mv.status, mv.n_terms) == (math.inf, "inconclusive", 1023)
+
+
+@pytest.mark.parametrize("offset", [0, 10**8])
+def test_a_march_reads_at_most_ten_million_atoms(offset):
+    # the window of 10^9 atoms is judged at 10^7 atoms past the first
+    space = AtomicMeasureSpace.counting(10**9)
+    mv = modular(OrliczFunction.power(1), lambda i: 1.0 / i, space, offset=offset)
+    assert mv.n_terms == 10**7
+    if not offset:
+        assert (mv.value, mv.status) == (math.inf, "diverged")
 
 
 # ------------------------------------------------------------ the late doublings

@@ -429,6 +429,23 @@ def test_slowly_convergent_log_series_is_never_divergent():
         luxemburg_norm(OrliczFunction.power(1), rule, sp)
 
 
+def test_a_large_convergent_sum_reads_its_closed_form():
+    # |1e7/n^2|^2 sums to 1e14 zeta(4); a threshold on the partial sum once
+    # read it diverged after one atom, and the pairing not summable
+    rule = lambda i: 1e7 / i**2  # noqa: E731
+    want = 1e14 * math.pi**4 / 90
+    space = AtomicMeasureSpace.counting(10**6)
+    mv = modular(OrliczFunction.power(2), rule, space)
+    assert (mv.status, mv.n_terms) == ("converged", 511)
+    assert abs(mv.value - want) <= 1e-12 * want
+    F = BCSequence.from_rules(rule, rule)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pairing(F, F, space)
+    for beta in (got.beta1, got.beta2):
+        assert abs(beta - want) <= 1e-12 * want
+
+
 # ------------------------------------------------------------ dyadic probe
 
 

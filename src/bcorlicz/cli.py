@@ -24,8 +24,7 @@ import sys
 from pathlib import Path
 
 from .bicomplex import BiComplex, classify, is_json_number, pair_norm, poly_roots
-from .errors import DEFAULT_N_MAX
-from .errors import MAX_BUDGET as _N_MAX_CAP  # n_max is also the scan budget
+from .errors import MAX_BUDGET as _N_MAX_CAP  # the longest window a lazy read takes
 from .errors import MAX_TRIALS as _TRIALS_CAP
 from .errors import (
     BCOrliczError,
@@ -546,7 +545,6 @@ def _cmd_op_check(args, config, report):
     phi = OrliczFunction.parse(args.phi)
     report["inputs"].update({"kind": args.kind, "phi": phi.spec_string()})
     space = _read_space(args, config, report)
-    budget = config["n_max"] if config["n_max"] is not None else DEFAULT_N_MAX
     if args.kind == "composition":
         imap = _read(args, report, "map", IndexMap.from_json_dict)
         samples = []
@@ -560,14 +558,13 @@ def _cmd_op_check(args, config, report):
             imap,
             phi,
             tuple(samples),
-            budget=budget,
             trials=config["trials"],
             seed=config["seed"],
             tol=config["tol"],
         )
     else:
         theta = _read(args, report, "theta", BCSequence.from_json_list)
-        verdict_report = check_multiplication_bounded(theta, space, budget=budget)
+        verdict_report = check_multiplication_bounded(theta, space)
     report["results"].append(
         _result(
             "boundedness",

@@ -16,12 +16,11 @@ __all__ = [
     "NotSummableError",
 ]
 
-# default truncation of a lazy space, and cap on how many atoms a
-# lazy-space distortion scan materializes
+# default truncation window n_max of a lazy space
 DEFAULT_N_MAX = 10**6
-# a scan holds whole-window arrays, so its budget is capped at ten default
-# windows; a space's n_max is not, but every lazy read is bounded by this
-# cap too: a march reads at most this many atoms past its first
+# a space's n_max is not capped, but every lazy read is: a scan reads at
+# most this many atoms, into an array as long as its window, and a march
+# at most this many past its first
 MAX_BUDGET = 10 * DEFAULT_N_MAX
 # each empirical trial applies the operator to a fresh sample, so their
 # number is capped

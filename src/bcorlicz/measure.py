@@ -2,7 +2,7 @@
 
 Atoms are indexed 1, 2, 3, ... and carry strictly positive weights.
 A space is either *finite* (an explicit weight vector) or *lazy* (a
-named weight rule plus a truncation budget ``n_max``); lazy analyses
+named weight rule plus a truncation window ``n_max``); lazy analyses
 report results over the truncated window and say so.
 """
 
@@ -72,7 +72,7 @@ class AtomicMeasureSpace:
 
     @property
     def size(self) -> int:
-        """Number of atoms (the truncation budget on lazy spaces)."""
+        """Number of atoms (the truncation window on lazy spaces)."""
         return self.n_max
 
     def weight_block(self, idx: np.ndarray) -> np.ndarray:
@@ -132,9 +132,9 @@ def _json_numbers(values, what: str) -> list:
     return values
 
 
-def _check_n_max(n_max, what: str = "n_max") -> int:
+def _check_n_max(n_max) -> int:
     if not (is_json_number(n_max) and isinstance(n_max, int) and n_max >= 1):
-        raise InvalidInputError(f"{what} must be a positive integer, got {n_max!r}")
+        raise InvalidInputError(f"n_max must be a positive integer, got {n_max!r}")
     return n_max
 
 
@@ -243,16 +243,16 @@ class Distortion:
     ``ratios`` is the one array as long as the window that the scan builds;
     besides it, the scan holds one chunk of the window (see
     ``distortion_ratios``).  ``sup`` is the sup of ``ratios``.  On a lazy
-    space ``sup_quarter`` and ``sup_half`` are the sups that a scan with
-    budget ``m = max(1, window // 4)`` or ``max(1, window // 2)`` gives: b_n
-    for ``n <= m``, summed over the atoms ``k <= m`` only, in the same
-    order, so bit for bit that scan's sup, read as the scan passes atom
-    ``m``.  They are ``None`` on a finite space.  ``first_uncovered`` is, on
-    a finite space, the first atom that no atom maps to (``None`` when the
-    images cover the space).  On a lazy space the coverage is not read and
-    it is ``None``: atoms past the window can map into it, so the window's
-    coverage says nothing about the map.  ``dropped`` counts the atoms with
-    no image (the right shift's atom 1).
+    space ``sup_quarter`` and ``sup_half`` are the sups that a scan of the
+    space cut at ``m = max(1, window // 4)`` or ``max(1, window // 2)``
+    atoms gives: b_n for ``n <= m``, summed over the atoms ``k <= m`` only,
+    in the same order, so bit for bit that scan's sup, read as the scan
+    passes atom ``m``.  They are ``None`` on a finite space.
+    ``first_uncovered`` is, on a finite space, the first atom that no atom
+    maps to (``None`` when the images cover the space).  On a lazy space
+    the coverage is not read and it is ``None``: atoms past the window can
+    map into it, so the window's coverage says nothing about the map.
+    ``dropped`` counts the atoms with no image (the right shift's atom 1).
     """
 
     ratios: np.ndarray
@@ -263,17 +263,14 @@ class Distortion:
     dropped: int
 
 
-def scan_window(space: AtomicMeasureSpace, budget: int) -> tuple[int, tuple[int, ...]]:
+def scan_window(space: AtomicMeasureSpace) -> tuple[int, tuple[int, ...]]:
     """The atoms ``1..n`` a scan reads, all of a finite space and the first
-    ``min(n_max, budget)`` of a lazy one, and on a lazy one the quarter and
-    half window lengths its growth test compares.  A scan reads these atoms
-    in the chunks of ``window_chunks``, which end at those lengths too.  A
-    budget that is not an integer from 1 to ``MAX_BUDGET`` is an
-    ``InvalidInputError``."""
-    _check_n_max(budget, "budget")
-    if budget > MAX_BUDGET:
-        raise InvalidInputError(f"budget must be at most {MAX_BUDGET}, got {budget!r}")
-    n = min(space.size, budget) if space.is_lazy else space.size
+    ``min(n_max, MAX_BUDGET)`` of a lazy one, as a march reads them, and on
+    a lazy one the quarter and half window lengths its growth test
+    compares.  A scan reads these atoms in the chunks of ``window_chunks``,
+    which end at those lengths too.  A shorter scan is a scan of the space
+    cut at fewer atoms."""
+    n = min(space.size, MAX_BUDGET) if space.is_lazy else space.size
     return n, (max(1, n // 4), max(1, n // 2)) if space.is_lazy else ()
 
 
@@ -316,30 +313,27 @@ def _weight_ratios(space: AtomicMeasureSpace, k: np.ndarray, n: np.ndarray) -> n
     return space._ratio_powers(k - n)
 
 
-def distortion_ratios(
-    space: AtomicMeasureSpace,
-    imap: IndexMap,
-    budget: int = DEFAULT_N_MAX,
-) -> Distortion:
+def distortion_ratios(space: AtomicMeasureSpace, imap: IndexMap) -> Distortion:
     """Ratios b_n = m_n / a_n; sup b_n is the composition-bound certificate.
 
     Each is summed per preimage, ``b_n = sum_{T(k)=n} a_k / a_n``, so it is
     finite wherever the true ratio is, even where the weights overflow.
-    The window of ``scan_window`` is read once, in the chunks of
-    ``window_chunks``, and each chunk's shares ``a_k / a_n`` are added into
-    one array of bins indexed by atom, in atom order, as ``np.bincount``
-    adds them: bin 0 takes the atoms with no image (the right shift's atom
-    1), and bin ``n + 1`` the images past a lazy window.  A quarter or half
-    sup is read from the bins as a chunk ends at its prefix ``m``, when
-    they hold exactly the atoms ``k <= m``.  On a finite space every image
-    also counts for the coverage (see ``Distortion``).  Only the shares
-    that can be nonzero are added (see ``_within_reach``): a share of +0.0
-    leaves its bin's bits as they are, since the bins start at +0.0 and
-    every share is at least 0 or +inf.  The window ends at its last atom
-    ``n``: the right shift's preimage of ``n``, atom ``n + 1``, lies outside
-    it, so ``b_n`` is 0 there on every space, as for any map.
+    The window of ``scan_window``, at most ``MAX_BUDGET`` atoms of a lazy
+    space, is read once, in the chunks of ``window_chunks``, and each
+    chunk's shares ``a_k / a_n`` are added into one array of bins indexed
+    by atom, in atom order, as ``np.bincount`` adds them: bin 0 takes the
+    atoms with no image (the right shift's atom 1), and bin ``n + 1`` the
+    images past a lazy window.  A quarter or half sup is read from the
+    bins as a chunk ends at its prefix ``m``, when they hold exactly the
+    atoms ``k <= m``.  On a finite space every image also counts for the
+    coverage (see ``Distortion``).  Only the shares that can be nonzero
+    are added (see ``_within_reach``): a share of +0.0 leaves its bin's
+    bits as they are, since the bins start at +0.0 and every share is at
+    least 0 or +inf.  The window ends at its last atom ``n``: the right
+    shift's preimage of ``n``, atom ``n + 1``, lies outside it, so ``b_n``
+    is 0 there on every space, as for any map.
     """
-    n, prefixes = scan_window(space, budget)
+    n, prefixes = scan_window(space)
     bins = np.zeros(n + 2)
     covered = None if space.is_lazy else np.zeros(n + 1, dtype=bool)
     sups, dropped = [], 0

@@ -20,13 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bicomplex import is_json_number, json_kind
-from .errors import (
-    DEFAULT_N_MAX,
-    MAX_TRIALS,
-    InvalidInputError,
-    NotInvertibleError,
-    UnsupportedInstanceError,
-)
+from .errors import MAX_TRIALS, InvalidInputError, NotInvertibleError, UnsupportedInstanceError
 from .measure import (
     AtomicMeasureSpace,
     IndexMap,
@@ -367,7 +361,6 @@ def check_composition_bounded(
     phi: OrliczFunction,
     samples: tuple[BCSequence, ...] = (),
     *,
-    budget: int = DEFAULT_N_MAX,
     trials: int = 0,
     seed: int = 0,
     tol: float = 1e-12,
@@ -377,8 +370,8 @@ def check_composition_bounded(
     A finite sup of the ratios b_n bounds the operator, and a sup past the
     floats is inconclusive; on lazy spaces the sup is window evidence
     only.  The window is read once, by one ``distortion_ratios`` call: the
-    same scan gives the sups a budget of a quarter and of half the window
-    would give, and a sup still growing from the quarter to the half to
+    same scan gives the sups of the space cut at a quarter and at half the
+    window, and a sup still growing from the quarter to the half to
     the full window downgrades the verdict to inconclusive.  On a finite
     space the scan also gives the coverage, and ``injective`` records
     whether ``C_T`` is one-to-one, never used for the verdict: every atom
@@ -391,7 +384,7 @@ def check_composition_bounded(
     the scan (``component_array`` on a finite space, as ``norm`` reads it).
     """
     sample_parts = [[_operand(raw, space) for raw in (s.comp1, s.comp2)] for s in samples]
-    dist = distortion_ratios(space, imap, budget)
+    dist = distortion_ratios(space, imap)
     notes = []
     window = dist.ratios.size
     if not math.isfinite(dist.sup):
@@ -401,9 +394,9 @@ def check_composition_bounded(
     elif not space.is_lazy:
         verdict = "bounded"
     else:
-        # growth must be judged against the budget, not window position:
+        # growth must be judged against the window's length, not position:
         # a map can concentrate all its mass ratios at low indices while
-        # their sup still climbs as the scan window widens
+        # their sup still climbs as the space is cut at more atoms
         sup_q, sup_h = dist.sup_quarter, dist.sup_half
         if _grows(sup_q, sup_h, dist.sup):
             verdict = "inconclusive"
@@ -471,27 +464,25 @@ def check_composition_bounded(
 
 
 def check_multiplication_bounded(
-    theta: BCSequence,
-    space: AtomicMeasureSpace,
-    *,
-    budget: int = DEFAULT_N_MAX,
+    theta: BCSequence, space: AtomicMeasureSpace
 ) -> BoundednessReport:
     """Certify boundedness of pointwise multiplication by theta.
 
     The operator is bounded exactly when both component symbols are
     essentially bounded.  Under the pair norm ``sqrt((n1^2 + n2^2) / 2)``
     its norm is then ``max(sup|theta1|, sup|theta2|)``, which ``bound()``
-    reports.  An array symbol is zero past its length, so its sup
-    is exact on any space.  An index rule is read over the window like any
-    component (a nan or inf value is an ``InvalidInputError`` naming its
-    atom), one chunk of ``window_chunks`` at a time, and a sup still
-    growing across it, read as the scan passes the quarter and half
-    prefixes, yields an unbounded verdict with the growth trend recorded.
-    A component whose modulus passes the floats (its parts are finite) has
-    an infinite sup and leaves the verdict inconclusive, with a note naming
-    the component and the first such atom.
+    reports.  An array symbol is zero past its length, so its sup is exact
+    on any space.  An index rule is read over the window of ``scan_window``
+    (at most ``MAX_BUDGET`` atoms of a lazy space) like any component (a nan
+    or inf value is an ``InvalidInputError`` naming its atom), one chunk of
+    ``window_chunks`` at a time, and a sup still growing across it, read
+    as the scan passes the quarter and half prefixes, yields an unbounded
+    verdict with the growth trend recorded.  A component whose modulus
+    passes the floats (its parts are finite) has an infinite sup and
+    leaves the verdict inconclusive, with a note naming the component and
+    the first such atom.
     """
-    n, prefixes = scan_window(space, budget)
+    n, prefixes = scan_window(space)
     notes, sups = [], []
     for which in (1, 2):
         raw = theta.component(which)

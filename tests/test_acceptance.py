@@ -370,7 +370,7 @@ def test_criterion_6_composition_ratios_respect_certificate():
             ok = False
     # right shift on counting weights: certificate exactly 1
     sp = AtomicMeasureSpace.counting(10 ** 4)
-    sup = distortion_ratios(sp, IndexMap.right_shift(), budget=10 ** 4).sup
+    sup = distortion_ratios(sp, IndexMap.right_shift()).sup
     shift_ratios = empirical_ratios(
         BCOperator.right_shift(), OrliczFunction.power(2), sp, trials=5, seed=1
     )

@@ -877,6 +877,16 @@ def test_n_max_flag_overrides_lazy_budget(capsys, files, tmp_path):
     assert report["config"]["n_max"] == 50000
 
 
+def test_op_check_scans_the_whole_space_without_n_max(capsys, files, tmp_path):
+    # the scan read the default 10**6 atoms of a longer space unless --n-max
+    # named its window; it reads the space's own n_max, as a sum does
+    space = write(tmp_path / "c2m.json", {"weights_rule": "counting", "n_max": 2 * 10**6})
+    argv = ["op", "check", "--kind", "composition", "--map", files["shift"],
+            "--space", space, "--phi", "power:p=2", "--trials", "0"]
+    verdict = result_value(run_json(capsys, argv), "boundedness")
+    assert "distortion scanned over a truncated window of 2000000 atoms" in verdict["notes"]
+
+
 @pytest.mark.parametrize("n_max", [10**7 + 1, 10**12])
 def test_n_max_beyond_ten_default_windows_exits_1(capsys, files, tmp_path, monkeypatch, n_max):
     # lazy analyses materialise whole-window arrays: 10**12 atoms once ended

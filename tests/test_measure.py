@@ -1,5 +1,6 @@
 """Unit tests for atomic measure spaces, index maps, and distortion."""
 
+import dataclasses
 import math
 import re
 
@@ -52,8 +53,17 @@ def test_geometric_space():
     np.testing.assert_allclose(growing.weight_block(np.array([4])), [8.0])
     with pytest.raises(InvalidInputError):
         AtomicMeasureSpace.geometric(0.0, 10)
-    with pytest.raises(InvalidInputError):
-        AtomicMeasureSpace.counting(0)
+
+
+@pytest.mark.parametrize("n_max", [0, -1, True, 1.5])
+def test_bad_n_max_is_refused(n_max):
+    for make in (
+        lambda: AtomicMeasureSpace.counting(n_max),
+        lambda: AtomicMeasureSpace.geometric(0.5, n_max),
+        lambda: AtomicMeasureSpace.from_json_dict({"weights_rule": "counting", "n_max": n_max}),
+    ):
+        with pytest.raises(InvalidInputError, match="^n_max must be a positive integer"):
+            make()
 
 
 def test_space_json_round_trip():
@@ -171,8 +181,8 @@ def test_pushforward_right_shift_finite():
 
 
 def test_right_shift_on_counting_has_unit_ratios():
-    sp = AtomicMeasureSpace.counting(5000)
-    dist = distortion_ratios(sp, IndexMap.right_shift(), budget=1000)
+    sp = dataclasses.replace(AtomicMeasureSpace.counting(5000), n_max=1000)
+    dist = distortion_ratios(sp, IndexMap.right_shift())
     # atom 1001, the preimage of the window's last atom, lies outside it
     np.testing.assert_array_equal(dist.ratios, np.append(np.ones(999), 0.0))
     assert dist.sup == 1.0
@@ -182,8 +192,8 @@ def test_right_shift_on_counting_has_unit_ratios():
 
 def test_right_shift_on_geometric_has_constant_ratio():
     r = 0.5
-    sp = AtomicMeasureSpace.geometric(r, 10 ** 6)
-    dist = distortion_ratios(sp, IndexMap.right_shift(), budget=500)
+    sp = dataclasses.replace(AtomicMeasureSpace.geometric(r, 10 ** 6), n_max=500)
+    dist = distortion_ratios(sp, IndexMap.right_shift())
     # b_n = a_{n+1} / a_n = r for every n but the window's last
     np.testing.assert_allclose(dist.ratios, np.append(np.full(499, r), 0.0), rtol=1e-12)
     assert abs(dist.sup - r) < 1e-12
@@ -219,19 +229,19 @@ def test_right_shift_reads_the_window_as_its_rule_form_does(space):
     # window's last atom, from atom n + 1 outside the window, while calling
     # that atom uncovered; every atom but 1 has the rule form's ratio, and
     # only a finite space reads the coverage
-    shift = distortion_ratios(space, IndexMap.right_shift(), budget=space.size)
-    rule = distortion_ratios(space, SHIFT_RULE, budget=space.size)
+    shift = distortion_ratios(space, IndexMap.right_shift())
+    rule = distortion_ratios(space, SHIFT_RULE)
     assert shift.ratios[-1] == rule.ratios[-1] == 0.0
     assert shift.ratios[1:].tobytes() == rule.ratios[1:].tobytes()
     uncovered = None if space.is_lazy else space.size
     assert shift.first_uncovered == rule.first_uncovered == uncovered
     assert (shift.dropped, rule.dropped) == (1, 0)
     if space.is_lazy:
-        # the quarter and half sups are those of scans with those budgets,
-        # each of which leaves its own last atom at 0
+        # the quarter and half sups are those of the space cut at those
+        # lengths, each of which leaves its own last atom at 0
         n = space.size
         for m, got in ((max(1, n // 4), shift.sup_quarter), (max(1, n // 2), shift.sup_half)):
-            scan = distortion_ratios(space, IndexMap.right_shift(), budget=m)
+            scan = distortion_ratios(dataclasses.replace(space, n_max=m), IndexMap.right_shift())
             assert scan.ratios[-1] == 0.0 and got == scan.sup
 
 
@@ -244,9 +254,9 @@ def test_right_shift_on_one_atom_has_zero_sup():
 
 
 def test_lazy_rule_map_uses_window():
-    sp = AtomicMeasureSpace.counting(10 ** 6)
+    sp = dataclasses.replace(AtomicMeasureSpace.counting(10 ** 6), n_max=1000)
     double = IndexMap.from_rule(lambda idx: 2 * idx, name="n_to_2n")
-    dist = distortion_ratios(sp, double, budget=1000)
+    dist = distortion_ratios(sp, double)
     # even targets inside the window receive one unit atom, odd receive none
     assert dist.sup == 1.0
     assert dist.ratios[0] == 0.0 and dist.ratios[1] == 1.0

@@ -1,5 +1,6 @@
 """Tests for bicomplex operators: application, inversion, boundedness checks."""
 
+import dataclasses
 import math
 import re
 import sys
@@ -450,12 +451,12 @@ def test_composition_check_ratio_beyond_floats_is_inconclusive(r):
 
 def test_composition_check_growing_sup_is_inconclusive():
     # preimage of k under ceil(sqrt(n)) has about 2k-1 atoms, so the sup
-    # distortion keeps climbing with the scan budget
-    sp = AtomicMeasureSpace.counting(10 ** 6)
+    # distortion keeps climbing with the scan window
+    sp = dataclasses.replace(AtomicMeasureSpace.counting(10 ** 6), n_max=10 ** 5)
     sqrtmap = IndexMap.from_rule(
         lambda idx: np.ceil(np.sqrt(idx)).astype(np.int64), name="ceil_sqrt"
     )
-    rep = check_composition_bounded(sp, sqrtmap, OrliczFunction.power(2), budget=10 ** 5)
+    rep = check_composition_bounded(sp, sqrtmap, OrliczFunction.power(2))
     assert rep.verdict == "inconclusive"
     assert rep.bound() is None
     assert any("grows" in note for note in rep.notes)
@@ -544,8 +545,9 @@ def _one_pass_cases():
     for sname, make in _ONE_PASS_SPACES.items():
         for mname, imap in maps.items():
             for n_max in (1, 2, 7, 5000):
-                cases.append(pytest.param(make(n_max), imap, 10**6, id=f"{sname}-{n_max}-{mname}"))
-            cases.append(pytest.param(make(10**6), imap, 10**5, id=f"{sname}-budget-{mname}"))
+                cases.append(pytest.param(make(n_max), imap, id=f"{sname}-{n_max}-{mname}"))
+            cut = dataclasses.replace(make(10**6), n_max=10**5)
+            cases.append(pytest.param(cut, imap, id=f"{sname}-budget-{mname}"))
     rng = np.random.default_rng(71)
     for sname, weights in _FINITE_WEIGHTS.items():
         for n in (1, 2, 7):
@@ -554,7 +556,7 @@ def _one_pass_cases():
                       "const": IndexMap.from_table(np.ones(n, dtype=int)),
                       "random": IndexMap.from_table(rng.integers(1, n + 1, n))}
             for mname, imap in tables.items():
-                cases.append(pytest.param(sp, imap, 10**6, id=f"finite-{sname}-{n}-{mname}"))
+                cases.append(pytest.param(sp, imap, id=f"finite-{sname}-{n}-{mname}"))
     return cases
 
 
@@ -575,32 +577,30 @@ def _brute_coverage(space, imap, window):
     return first, sum(1 for v in images if v < 1)
 
 
-def _reference_distortion(space, imap, budget):
-    full = distortion_ratios(space, imap, budget)
+def _reference_distortion(space, imap):
+    full = distortion_ratios(space, imap)
     window = full.ratios.size
     sup_q = sup_h = None
     if space.is_lazy:
-        sup_q = distortion_ratios(space, imap, max(1, window // 4)).sup
-        sup_h = distortion_ratios(space, imap, max(1, window // 2)).sup
+        cuts = [dataclasses.replace(space, n_max=max(1, window // d)) for d in (4, 2)]
+        sup_q, sup_h = (distortion_ratios(cut, imap).sup for cut in cuts)
     first, dropped = _brute_coverage(space, imap, window)
     return Distortion(full.ratios, full.sup, sup_q, sup_h, first, dropped)
 
 
-@pytest.mark.parametrize("space, imap, budget", _one_pass_cases())
-def test_composition_check_one_pass_matches_independent_scans(monkeypatch, space, imap, budget):
+@pytest.mark.parametrize("space, imap", _one_pass_cases())
+def test_composition_check_one_pass_matches_independent_scans(monkeypatch, space, imap):
     phi = OrliczFunction.power(2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        dist = distortion_ratios(space, imap, budget)
-        got = check_composition_bounded(space, imap, phi, budget=budget).to_json_dict()
-    want_dist = _reference_distortion(space, imap, budget)
+        dist = distortion_ratios(space, imap)
+        got = check_composition_bounded(space, imap, phi).to_json_dict()
+    want_dist = _reference_distortion(space, imap)
     for field in ("sup", "sup_quarter", "sup_half", "first_uncovered", "dropped"):
         assert getattr(dist, field) == getattr(want_dist, field), field
     np.testing.assert_array_equal(dist.ratios, want_dist.ratios)
-    monkeypatch.setattr(
-        operators, "distortion_ratios", lambda s, m, b: _reference_distortion(s, m, b)
-    )
-    want = check_composition_bounded(space, imap, phi, budget=budget).to_json_dict()
+    monkeypatch.setattr(operators, "distortion_ratios", _reference_distortion)
+    want = check_composition_bounded(space, imap, phi).to_json_dict()
     assert got == want
 
 
@@ -653,27 +653,12 @@ def test_composition_check_refuses_a_bad_rule(rule, message):
             imap.image_block(np.arange(1, 101))
 
 
-@pytest.mark.parametrize("budget", [0, -1])
-def test_bad_budget_is_refused(budget):
-    sp = AtomicMeasureSpace.counting(100)
-    shift = IndexMap.right_shift()
-    theta = BCSequence.from_rules(lambda i: 1.0 / i, lambda i: 1.0 / i)
-    calls = [
-        lambda: check_composition_bounded(sp, shift, OrliczFunction.power(2), budget=budget),
-        lambda: distortion_ratios(sp, shift, budget),
-        lambda: check_multiplication_bounded(theta, sp, budget=budget),
-    ]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for call in calls:
-            with pytest.raises(InvalidInputError, match="budget must be a positive integer"):
-                call()
-
-
-@pytest.mark.parametrize("budget", [10**7 + 1, 10**12])
-def test_budget_past_ten_default_windows_is_refused(monkeypatch, budget):
-    # a budget of 10**12 on counting(10**12) once asked numpy for a
-    # 7.28 TiB window; the spy fails fast on any window past the cap
+@pytest.mark.parametrize("n_max", [10**8, 10**12])
+def test_a_scan_reads_at_most_ten_million_atoms(monkeypatch, n_max):
+    # a scan of 10**12 atoms once asked numpy for a 7.28 TiB window, and a
+    # space longer than 10**6 atoms was scanned over 10**6 only; every lazy
+    # read now stops at 10**7 atoms, and the spy fails fast on any window
+    # past that cap
     arange = np.arange
 
     def guarded(*args, **kwargs):
@@ -681,33 +666,33 @@ def test_budget_past_ten_default_windows_is_refused(monkeypatch, budget):
         return arange(*args, **kwargs)
 
     monkeypatch.setattr(np, "arange", guarded)
-    sp = AtomicMeasureSpace.counting(10**12)
-    theta = BCSequence.from_rules(lambda i: 1.0 / i, lambda i: 1.0 / i)
-    calls = [
-        lambda: check_composition_bounded(
-            sp, IndexMap.right_shift(), OrliczFunction.power(2), budget=budget
-        ),
-        lambda: check_multiplication_bounded(theta, sp, budget=budget),
-    ]
-    for call in calls:
-        with pytest.raises(InvalidInputError, match=f"budget must be at most 10000000, got {budget}"):
-            call()
-
-
-def test_budget_cap_leaves_n_max_alone():
-    # a space may be longer than any window: the checks scan their budget,
-    # and a march holds no window array
-    sp = AtomicMeasureSpace.counting(10**8)
-    rep = check_composition_bounded(sp, IndexMap.right_shift(), OrliczFunction.power(2))
+    sp = AtomicMeasureSpace.counting(n_max)
+    shift = IndexMap.right_shift()
+    assert distortion_ratios(sp, shift).ratios.size == 10**7
+    rep = check_composition_bounded(sp, shift, OrliczFunction.power(2))
     assert rep.verdict == "bounded" and rep.sup_distortion == 1.0
-    theta = BCSequence.from_rules(lambda i: 1.0 / i, lambda i: 1.0 / i)
-    rep = check_multiplication_bounded(theta, sp)
+    assert "distortion scanned over a truncated window of 10000000 atoms" in rep.notes
+    read = []
+
+    def inverse(i):
+        read.append(i.size)
+        return 1.0 / i
+
+    rep = check_multiplication_bounded(BCSequence.from_rules(inverse, inverse), sp)
     assert rep.verdict == "bounded" and rep.ess_sups == (1.0, 1.0)
+    assert sum(read) == 2 * 10**7
+    # a march holds no window array, and stops where its sum settles
     mv = modular(OrliczFunction.power(2), lambda i: 1.0 / i**2, sp)
     assert mv.status == "converged" and mv.n_terms < 10**6
-    # the cap itself is a valid budget
-    rep = check_multiplication_bounded(theta, AtomicMeasureSpace.counting(100), budget=10**7)
-    assert rep.verdict == "bounded"
+
+
+def test_a_sum_and_a_scan_read_the_same_window():
+    # a march stops at n_max, and so does a scan: the default window of
+    # 10**6 atoms no longer caps a longer space's scan
+    sp = AtomicMeasureSpace.counting(2 * 10**6)
+    mv = modular(OrliczFunction.power(1), lambda i: 1.0 / i, sp)
+    assert mv.n_terms == 2 * 10**6
+    assert distortion_ratios(sp, IndexMap.right_shift()).ratios.size == 2 * 10**6
 
 
 def test_multiplication_check_finite_exact():
@@ -861,7 +846,7 @@ def _traced_peak(call):
 def test_distortion_scan_holds_one_chunk_besides_the_ratios(space, imap):
     # the scan once built window-long atoms, images, exponents and shares:
     # 22.9 to 24.8 MiB at 10^6 atoms, against 7.6 MiB of ratios
-    dist, peak = _traced_peak(lambda: distortion_ratios(space, imap, 10**6))
+    dist, peak = _traced_peak(lambda: distortion_ratios(space, imap))
     assert dist.ratios.size == 10**6
     assert peak <= dist.ratios.nbytes + 3 * MIB, peak / MIB
 

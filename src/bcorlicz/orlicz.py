@@ -584,52 +584,46 @@ def luxemburg_norm(
 
     With ``offset = n`` it is the gauge of the tail ``f 1_{>n}``, and all
     below runs over the atoms past ``n``.  ``|f|`` and its sup (1 if a
-    rule's prefix vanishes) are read once, over the atoms an exact sum reads
-    (see ``_exact_part``) or an index rule's bounded prefix, and the solve runs
-    on the normalised level ``level(t) = I_phi(t cut |f| / sup)``, whose
-    root ``t*`` gives the gauge ``sup / (cut t*)``, so nothing in it can
-    overflow.  ``cut`` is 1, except for a finitely supported ``f`` under
-    ``exp`` or ``entropy``, where it is the family's series cut
-    (``OrliczFunction.series``): every argument lies below it at
-    ``t <= 1``.  For ``power:p`` the level is ``t^p level(1)``, and one
-    evaluation gives the closed form ``sup * level(1)^(1/p)``, that is
-    ``(sum |f_n|^p a_n)^(1/p)``.  For ``exp`` and ``entropy``, and for a
-    power level that reads +inf at ``t = 1``, a bracketed regula
-    falsi in log scale (``_unit_scale``) stops once the gauge is pinned to
-    a relative ``tol``.
+    rule's prefix vanishes) are read once, over the atoms an exact sum
+    reads (``_exact_part``) or an index rule's bounded prefix.  The solve
+    runs on ``level(t) = I_phi(t cut |f| / sup)``, whose root ``t*`` gives
+    the gauge ``sup / (cut t*)``, so nothing in it can overflow; ``cut`` is
+    1, or for a finitely supported ``f`` under ``exp`` or ``entropy`` the
+    family's series cut (``OrliczFunction.series``), above every argument
+    at ``t <= 1``.  For ``power:p`` the level is ``t^p level(1)``, and one
+    evaluation gives the closed form ``sup * level(1)^(1/p)``.  Otherwise,
+    and where that level reads +inf, a bracketed regula falsi in log scale
+    (``_unit_scale``) stops once the gauge is pinned to a relative ``tol``.
 
-    For a finitely supported ``f`` under ``exp`` or ``entropy``, the level
-    at ``t <= 1`` is the family's series summed over the moments
-    ``M_k = sum u_n^k a_n`` of ``u = |f| / sup``, read once, and only when
-    ``M_2`` shows that the level at the cut can reach 1 (see
-    ``_finite_level``): the polynomial phi takes per atom below the cut,
-    summed in another order, so a solve whose root lies below the cut
-    makes no pass over the atoms.  Any other level evaluation of a
-    finitely supported ``f`` is one exact sum (``_phi_sum``) over the
-    arrays already read; on a lazy space an array longer than the window
-    is cut at the window's end, as in ``modular``.  For an index rule on
-    a lazy space it is one ``modular`` probe, read as ``_lazy_level``
-    says: a sum past the floats is an infinite level, from which the solve
-    steps down, and a probe that does not settle raises.  The result is
-    checked with one ``modular`` call at ``scale = 1/lam``, an
-    exact sum of phi per atom however the level was summed (see
-    ``_certified``); for a finitely supported ``f`` that call reads the
-    moduli ``|f|`` already read, not ``f`` again.  If rounding left that
-    level above 1, ``lam`` is stepped up by one convexity step and a few
-    ulps.  The returned gauge thus satisfies
-    ``I_phi(f / lam) <= 1`` in floats and lies within ``tol`` (or the
-    solve's float floor, where that is wider; see ``_unit_scale``), plus
-    the few ulps of that step, above the infimum (phi is evaluated to a few
-    ulps; exp takes a Taylor series at small arguments).  For an index
-    rule that check reads the probe's estimated total, partial sum plus
-    extrapolated tail, so it is not proved there.  The gauge is 0 where the
-    moduli read vanish, and for a rule whose prefix does, where its level at
-    ``t = 1`` is 0; a nonzero prefix with that level lost every term to
-    underflow, and raises UnsupportedInstanceError, as ``_exact_part`` does
-    for an array.  So do a gauge outside the float range, an entry whose
-    modulus overflows (``|z|`` of a finite ``z`` can), a solve's scale past
-    the floats (``_lazy_level``) and a finitely supported level that
-    overflows next to the root or at the gauge.
+    A finitely supported level is an exact sum: under ``exp`` or
+    ``entropy`` at ``t <= 1``, the family's series over the moments of
+    ``|f| / sup``, read once (``_finite_level``), so a root below the cut
+    makes no pass over the atoms; else one ``_phi_sum`` over the arrays
+    already read (on a lazy space cut at the window's end, as in
+    ``modular``).  An index rule's level is one ``modular`` probe, read as
+    ``_lazy_level`` says: a sum past the floats is an infinite level, from
+    which the solve steps down, and a probe that does not settle raises.
+
+    ``_certified`` checks the result, and steps ``lam`` up by one convexity
+    step and a few ulps while rounding leaves ``I_phi(f / lam)`` above 1:
+    for a finitely supported ``f``, an exact sum of phi over the moduli
+    already read; for an index rule, a probe's estimate, partial sum plus
+    extrapolated tail, not a proof.  Under ``power:p`` with the closed form
+    that estimate is the level probe's own, scaled: ``level(1)
+    (sup / lam)^p``, so the rule is marched once.  The returned gauge
+    thus satisfies ``I_phi(f / lam) <= 1`` in floats and lies within ``tol``
+    (or the solve's float floor, where that is wider; see ``_unit_scale``),
+    plus the few ulps of that step, above the infimum (phi is evaluated to
+    a few ulps; exp takes a Taylor series at small arguments).
+
+    The gauge is 0 where the moduli read vanish, and for a rule whose prefix
+    does, where its level at ``t = 1`` is 0; a nonzero prefix with that
+    level lost every term to underflow, and raises UnsupportedInstanceError,
+    as ``_exact_part`` does for an array.  So do a gauge outside the float
+    range, an entry whose modulus overflows (``|z|`` of a finite ``z`` can),
+    a solve's scale past the floats (``_lazy_level``), a finitely supported
+    level that overflows next to the root and a level that overflows at the
+    gauge.
     """
     if not (isinstance(tol, (int, float)) and 0 < tol < 1):
         raise InvalidInputError(f"tol must be in (0, 1), got {tol!r}")
@@ -672,18 +666,28 @@ def luxemburg_norm(
             )
         return 0.0
     sup = sup or 1.0
+
+    def read(lam: float) -> ModularValue:  # I_phi(f 1_{>offset} / lam) for _certified
+        return modular(phi, raw, space, scale=1.0 / lam, offset=offset)
+
     if phi.family == "power" and at_one < math.inf:
         root = at_one ** (1.0 / phi.p)
         # 1/p rounds down for p = 3, 1.5, ..., which biases the root low
         if root**phi.p < at_one:
             root = math.nextafter(root, math.inf)
         lam = sup * root
+        if part is None:  # the level probe's estimate, scaled: no second march
+            def read(lam: float) -> ModularValue:  # +inf past the floats
+                try:
+                    return ModularValue(at_one * (sup / lam) ** phi.p, "converged", 0)
+                except OverflowError:
+                    return ModularValue(math.inf, "converged", 0)
     else:
         # the level's log-log slope is at least phi's least elasticity
         alpha = classify_phi(phi).alpha
         lam = sup / (cut * _unit_scale(level, at_one, alpha, tol, exact=part is not None))
     del level  # the solve's arrays are not held through the certificate
-    return _certified(phi, raw, space, lam, offset)
+    return _certified(phi, lam, read)
 
 
 def _finite_level(phi: OrliczFunction, mags: np.ndarray, weights: np.ndarray):
@@ -853,23 +857,24 @@ def _unit_scale(
     )
 
 
-def _certified(phi, raw, space, lam: float, offset: int) -> float:
-    """``lam`` once one ``modular`` call shows ``I_phi(f 1_{>offset} / lam) <= 1``.
+def _certified(phi, lam: float, read: Callable[[float], ModularValue]) -> float:
+    """``lam`` once ``read(lam)``, the level ``I_phi(f 1_{>offset} / lam)``, is at most 1.
 
-    Each try is one ``modular`` call over ``raw``: an index rule on a lazy
-    space, or for a finitely supported ``f`` the float moduli ``|f|`` the
-    gauge read, indexed from atom 1 (0 on the head ``offset`` skips).  Their
-    modular is ``f``'s bit for bit: the modulus of a nonnegative float is
-    itself, and ``|x + 0j|`` is ``|x|``, so phi and the sum are all it
-    computes again.  A level that reads +inf there overflowed floats, and
-    no step up can certify it: that raises at once.
+    The caller says what each try reads (see ``luxemburg_norm``): one
+    ``modular`` call, or a lazy power level's probe estimate, scaled, which
+    reads no atom again and proves nothing.  For a finitely supported ``f``
+    the call sums over the float moduli ``|f|`` the gauge read, indexed from
+    atom 1 (0 on the head ``offset`` skips).  Their modular is ``f``'s bit
+    for bit: the modulus of a nonnegative float is itself, and ``|x + 0j|``
+    is ``|x|``.  A level that reads +inf overflowed floats, and no step up
+    can certify it: that raises at once.
     """
     for _ in range(_CERTIFY_TRIES):
         if not (0.0 < lam < math.inf and 1.0 / lam < math.inf):
             raise UnsupportedInstanceError(
                 f"the {phi.spec_string()} gauge {lam!r} has no finite reciprocal in floats"
             )
-        mv = modular(phi, raw, space, scale=1.0 / lam, offset=offset)
+        mv = read(lam)
         if mv.value == math.inf and mv.status != "diverged":
             raise UnsupportedInstanceError(
                 f"I_phi(f/lam) overflows floats at the solved {phi.spec_string()} gauge "
@@ -917,10 +922,11 @@ def schauder_tail(
 
     Each component is the ``power:p`` gauge with ``offset = n``, certified
     by ``I(tail / lam) <= 1``; at ``n = 0`` this is ``norm_bc`` bit for bit.
-    On a lazy space an index rule's tail is probed over the dyadic blocks
-    of the atom index from atom ``n + 1`` on (see ``_march``), so it
+    On a lazy space an index rule's tail is probed once, over the dyadic
+    blocks of the atom index from atom ``n + 1`` on (see ``_march``), so it
     settles about as early as the whole series, and a window that holds
-    few blocks past ``n`` reads inconclusive rather than divergent.
+    few blocks past ``n`` reads inconclusive rather than divergent.  Its
+    certificate is that probe's estimate, scaled to ``lam``: not a proof.
     The basis-expansion remainder after the first ``n`` coordinate
     sections is exactly this tail, so it decreasing to 0 is the
     quantitative basis statement for the power family.

@@ -21,12 +21,14 @@ from hypothesis import strategies as st
 
 from bcorlicz import (
     AtomicMeasureSpace,
+    BCSequence,
     NotInSpaceError,
     OrliczFunction,
     UnsupportedInstanceError,
     luxemburg_norm,
     modular,
     orlicz,
+    schauder_tail,
 )
 
 PHIS = ("power:p=1.5", "power:p=2", "power:p=3", "exp", "entropy")
@@ -179,6 +181,50 @@ def test_a_lazy_level_that_jumps_to_inf_gives_the_gauge_at_the_jump(monkeypatch)
         OrliczFunction.parse("exp"), lambda i: 1.0 / i**2, AtomicMeasureSpace.counting(10**6)
     )
     assert 1.0 / jump <= lam <= (1.0 + 1e-11) / jump
+
+
+def spied(monkeypatch, name):
+    """Record the arguments of every call to ``orlicz.<name>``."""
+    real, calls = getattr(orlicz, name), []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(orlicz, name, spy)
+    return calls
+
+
+def test_a_lazy_power_gauge_marches_its_rule_once(monkeypatch):
+    # the closed form's level probe also certifies the gauge, scaled
+    marches, modulars = spied(monkeypatch, "_march"), spied(monkeypatch, "modular")
+    space = AtomicMeasureSpace.counting(10**6)
+    lam = luxemburg_norm(OrliczFunction.power(2), lambda i: 0.7 / i, space, offset=10)
+    assert len(marches) == len(modulars) == 1
+    assert modulars[0][1]["scale"] == 1.0 / (0.7 / 11)  # the level, at 1 / sup
+    assert lam > 0.0
+
+
+def test_the_median_schauder_tail_evaluates_its_rules_at_85514_atoms():
+    # per component: the sup prefix's 10**4 atoms and one march of 32,757
+    # atoms past 10; a second march for the certificate made it 151,028
+    read = []
+
+    def rule(i):
+        read.append(i.size)
+        return 0.7 / i
+
+    F = BCSequence.from_rules(rule, rule)
+    assert schauder_tail(F, 10, 2.0, AtomicMeasureSpace.counting(10**6)) > 0.0
+    assert sum(read) == 85_514
+
+
+def test_a_lazy_exp_gauge_keeps_its_certificate_march(monkeypatch):
+    # exp's level is not homogeneous: the certificate probes I(f / lam) itself
+    modulars, space = spied(monkeypatch, "modular"), AtomicMeasureSpace.geometric(0.5, 10**6)
+    lam = luxemburg_norm(OrliczFunction.parse("exp"), lambda i: 0.5 * 0.9**i, space)
+    assert len(modulars) >= 2
+    assert modulars[-1][1]["scale"] == 1.0 / lam
 
 
 # ------------------------------------------------------- long finite arrays

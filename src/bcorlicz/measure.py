@@ -207,7 +207,8 @@ class IndexMap:
 
 def _images(out, idx: np.ndarray) -> np.ndarray:
     """A table's or a rule's images of ``idx`` as int64, each at least 1, or
-    the first bad atom named."""
+    the first bad atom named.  Their least value is one reduction; only a
+    refusal builds the mask that finds the atom to name."""
     images = np.asarray(out)
     if images.shape != idx.shape:
         raise InvalidMapError(
@@ -226,9 +227,8 @@ def _images(out, idx: np.ndarray) -> np.ndarray:
                 "images must be finite integers below 2**63"
             )
     images = images.astype(np.int64, copy=False)
-    low = images < 1
-    if np.any(low):
-        first = int(np.argmax(low))
+    if images.min(initial=1) < 1:
+        first = int(np.argmax(images < 1))
         raise InvalidMapError(
             f"atom {int(idx.flat[first])} maps to index {int(images.flat[first])}; "
             "images must be >= 1"
@@ -325,13 +325,15 @@ def distortion_ratios(space: AtomicMeasureSpace, imap: IndexMap) -> Distortion:
     atoms with no image (the right shift's atom 1), and bin ``n + 1`` the
     images past a lazy window.  A quarter or half sup is read from the
     bins as a chunk ends at its prefix ``m``, when they hold exactly the
-    atoms ``k <= m``.  On a finite space every image also counts for the
-    coverage (see ``Distortion``).  Only the shares that can be nonzero
-    are added (see ``_within_reach``): a share of +0.0 leaves its bin's
+    atoms ``k <= m``.  Every chunk's images are read and checked in full
+    (``map_images``), count for ``dropped`` and, on a finite space, for the
+    coverage (see ``Distortion``).  Only then are its shares added, and
+    only those that can be nonzero (see ``_within_reach``); a chunk with
+    none adds nothing.  A share left out is +0.0, which leaves its bin's
     bits as they are, since the bins start at +0.0 and every share is at
-    least 0 or +inf.  The window ends at its last atom ``n``: the right
-    shift's preimage of ``n``, atom ``n + 1``, lies outside it, so ``b_n``
-    is 0 there on every space, as for any map.
+    least 0 or +inf.  The window ends at its last atom ``n``:
+    the right shift's preimage of ``n``, atom ``n + 1``, lies outside it,
+    so ``b_n`` is 0 there on every space, as for any map.
     """
     n, prefixes = scan_window(space)
     bins = np.zeros(n + 2)
@@ -345,9 +347,9 @@ def distortion_ratios(space: AtomicMeasureSpace, imap: IndexMap) -> Distortion:
         dropped += int(images[0] == 0)  # only atom 1 can be left without an image
         near = _within_reach(space, idx, images)
         if near is not None:
-            idx, images = idx[near], images[near]
-        with np.errstate(over="ignore"):  # a sum past the floats reads +inf
-            np.add.at(bins, np.minimum(images, n + 1), _weight_ratios(space, idx, images))
+            k, t = near
+            with np.errstate(over="ignore"):  # a sum past the floats reads +inf
+                np.add.at(bins, np.minimum(t, n + 1), _weight_ratios(space, k, t))
         sups += [bins[1 : m + 1].max() for m in prefixes if m == hi]
     ratios = bins[1 : n + 1]
     first = None
@@ -357,19 +359,29 @@ def distortion_ratios(space: AtomicMeasureSpace, imap: IndexMap) -> Distortion:
     return Distortion(ratios, float(ratios.max()), q, h, first, dropped)
 
 
-def _within_reach(space: AtomicMeasureSpace, k: np.ndarray, n: np.ndarray) -> np.ndarray | None:
-    """The positions where the share ``a_k / a_n`` can be nonzero, or None
-    where that is every one.
+def _within_reach(
+    space: AtomicMeasureSpace, k: np.ndarray, images: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The atoms of the chunk ``k`` and their images whose shares
+    ``a_k / a_n`` can be nonzero, or None where the chunk has none.
 
     On a geometric space ``r**(k - n)`` is exactly 0 past
     ``|(k - n) log r| = -_EXP_UNDERFLOW`` on the decaying side; the reach is
     counted in integers with one atom to spare, so no float rounding of
-    ``(k - n) log r`` can put a nonzero share past it.
+    ``(k - n) log r`` can put a nonzero share past it.  On ``r < 1`` a chunk
+    ``lo..hi`` whose images all lie at or below ``lo - reach`` is skipped
+    from that one reduction of its images; otherwise the atoms past the
+    reach are left out.  Every other space's chunk is kept whole.
     """
     log_r = 0.0 if space.rule in (None, "counting") else space._log_ratio()
     if log_r == 0.0:
-        return None
+        return k, images
     reach = math.ceil(-_EXP_UNDERFLOW / abs(log_r)) + 1
-    d = k - n
-    near = d < reach if log_r < 0 else d > -reach
-    return None if near.all() else np.flatnonzero(near)
+    if log_r < 0.0 and images.max() <= k[0] - reach:
+        return None
+    d = k - images
+    near = d < reach if log_r < 0.0 else d > -reach
+    if near.all():
+        return k, images
+    near = np.flatnonzero(near)
+    return (k[near], images[near]) if near.size else None

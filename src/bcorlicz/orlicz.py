@@ -249,13 +249,16 @@ class ModularValue:
     A ``converged`` value is an estimate: the partial sum plus ``tail``, the
     remainder that Aitken's Delta^2 on the dyadic partial sums predicts (one
     step per pass at each full end, one table for real sums), which no finite
-    probe of a black-box rule can prove.
+    probe of a black-box rule can prove.  ``nonzero`` is set by a rule's
+    march only: False where every value of ``f`` that it read is 0, so a
+    march's sum of 0 with ``nonzero`` set lost every term to underflow.
     """
 
     value: float
     status: str
     n_terms: int
     tail: float = 0.0
+    nonzero: bool = True
 
 
 # overflow and 0 * inf are read piece by piece in _march, not warned about
@@ -312,13 +315,15 @@ def _march(term_chunk, end: int, start: int = 1) -> ModularValue:
     """
     end = min(end, start - 1 + MAX_BUDGET)
     value = total = block = 0.0
+    nonzero = False
     head = start.bit_length() - 1  # the dyadic ends before start: 0 in every pass
     table = [[0.0] * (head - 2 * k) for k in range(_AITKEN_PASSES + 1)]
     mag_table, estimates, per_doubling = [row[:] for row in table], [], []
-    for stop, piece, piece_mag in _pieces(term_chunk, end, start):
+    for stop, piece, piece_mag, read_nonzero in _pieces(term_chunk, end, start):
         value += piece
         total += piece_mag
         block += piece_mag
+        nonzero = nonzero or read_nonzero
         if not total < math.inf:  # also catches nan
             return ModularValue(math.inf, "inconclusive", stop - start + 1)
         full = not stop & (stop + 1)  # stop + 1 is a power of two
@@ -341,7 +346,7 @@ def _march(term_chunk, end: int, start: int = 1) -> ModularValue:
                     return ModularValue(est, "converged", stop - start + 1, tail=est - value)
     n_terms = end - start + 1
     if total == 0.0:
-        return ModularValue(value, "converged", n_terms)
+        return ModularValue(value, "converged", n_terms, nonzero=nonzero)
     late = per_doubling[-_DIVERGE_DOUBLINGS - 1 :]
     if len(late) > _DIVERGE_DOUBLINGS and all(
         b >= _DIVERGE_RATIO * a > 0.0 for a, b in zip(late, late[1:])
@@ -351,7 +356,7 @@ def _march(term_chunk, end: int, start: int = 1) -> ModularValue:
 
 
 def _pieces(term_chunk, end: int, start: int):
-    """``(stop, terms' sum, moduli's sum)`` over the march's pieces in order.
+    """``(stop, terms' sum, moduli's sum, nonzero)`` over the march's pieces in order.
 
     A chunk of ``window_chunks`` over ``start..end`` ends at each dyadic end
     ``2^j - 1`` from ``_FIRST_CHUNK`` on, so the first holds every block
@@ -361,7 +366,9 @@ def _pieces(term_chunk, end: int, start: int):
     sum to a finite value is scanned, and only once the march reaches it: a
     rule's value that is nan or inf is refused, and a zero value on a weight
     that overflowed to inf (a geometric ratio above 1) adds 0, not nan.
-    Terms that overflow stay inf, and stop the march.
+    Terms that overflow stay inf, and stop the march.  ``nonzero`` says
+    whether a rule's value read in the piece is nonzero; only a piece whose
+    moduli sum to 0 has its values scanned for it.
     """
     ends = [(1 << j) - 1 for j in range(_FIRST_CHUNK.bit_length(), end.bit_length())]
     for lo, hi in window_chunks(end, ends, start):
@@ -378,7 +385,7 @@ def _pieces(term_chunk, end: int, start: int):
                     _check_rule_values(comp[cut], idx[cut])
                 terms[cut][values[cut] == 0] = 0.0
                 sums = _sums(terms[cut])
-            yield b, *sums
+            yield b, *sums, sums[1] != 0.0 or any(comp[cut].any() for comp in read)
             a = b + 1
 
 
@@ -616,10 +623,11 @@ def luxemburg_norm(
     plus the few ulps of that step, above the infimum (phi is evaluated to
     a few ulps; exp takes a Taylor series at small arguments).
 
-    The gauge is 0 where the moduli read vanish, and for a rule whose prefix
-    does, where its level at ``t = 1`` is 0; a nonzero prefix with that
-    level lost every term to underflow, and raises UnsupportedInstanceError,
-    as ``_exact_part`` does for an array.  So do a gauge outside the float
+    The gauge is 0 where the moduli read vanish, and for a rule, where
+    every value that its level's march at ``t = 1`` read is 0 (see
+    ``_lazy_level``); a level of 0 that read a nonzero value lost every term
+    to underflow, and raises UnsupportedInstanceError, as ``_exact_part``
+    does for an array.  So do a gauge outside the float
     range, an entry whose modulus overflows (``|z|`` of a finite ``z`` can),
     a solve's scale past the floats (``_lazy_level``), a finitely supported
     level that overflows next to the root and a level that overflows at the
@@ -651,20 +659,16 @@ def luxemburg_norm(
         )
     if part is None:
         del mags  # not held through the solve, nor by a refusal's traceback
-        cut, level = 1.0, _lazy_level(phi, raw, space, offset, sup or 1.0)
+        cut = 1.0
+        at_one, level = _lazy_level(phi, raw, space, offset, sup or 1.0)
+        if at_one == 0.0:
+            return 0.0  # every value the march read vanishes
     elif sup == 0.0:
         return 0.0  # f vanishes past the offset
     else:
         cut, level = _finite_level(phi, mags / sup, weights)
         raw = moduli  # what the certificate reads (see _certified)
-    at_one = level(1.0)
-    if at_one == 0.0 and part is None:
-        if sup:
-            raise UnsupportedInstanceError(
-                f"every term of the {phi.spec_string()} level of a nonzero sequence "
-                f"reads 0.0 in floats on {space.rule}, so the gauge is not computed"
-            )
-        return 0.0
+        at_one = level(1.0)
     sup = sup or 1.0
 
     def read(lam: float) -> ModularValue:  # I_phi(f 1_{>offset} / lam) for _certified
@@ -744,7 +748,8 @@ def _moment_terms(mags: np.ndarray, weights: np.ndarray, cut: float, coeffs) -> 
 
 
 def _lazy_level(phi: OrliczFunction, raw, space, offset: int, sup: float):
-    """``t -> I_phi(t f 1_{>offset} / sup)`` as one probe per value.
+    """``(level(1), level)`` for ``level: t -> I_phi(t f 1_{>offset} / sup)``,
+    one probe per value.
 
     A probe ``inconclusive`` at +inf (its sum passed the floats, so the level
     is above 1) reads as +inf, and so does a ``diverged`` probe at a scale
@@ -752,11 +757,14 @@ def _lazy_level(phi: OrliczFunction, raw, space, offset: int, sup: float):
     small scales may diverge at large ones); neither is evidence against
     membership, and the solver steps down from it.  Any other unsettled probe raises.
     A scale ``t / sup`` past the floats is refused: +inf there certifies a far upper bound.
+    So is a level of 0 at ``t = 1`` whose march read a nonzero value of the
+    rule (``ModularValue.nonzero``): every term underflowed, and the gauge
+    is not 0.
     """
-    converged_at = math.inf
+    converged_at, mv = math.inf, None
 
     def level(t: float) -> float:
-        nonlocal converged_at
+        nonlocal converged_at, mv
         scale = t / sup
         if scale == math.inf:
             raise UnsupportedInstanceError(
@@ -769,7 +777,13 @@ def _lazy_level(phi: OrliczFunction, raw, space, offset: int, sup: float):
         converged_at = min(converged_at, t)
         return mv.value
 
-    return level
+    at_one = level(1.0)
+    if at_one == 0.0 and mv.nonzero:
+        raise UnsupportedInstanceError(
+            f"every term of the {phi.spec_string()} level of a nonzero sequence "
+            f"reads 0.0 in floats on {space.rule}, so the gauge is not computed"
+        )
+    return at_one, level
 
 
 def _require_settled(mv: ModularValue, phi: OrliczFunction) -> None:

@@ -279,6 +279,23 @@ def test_op_check_multiplication_array_on_a_lazy_space(capsys, tmp_path):
     assert not any("grows" in note for note in verdict["notes"])
 
 
+def test_op_check_an_array_symbol_on_counting_1e6(capsys):
+    # sample_inputs' one-atom f as the symbol on their 10**6-atom counting space
+    samples = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "sample_inputs")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would reach stderr
+        code, out, err = run_cli(
+            capsys,
+            ["op", "check", "--kind", "multiplication",
+             "--theta", os.path.join(samples, "f.json"),
+             "--space", os.path.join(samples, "counting.json"), "--phi", "power:p=2"],
+        )
+    assert (code, err) == (0, "")
+    report = json.loads(out)["results"][0]["value"]
+    assert report["verdict"] == "bounded" and report["ess_sups"] == [3.0, 4.0], report
+
+
 def test_phi_classify_reports_probe_fields(capsys):
     report = run_json(capsys, ["phi", "classify", "--phi", "power:p=2"])
     probe = result_value(report, "phi_report")

@@ -19,8 +19,8 @@ import math
 import numpy as np
 import pytest
 
-from bcorlicz import AtomicMeasureSpace, IndexMap, distortion_ratios
-from bcorlicz.measure import _CHUNK_ATOMS, map_images, scan_window
+from bcorlicz import AtomicMeasureSpace, IndexMap, InvalidMapError, distortion_ratios
+from bcorlicz.measure import _CHUNK_ATOMS, map_images, scan_window, window_chunks
 
 # ------------------------------------------------------------ the reference
 
@@ -112,6 +112,24 @@ def same(space, imap):
 
 RNG_TABLE = np.random.default_rng(5).integers(1, 2 * 10**5 + 1, 3 * 10**5)
 
+
+def lagged(i):
+    """``max(n - lag, 1)`` with a lag of 0 to 2 atoms below 12000, of 20000
+    below 45000, scattered over 0 to 2499 below 90000 and of 0 to 2 again
+    past it.  On geometric:0.5 a share underflows past a lag of about 1075
+    atoms (the scan's reach is 1078), so over the windows below a chunk
+    holds only near atoms, only far ones (a chunk whose shares are all
+    skipped) or both, and the regions cross the chunk ends and the quarter
+    and half prefixes.  On geometric:2.0 the shares grow instead, and pass
+    the floats past a lag of 1024."""
+    lag = np.select(
+        [i < 12000, i < 45000, i < 90000],
+        [i % 3, np.full(i.shape, 20000), (i * 7919) % 2500],
+        i % 3,
+    )
+    return np.maximum(i - lag, 1)
+
+
 MAPS = {
     "n//2+1": IndexMap.from_rule(lambda i: i // 2 + 1, name="n//2+1"),
     "2n": IndexMap.from_rule(lambda i: 2 * i, name="2n"),
@@ -124,6 +142,7 @@ MAPS = {
     # images inside and past the window, in no order
     "scattered": IndexMap.from_rule(lambda i: RNG_TABLE[i - 1], name="scattered"),
     "right shift": IndexMap.right_shift(),
+    "lagged": IndexMap.from_rule(lagged, name="lagged"),
 }
 
 RATIOS = (1e-3, 0.5, 0.999, 1.0, 2.0)
@@ -161,6 +180,25 @@ def test_shares_at_the_underflow_reach_match_the_reference(rule, m):
         same(space, lag)
 
 
+
+@pytest.mark.parametrize(
+    "rule, m",
+    [("geometric:1e-3", m) for m in range(105, 111)]
+    + [("geometric:0.5", m) for m in range(1073, 1080)],
+)
+def test_a_chunk_at_the_underflow_reach_matches_the_reference(rule, m):
+    # every atom of a chunk maps m atoms below the chunk's first atom, so its
+    # largest share is r**m, and the scan may skip the chunk only where that
+    # reads 0: r**107 is 1e-321 on geometric:1e-3, r**1074 is 5e-324 on 0.5
+    space = lazy_space(rule, 10**5)
+    starts = np.array([lo for lo, _ in window_chunks(*scan_window(space), 1)])
+    below = IndexMap.from_rule(
+        lambda i: np.maximum(starts[np.searchsorted(starts, i, side="right") - 1] - m, 1),
+        name="below the chunk",
+    )
+    same(space, below)
+
+
 _RNG = np.random.default_rng(11)
 FINITE = {
     "ones(7)": np.ones(7),
@@ -189,6 +227,15 @@ def test_finite_scan_matches_the_reference(label):
     ]
     for imap in maps:
         same(space, imap)
+
+
+def test_an_image_0_in_a_chunk_whose_shares_are_skipped_is_refused():
+    # the chunk of atom 70000 adds no share, but its images are still checked
+    imap = IndexMap.from_rule(lambda i: np.where(i == 70000, 0, i // 2 + 1), name="bad")
+    space = lazy_space("geometric:0.5", 10**5)
+    with pytest.raises(InvalidMapError, match="^atom 70000 maps to index 0; images must be >= 1"):
+        distortion_ratios(space, imap)
+    same(space, imap)
 
 
 def test_ratios_are_floats_where_every_image_leaves_the_window():

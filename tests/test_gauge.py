@@ -346,6 +346,39 @@ def test_a_rule_whose_every_term_underflows_is_refused(spec, rule, space):
         luxemburg_norm(phi, array, space)
 
 
+# rules that vanish on the 10**4 atoms the sup is read from, and whose every
+# term of the level underflows past them: both once read 0.0.  The gauge of
+# the first is about 2^-9999 under power:p=2, that of the second 9.95e-198.
+PAST_THE_SUP_PREFIX = [
+    pytest.param(spec, lambda i: (i > 20000).astype(float),
+                 AtomicMeasureSpace.geometric(0.5, 10**6), id=f"1_{{n>20000}}-{spec}")
+    for spec in PHIS
+] + [
+    pytest.param(spec, lambda i: 1e-200 * (i > 10**4),
+                 AtomicMeasureSpace.counting(10**6), id=f"1e-200 1_{{n>10^4}}-{spec}")
+    for spec in ("power:p=2", "power:p=3", "exp", "entropy")
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec, rule, space", PAST_THE_SUP_PREFIX)
+def test_a_rule_nonzero_only_past_the_sup_prefix_is_refused(spec, rule, space):
+    with pytest.raises(
+        UnsupportedInstanceError,
+        match=f"^every term of the {spec} level of a nonzero sequence reads 0.0 in floats on "
+        f"{space.rule}, so",
+    ):
+        luxemburg_norm(OrliczFunction.parse(spec), rule, space)
+
+
+def test_a_march_records_whether_a_value_read_was_nonzero():
+    space = AtomicMeasureSpace.geometric(0.5, 10**5)
+    underflowed = modular(OrliczFunction.power(2), lambda i: (i > 20000).astype(float), space)
+    assert (underflowed.value, underflowed.nonzero) == (0.0, True)
+    zero = modular(OrliczFunction.power(2), lambda i: 0.0 * i, space)
+    assert (zero.value, zero.nonzero) == (0.0, False)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("spec", PHIS)
 @pytest.mark.parametrize(

@@ -34,6 +34,7 @@ from bcorlicz import (
     empirical_operator_norm,
     empirical_ratios,
     invert_operator,
+    measure,
     modular,
     norm_bc,
     operators,
@@ -833,22 +834,45 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
+# a lazy scan reads the space's n_max atoms, up to 10**7
 @pytest.mark.parametrize(
-    "space, imap",
+    "space, imap, window",
     [
-        (AtomicMeasureSpace.counting(10**6), IndexMap.right_shift()),
-        (AtomicMeasureSpace.counting(10**6), IndexMap.from_rule(lambda i: 2 * i, name="2n")),
+        (AtomicMeasureSpace.counting(10**6), IndexMap.right_shift(), 10**6),
+        (AtomicMeasureSpace.counting(10**6), IndexMap.from_rule(lambda i: 2 * i, name="2n"),
+         10**6),
         (AtomicMeasureSpace.geometric(0.5, 10**6),
-         IndexMap.from_rule(lambda i: i // 2 + 1, name="n//2+1")),
+         IndexMap.from_rule(lambda i: i // 2 + 1, name="n//2+1"), 10**6),
+        (AtomicMeasureSpace.counting(10**12), IndexMap.right_shift(), 10**7),
     ],
-    ids=["right shift", "2n", "n//2+1 geometric"],
+    ids=["right shift", "2n", "n//2+1 geometric", "right shift on counting(10**12)"],
 )
-def test_distortion_scan_holds_one_chunk_besides_the_ratios(space, imap):
+def test_distortion_scan_holds_one_chunk_besides_the_ratios(space, imap, window):
     # the scan once built window-long atoms, images, exponents and shares:
     # 22.9 to 24.8 MiB at 10^6 atoms, against 7.6 MiB of ratios
     dist, peak = _traced_peak(lambda: distortion_ratios(space, imap))
-    assert dist.ratios.size == 10**6
+    assert dist.ratios.size == window
     assert peak <= dist.ratios.nbytes + 3 * MIB, peak / MIB
+
+
+def test_a_composition_check_adds_shares_only_where_one_can_be_nonzero(monkeypatch):
+    # on geometric:0.5 the share 0.5**(k - T(k)) of n//2+1 underflows before
+    # k = 2160, so the check adds shares in its first chunk only
+    chunks = []
+
+    def spy(space, k, n):
+        chunks.append((int(k.min()), int(k.max())))
+        return weight_ratios(space, k, n)
+
+    weight_ratios = measure._weight_ratios
+    monkeypatch.setattr(measure, "_weight_ratios", spy)
+    rep = check_composition_bounded(
+        AtomicMeasureSpace.geometric(0.5, 10**6),
+        IndexMap.from_rule(lambda i: i // 2 + 1, name="n//2+1"),
+        OrliczFunction.power(2),
+    )
+    assert rep.verdict == "bounded"
+    assert len(chunks) == 1 and chunks[0][1] < 2160, chunks
 
 
 def test_multiplication_check_holds_one_chunk_of_the_symbol():

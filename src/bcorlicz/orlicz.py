@@ -567,16 +567,16 @@ def _exact_sum(values: np.ndarray, weights: np.ndarray):
 # ----------------------------------------------------------------------
 
 
-# rules are scanned over this many leading atoms for the normalising sup
-_SUP_PREFIX = 10**4
+_EPS = float(np.finfo(float).eps)
 # exp and entropy solves that need more steps than this are reported
 _SOLVE_STEPS = 100
+# the check's sum read up to 12 eps above the solve's level: t is aimed inside by this / alpha
+_AIM = 16 * _EPS
 # a gauge that rounding leaves just outside the level set is stepped up
 # (see _certified); the level is checked at most this many times
 _CERTIFY_TRIES = 8
 # solver iterates stay within t = e^-709 .. e^709, where exp(s) is finite
 _LOG_T_RANGE = 709.0
-_EPS = float(np.finfo(float).eps)
 
 
 def luxemburg_norm(
@@ -590,17 +590,18 @@ def luxemburg_norm(
     """Luxemburg gauge ``inf { lam > 0 : I_phi(f / lam) <= 1 }``.
 
     With ``offset = n`` it is the gauge of the tail ``f 1_{>n}``, and all
-    below runs over the atoms past ``n``.  ``|f|`` and its sup (1 if a
-    rule's prefix vanishes) are read once, over the atoms an exact sum
-    reads (``_exact_part``) or an index rule's bounded prefix.  The solve
-    runs on ``level(t) = I_phi(t cut |f| / sup)``, whose root ``t*`` gives
-    the gauge ``sup / (cut t*)``, so nothing in it can overflow; ``cut`` is
-    1, or for a finitely supported ``f`` under ``exp`` or ``entropy`` the
-    family's series cut (``OrliczFunction.series``), above every argument
-    at ``t <= 1``.  For ``power:p`` the level is ``t^p level(1)``, and one
-    evaluation gives the closed form ``sup * level(1)^(1/p)``.  Otherwise,
-    and where that level reads +inf, a bracketed regula falsi in log scale
-    (``_unit_scale``) stops once the gauge is pinned to a relative ``tol``.
+    below runs over the atoms past ``n``.  ``|f|`` and a scale ``sup`` are
+    read once: the largest modulus over the atoms an exact sum reads
+    (``_exact_part``) or a rule's first ``_FIRST_CHUNK``, 1 if they vanish.
+    The solve runs on ``level(t) = I_phi(t cut |f| / sup)``, whose root
+    ``t*`` gives the gauge ``sup / (cut t*)``; ``cut`` is 1, or for a
+    finitely supported ``f`` under ``exp`` or ``entropy`` the family's
+    series cut (``OrliczFunction.series``), above every argument at
+    ``t <= 1``.  For ``power:p`` the level is ``t^p level(1)``: the closed
+    form ``sup * level(1)^(1/p)``, its root raised until its ``p``-th power
+    reads ``level(1)``, not aimed.  Otherwise, and where that level reads
+    +inf, a bracketed regula falsi in log scale (``_unit_scale``) pins the
+    gauge to a relative ``tol`` and aims it inside.
 
     A finitely supported level is an exact sum: under ``exp`` or
     ``entropy`` at ``t <= 1``, the family's series over the moments of
@@ -620,8 +621,8 @@ def luxemburg_norm(
     (sup / lam)^p``, so the rule is marched once.  The returned gauge
     thus satisfies ``I_phi(f / lam) <= 1`` in floats and lies within ``tol``
     (or the solve's float floor, where that is wider; see ``_unit_scale``),
-    plus the few ulps of that step, above the infimum (phi is evaluated to
-    a few ulps; exp takes a Taylor series at small arguments).
+    plus the aim and the few ulps of that step, above the infimum (phi is
+    evaluated to a few ulps; exp takes a Taylor series at small arguments).
 
     The gauge is 0 where the moduli read vanish, and for a rule, where
     every value that its level's march at ``t = 1`` read is 0 (see
@@ -639,8 +640,7 @@ def luxemburg_norm(
     raw = _as_raw_component(f)
     part = _exact_part((raw,), space, offset)
     if part is None:
-        prefix = min(space.size, offset + _SUP_PREFIX)  # where a rule's sup is read
-        mags = np.abs(component_head(raw, prefix, offset + 1))
+        mags = np.abs(component_head(raw, min(space.size, offset + _FIRST_CHUNK), offset + 1))
     else:
         (values,), weights = part
         if not values.size:
@@ -676,22 +676,31 @@ def luxemburg_norm(
 
     if phi.family == "power" and at_one < math.inf:
         root = at_one ** (1.0 / phi.p)
-        # 1/p rounds down for p = 3, 1.5, ..., which biases the root low
-        if root**phi.p < at_one:
-            root = math.nextafter(root, math.inf)
+        # 1/p rounds for p = 1.5, 3, ..., which leaves the root ulps low, the
+        # more as |log at_one| grows: a Newton step, and at least an ulp, up to 4 times
+        for _ in range(4):
+            power = _power(root, phi.p)
+            if power >= at_one:
+                break
+            root = max(math.nextafter(root, math.inf), root * (1 + (1 - power / at_one) / phi.p))
         lam = sup * root
         if part is None:  # the level probe's estimate, scaled: no second march
-            def read(lam: float) -> ModularValue:  # +inf past the floats
-                try:
-                    return ModularValue(at_one * (sup / lam) ** phi.p, "converged", 0)
-                except OverflowError:
-                    return ModularValue(math.inf, "converged", 0)
+            def read(lam: float) -> ModularValue:
+                return ModularValue(at_one * _power(sup / lam, phi.p), "converged", 0)
     else:
         # the level's log-log slope is at least phi's least elasticity
         alpha = classify_phi(phi).alpha
         lam = sup / (cut * _unit_scale(level, at_one, alpha, tol, exact=part is not None))
     del level  # the solve's arrays are not held through the certificate
     return _certified(phi, lam, read)
+
+
+def _power(x: float, p: float) -> float:
+    """``x ** p``, +inf past the floats."""
+    try:
+        return x**p
+    except OverflowError:
+        return math.inf
 
 
 def _finite_level(phi: OrliczFunction, mags: np.ndarray, weights: np.ndarray):
@@ -824,6 +833,8 @@ def _unit_scale(
     An ``exact`` level (a finitely supported sum) is finite in exact
     arithmetic, so its +inf is float overflow, and a bracket closed against
     one raises UnsupportedInstanceError; a probe's +inf is a level above 1.
+    The ``t`` returned is aimed inside by ``_AIM / k``, which lowers the
+    level by ``_AIM`` at least: the certificate's sum rounds otherwise.
     """
     s = 0.0
     ends: dict[int, list[float]] = {}  # -1 below the root, +1 above: [s, L]
@@ -850,7 +861,7 @@ def _unit_scale(
                     "the level I_phi(f/lam) overflows floats next to its root, "
                     "so the gauge is not computed"
                 )
-            return best
+            return best * (1.0 - _AIM / k)
         side = 1 if L > 0 else -1
         if side == last and -side in ends:
             m = 1.0 - L / ends[side][1]
@@ -874,7 +885,8 @@ def _unit_scale(
 def _certified(phi, lam: float, read: Callable[[float], ModularValue]) -> float:
     """``lam`` once ``read(lam)``, the level ``I_phi(f 1_{>offset} / lam)``, is at most 1.
 
-    The caller says what each try reads (see ``luxemburg_norm``): one
+    The solve aims ``lam`` inside, and a power root is raised to read the
+    level, so a step up is rare.  Each try reads (see ``luxemburg_norm``) one
     ``modular`` call, or a lazy power level's probe estimate, scaled, which
     reads no atom again and proves nothing.  For a finitely supported ``f``
     the call sums over the float moduli ``|f|`` the gauge read, indexed from

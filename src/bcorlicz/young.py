@@ -93,12 +93,12 @@ class OrliczFunction:
         return _SERIES.get(self.family)
 
     def _values(self, u: np.ndarray) -> np.ndarray:
-        """phi at finite arguments >= 0, unchecked; overflow becomes +inf."""
+        """phi at finite arguments >= 0, unchecked; overflow becomes +inf; ``u`` itself at p = 1."""
         import numpy as np
 
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             if self.family == "power":
-                return u**self.p
+                return u if self.p == 1.0 else u**self.p
             if self.family == "exp":
                 # expm1(u) - u keeps relative error up to eps / u, so small
                 # arguments take the Taylor series (Horner, in place)

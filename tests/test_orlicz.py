@@ -291,6 +291,25 @@ def test_a_zero_scale_reads_zero_over_an_overflowing_modulus(spec, space):
         assert (mv.value, mv.status) == (0.0, "converged")
 
 
+@pytest.mark.parametrize("lazy", [False, True], ids=["finite", "lazy"])
+def test_a_p1_modular_leaves_the_callers_array_unchanged(lazy):
+    # phi(u) = u at p = 1 gives back its argument, not a copy; the sum past
+    # the floats makes each path rewrite its terms in place, and a rule
+    # hands out views of the caller's array
+    data = np.array([1e308, -1e308, 0.0, 2.5] * 256)
+    kept = data.copy()
+    phi = OrliczFunction.power(1)
+    if lazy:
+        space = AtomicMeasureSpace.counting(data.size)
+        mv = modular(phi, lambda i: data[i[0] - 1 : i[-1]], space)
+    else:
+        mv = modular(phi, data, AtomicMeasureSpace.finite(np.ones(data.size)))
+        # and a gauge, whose certificate sums the moduli it holds
+        assert luxemburg_norm(phi, data[2:4], AtomicMeasureSpace.finite([1.0, 1.0])) == 2.5
+    assert mv.value == math.inf
+    assert np.array_equal(data, kept)
+
+
 def test_modular_rejects_whole_sequences():
     sp = AtomicMeasureSpace.finite([1.0])
     F = BCSequence.from_values([3])
@@ -930,11 +949,16 @@ def test_lazy_tails_against_closed_forms(n, window):
 
 
 def test_lazy_tails_settle_early():
-    # the tail's blocks are the series' dyadic blocks of the atom index
+    # the tail's blocks are the series' dyadic blocks of the atom index; the
+    # first is the library benchmark's median request
     space = AtomicMeasureSpace.counting(10**6)
     mv = modular(OrliczFunction.power(2), lambda i: C / i, space, offset=10)
-    assert mv.status == "converged" and mv.n_terms <= 2**15 - 1, mv
+    assert mv.status == "converged" and mv.n_terms == 32757, mv
     assert mv.value == pytest.approx(C * C * zeta_tail(2, 10), rel=1e-14, abs=0.0)
+    mv = modular(OrliczFunction.power(2), lambda i: 1.0 / i, space, offset=10)
+    want = math.pi**2 / 6 - math.fsum(1.0 / k**2 for k in range(1, 11))
+    assert mv.status == "converged" and mv.n_terms <= 32767, mv
+    assert abs(mv.value - want) <= 1e-12 * want, mv
     mv = modular(OrliczFunction.power(2), lambda i: C / i, space, offset=999)
     assert mv.status == "converged", mv
 
